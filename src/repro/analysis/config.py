@@ -167,7 +167,10 @@ class AnalysisOptions:
             semantics and pure box splitting (the ablation of Section 6.4);
             superseded by ``analyzers`` but still honoured when ``analyzers``
             is not set.
-        prune_empty_paths: skip paths whose constraint polytope is infeasible.
+        prune_empty_paths: skip (bound by 0) linear paths whose constraint
+            polytope is infeasible *or flat*: a Chebyshev radius ``≤ 1e-9``
+            means volume 0 under :meth:`repro.polytope.Polytope.volume_bounds`'
+            rule, for the polytope and for everything inside it.
         analyzers: ordered preference of registered path-analyzer names (see
             :mod:`repro.analysis.registry`).  Every symbolic path is handled
             by the first listed analyzer that declares itself applicable.

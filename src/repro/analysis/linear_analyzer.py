@@ -5,7 +5,8 @@ functions of the sample variables and every prior is a (bounded) uniform
 distribution.  The path denotation becomes an integral of the score product
 over a convex polytope:
 
-* without scores it is a plain polytope volume — computed exactly;
+* without scores it is a plain polytope volume (Qhull's float, see
+  :meth:`~repro.polytope.Polytope.volume_bounds`);
 * with scores, every score value is decomposed into a template over *linear
   atoms* (Appendix E.1); each atom's range over the polytope is bounded by an
   LP, split into chunks, and each chunk contributes
@@ -23,14 +24,19 @@ affecting soundness:
   single-variable constraints (e.g. the ``⊕_p`` branching draws) is factored
   out analytically as an exact probability mass instead of adding a polytope
   dimension;
-* **cross-path geometry caching** — LP results, feasibility checks and exact
+* **cross-path geometry caching** — LP results, flatness checks and
   volumes are memoised in a :class:`GeometryCache` keyed on the polytope's
   *exact* H-representation bytes.  Every cached computation is a
   deterministic pure function of those bytes, so a hit returns the identical
   float64s a fresh computation would — which is what makes it sound to share
   the cache across the paths of a chunk (and, on the columnar route, across
   chunks and queries of a table attachment) without bounds depending on how
-  paths are partitioned; and
+  paths are partitioned;
+* **base-first flatness** — an empty or flat base polytope (Chebyshev
+  radius ``≤ 1e-9``, the rule :meth:`~repro.polytope.Polytope.volume_bounds`
+  applies to every cell) integrates to 0 at once: each combination cell lies
+  inside its base, so every cell volume would be 0 too, and the atom LPs and
+  cell volumes are skipped; and
 * **batched LP kernels** — each polytope's constraint system is prepared
   once on the low-overhead HiGHS kernel (:mod:`repro.polytope.highs`) and
   all atom objectives sweep it in one batch (:class:`~repro.polytope.batch.
@@ -264,7 +270,9 @@ class GeometryCache:
     other's volume):
 
     * ``volumes`` — :meth:`Polytope.volume_bounds` results,
-    * ``emptiness`` — :meth:`Polytope.is_empty` results,
+    * ``full_dimension`` — :meth:`Polytope.is_full_dimensional` results: one
+      Chebyshev solve per polytope settles whether it is empty or flat
+      (volume 0, for it and for every cell inside it),
     * ``atom_bounds`` — batched atom LP sweeps (keyed additionally on the
       dense objective bytes), and
     * ``programs`` — compiled score-template programs (keyed on the template
@@ -286,7 +294,7 @@ class GeometryCache:
 
     __slots__ = (
         "volumes",
-        "emptiness",
+        "full_dimension",
         "atom_bounds",
         "programs",
         "volume_hits",
@@ -297,7 +305,7 @@ class GeometryCache:
 
     def __init__(self) -> None:
         self.volumes: Dict[_GeometryKey, Interval] = {}
-        self.emptiness: Dict[_GeometryKey, bool] = {}
+        self.full_dimension: Dict[_GeometryKey, bool] = {}
         self.atom_bounds: Dict[tuple[_GeometryKey, bytes], tuple] = {}
         self.programs: Dict[int, tuple] = {}
         self.volume_hits = 0
@@ -306,7 +314,7 @@ class GeometryCache:
         self.misses = 0
 
     def volume(self, polytope: Polytope) -> Interval:
-        """Exact volume bounds of ``polytope``, memoised."""
+        """Volume bounds of ``polytope`` (:meth:`Polytope.volume_bounds`), memoised."""
         key = polytope.cache_key()
         value = self.volumes.get(key)
         if value is None:
@@ -345,13 +353,18 @@ class GeometryCache:
             self.volume_hits += 1
         return value
 
-    def is_empty(self, polytope: Polytope) -> bool:
-        """Feasibility of ``polytope``, memoised."""
+    def full_dimensional(self, polytope: Polytope) -> bool:
+        """Whether ``polytope`` can have non-zero volume, memoised.
+
+        ``False`` (empty, or Chebyshev radius ``≤ 1e-9``) means every subset
+        of ``polytope`` has :meth:`Polytope.volume_bounds` exactly 0.  A
+        failed LP reads as ``True``, so a solver error never zeroes a bound.
+        """
         key = polytope.cache_key()
-        value = self.emptiness.get(key)
+        value = self.full_dimension.get(key)
         if value is None:
             self.misses += 1
-            value = self.emptiness[key] = polytope.is_empty()
+            value = self.full_dimension[key] = polytope.is_full_dimensional()
         else:
             self.hits += 1
         return value
@@ -399,7 +412,7 @@ class GeometryCache:
             "volume_hits": self.volume_hits,
             "volume_misses": self.volume_misses,
             "unique_volumes": len(self.volumes),
-            "unique_emptiness": len(self.emptiness),
+            "unique_full_dimension": len(self.full_dimension),
             "unique_atom_sweeps": len(self.atom_bounds),
         }
 
@@ -489,7 +502,13 @@ def _analyze_linear_forms(
 
     lower = [0.0] * len(targets)
     upper = [0.0] * len(targets)
-    if options.prune_empty_paths and upper_poly is not None and cache.is_empty(upper_poly):
+    if (
+        options.prune_empty_paths
+        and upper_poly is not None
+        and not cache.full_dimensional(upper_poly)
+    ):
+        # Flat or empty: every target polytope lies inside ``upper_poly`` (and
+        # ``lower_poly`` inside it), so every volume below would be 0.
         return list(zip(lower, upper))
 
     for index, target in enumerate(targets):
@@ -572,14 +591,19 @@ def _integrate(
     per atom chunk instead of once per combination, and every volume is
     looked up in the shared :class:`GeometryCache` by the restricted
     polytope's byte key (assembled from the precomputed row bytes) so a hit
-    never materialises the polytope.  ``tests/test_linear_fast_path.py`` pins
-    this loop against :func:`_integrate_reference`, the pre-batching scalar
-    original, bit for bit.
+    never materialises the polytope.
+
+    An empty or flat polytope returns 0 before any atom LP: every cell lies
+    inside it, so every cell volume is 0.  ``tests/test_linear_fast_path.py``
+    pins this loop against :func:`_integrate_reference`, the pre-batching
+    scalar original: bit for bit on full-dimensional polytopes; on flat ones
+    the reference may add negligible-weight terms (``< 1e-10`` per cell) to
+    its upper bound that this shortcut drops.
     """
     if not templates:
         volume = cache.volume(polytope)
         return density * (volume.lo if is_lower else volume.hi)
-    if cache.is_empty(polytope):
+    if not cache.full_dimensional(polytope):
         return 0.0
 
     # Bound every atom over the polytope — one batched LP sweep over the
@@ -650,7 +674,7 @@ def _integrate(
         if not is_lower and math.isfinite(factor) and factor < _NEGLIGIBLE_WEIGHT:
             # ``density · volume`` never exceeds the prior mass 1 of the chunk,
             # so adding the weight itself is a sound (and cheap) upper bound —
-            # this skips an exact volume computation for far-tail chunks.
+            # this skips a volume computation for far-tail chunks.
             total += factor
             continue
         rows: list[list[float]] = []

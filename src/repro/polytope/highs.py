@@ -14,8 +14,10 @@ This module drives the *same* vendored HiGHS binding that scipy ships
   passed once (``presolve`` on, dual simplex, no logging) instead of being
   re-validated per call;
 * a :class:`PreparedLP` per constraint system ``A x ≤ b``: the CSC structure
-  is built once and many objectives are solved against it by mutating the
-  model's cost vector and re-passing the model.
+  is built once (directly with numpy, see :func:`csc_arrays`) and many
+  objectives — or, for a shared constraint matrix, many right-hand sides —
+  are solved against it by mutating the model's cost (and row-bound) vector
+  and re-passing the model.
 
 **Bit-identity contract**: every solve replaces the full model via
 ``passModel`` — exactly the cold-start path ``linprog`` takes — so the
@@ -35,7 +37,6 @@ import threading
 from typing import Optional
 
 import numpy as np
-from scipy.sparse import csc_array
 
 try:  # the binding is private to scipy; degrade gracefully if it moves
     import scipy.optimize._highspy._core as _core
@@ -44,7 +45,14 @@ except ImportError:  # pragma: no cover - depends on the scipy build
     _core = None
     _simplex_constants = None
 
-__all__ = ["PreparedLP", "kernel_available", "OPTIMAL", "INFEASIBLE", "FAILED"]
+__all__ = [
+    "PreparedLP",
+    "csc_arrays",
+    "kernel_available",
+    "OPTIMAL",
+    "INFEASIBLE",
+    "FAILED",
+]
 
 #: Solve outcomes, mirroring the scipy ``linprog`` status codes the polytope
 #: layer branches on (0 = optimal, 2 = infeasible, 4 = anything else).
@@ -83,12 +91,31 @@ def _highs_instance():
     return highs
 
 
+def csc_arrays(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, data)`` of the dense matrix ``a`` in CSC form.
+
+    The same arrays — values, order and ``int32`` index dtype —
+    ``scipy.sparse.csc_array(a)`` produces: entries that compare equal to
+    zero (``-0.0`` included) are dropped, columns are stored left to right
+    and rows ascend within each column.  Built with three numpy passes
+    instead of scipy's COO round trip, which dominated the cost of
+    preparing a small LP.
+    """
+    columns = a.T  # a view: iterating it in C order walks ``a`` column-major
+    nonzero = columns != 0
+    indptr = np.zeros(a.shape[1] + 1, dtype=np.int32)
+    np.cumsum(nonzero.sum(axis=1), out=indptr[1:])
+    indices = np.nonzero(nonzero)[1].astype(np.int32)
+    return indptr, indices, columns[nonzero]
+
+
 class PreparedLP:
     """A constraint system ``A x ≤ b`` loaded once, solved for many costs.
 
     The CSC encoding of ``A`` and the model skeleton (column/row bounds) are
-    built once; :meth:`solve` swaps in an objective, re-passes the model to
-    the per-thread solver and runs it.  Column bounds default to free
+    built once; :meth:`solve` swaps in an objective (and optionally a new
+    right-hand side ``b``), re-passes the model to the per-thread solver and
+    runs it.  Column bounds default to free
     variables (``linprog``'s ``bounds=[(None, None)] * n``); callers with
     partially bounded variables (e.g. the Chebyshev radius) pass explicit
     arrays.
@@ -106,7 +133,7 @@ class PreparedLP:
         a = np.atleast_2d(np.asarray(a, dtype=np.float64))
         b = np.asarray(b, dtype=np.float64).reshape(-1)
         rows, cols = a.shape
-        sparse = csc_array(a)
+        indptr, indices, data = csc_arrays(a)
         lp = _core.HighsLp()
         lp.num_col_ = cols
         lp.num_row_ = rows
@@ -124,20 +151,27 @@ class PreparedLP:
         )
         lp.row_lower_ = np.full(rows, -np.inf)
         lp.row_upper_ = b
-        lp.a_matrix_.start_ = sparse.indptr
-        lp.a_matrix_.index_ = sparse.indices
-        lp.a_matrix_.value_ = sparse.data
+        lp.a_matrix_.start_ = indptr
+        lp.a_matrix_.index_ = indices
+        lp.a_matrix_.value_ = data
         self._lp = lp
         self.dimension = cols
 
-    def solve(self, cost: np.ndarray):
+    def solve(self, cost: np.ndarray, row_upper: Optional[np.ndarray] = None):
         """Minimise ``cost · x`` subject to the prepared constraints.
+
+        ``row_upper`` replaces the right-hand side ``b`` for this and every
+        later solve; the model is re-passed whole either way, so the floats
+        equal those of a fresh ``PreparedLP(a, row_upper, ...)``.  A prepared
+        system whose ``b`` is swapped must not be shared across threads.
 
         Returns ``(status, fun, x)``: the objective value and primal solution
         on :data:`OPTIMAL`, ``(status, None, None)`` otherwise.
         """
         highs = _highs_instance()
         lp = self._lp
+        if row_upper is not None:
+            lp.row_upper_ = np.asarray(row_upper, dtype=np.float64)
         lp.col_cost_ = np.asarray(cost, dtype=np.float64)
         if highs.passModel(lp) == _core.HighsStatus.kError:
             return FAILED, None, None
@@ -150,8 +184,3 @@ class PreparedLP:
             return FAILED, None, None
         info = highs.getInfo()
         return OPTIMAL, info.objective_function_value, highs.getSolution().col_value
-
-    def minimise(self, cost: np.ndarray) -> Optional[float]:
-        """The minimum of ``cost · x``, or ``None`` when not optimal."""
-        status, fun, _ = self.solve(cost)
-        return None if status != OPTIMAL else fun

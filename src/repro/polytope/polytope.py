@@ -7,21 +7,42 @@ for bounding linear forms; this module provides both from scratch on top of
 ``scipy`` (with a pure-Python fallback for vertex enumeration):
 
 * feasibility and Chebyshev centre via linear programming,
-* exact bounds on a linear function over the polytope (:meth:`Polytope.bound_linear`),
-* exact volume via halfspace intersection + convex hull, with sound
+* bounds on a linear function over the polytope (:meth:`Polytope.bound_linear`),
+  the LP optima as HiGHS returns them,
+* volume via halfspace intersection + convex hull, with sound
   ``[0, box volume]`` fallback bounds when the geometry degenerates.
+
+The volume is *not* exact: it is the float Qhull computes over joggled
+(``QJ``) input, returned as a point interval rounded to nearest.  It can miss
+the true volume by ~1e-6 relative; certified volumes are an open ROADMAP
+item.
+
+**Flatness rule.**  A polytope whose largest inscribed ball has radius
+``≤ 1e-9`` (:data:`FLATNESS_RADIUS`) is treated as lower-dimensional, i.e. of
+volume exactly 0 (:meth:`Polytope.is_full_dimensional`).  Every subset of
+such a polytope is flat too, which lets the linear analyzer settle a whole
+family of cells from their common base.
 
 All LPs run on the low-overhead HiGHS kernel (:mod:`repro.polytope.highs`)
 when its binding is available: each polytope lazily prepares its constraint
-system once and solves every objective (atom bounds, feasibility, Chebyshev)
-against it.  The kernel is bit-identical to ``scipy.optimize.linprog`` by
-construction, and ``linprog`` remains the automatic fallback.
+system once and solves every objective (atom bounds, feasibility) against
+it, and the Chebyshev LP ``[A | ‖aᵢ‖]`` is prepared once per constraint
+matrix ``A`` (per thread) and re-solved for each right-hand side ``b``.  The
+kernel is bit-identical to ``scipy.optimize.linprog`` by construction, and
+``linprog`` remains the automatic fallback.
+
+An LP that fails — neither an optimum nor a proof of infeasibility — is not
+read as emptiness: :class:`LPFailure` reaches the volume code, which widens
+to ``[0, v]`` with ``v`` the volume of the box cut out by ``A``'s
+axis-aligned rows (``inf`` when that box is unbounded).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -32,13 +53,51 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 from ..intervals import Interval
 from . import highs as _highs
 
-__all__ = ["Polytope", "PolytopeError"]
+__all__ = ["FLATNESS_RADIUS", "LPFailure", "Polytope", "PolytopeError"]
 
-_FEASIBILITY_TOL = 1e-9
+#: Chebyshev radius at or below which a polytope counts as lower-dimensional
+#: (volume exactly 0).
+FLATNESS_RADIUS = 1e-9
+
+#: Chebyshev LP skeletons kept per thread (least recently used evicted).
+_CHEBYSHEV_SKELETONS = 64
+
+#: Per-thread skeleton store: a prepared ``[A | ‖aᵢ‖]`` system has its
+#: right-hand side swapped on every solve, so it must not cross threads.
+_SKELETONS = threading.local()
 
 
 class PolytopeError(Exception):
     """Raised on malformed polytope operations."""
+
+
+class LPFailure(PolytopeError):
+    """The LP solver returned neither an optimum nor a proof of infeasibility."""
+
+
+def _chebyshev_skeleton(a: np.ndarray) -> "_highs.PreparedLP":
+    """The prepared Chebyshev LP ``[A | ‖aᵢ‖] (x, r) ≤ b, r ≥ 0`` of ``A``.
+
+    Keyed on ``A``'s shape and exact bytes; the caller passes its own ``b``
+    to every solve.  Cells of one base polytope share few distinct matrices,
+    so most Chebyshev solves skip the build.
+    """
+    store = getattr(_SKELETONS, "store", None)
+    if store is None:
+        store = _SKELETONS.store = OrderedDict()
+    key = (a.shape, a.tobytes())
+    skeleton = store.get(key)
+    if skeleton is not None:
+        store.move_to_end(key)
+        return skeleton
+    norms = np.linalg.norm(a, axis=1)
+    col_lower = np.concatenate([np.full(a.shape[1], -np.inf), [0.0]])
+    skeleton = store[key] = _highs.PreparedLP(
+        np.hstack([a, norms.reshape(-1, 1)]), np.zeros(a.shape[0]), col_lower=col_lower
+    )
+    if len(store) > _CHEBYSHEV_SKELETONS:
+        store.popitem(last=False)
+    return skeleton
 
 
 @dataclass(frozen=True)
@@ -128,7 +187,18 @@ class Polytope:
     # Linear programming
     # ------------------------------------------------------------------
     def bound_linear(self, coefficients: Sequence[float], constant: float = 0.0) -> Optional[Interval]:
-        """Exact range of ``c·x + constant`` over the polytope (``None`` if empty)."""
+        """Range of ``c·x + constant`` over the polytope (``None`` if empty).
+
+        Also ``None`` when an LP fails; :meth:`_linear_range` tells the two
+        apart.
+        """
+        try:
+            return self._linear_range(coefficients, constant)
+        except LPFailure:
+            return None
+
+    def _linear_range(self, coefficients: Sequence[float], constant: float = 0.0) -> Optional[Interval]:
+        """:meth:`bound_linear`, raising :class:`LPFailure` when an LP fails."""
         if self.dimension == 0:
             return None if self.is_empty() else Interval.point(constant)
         coefficients = np.asarray(coefficients, dtype=float)
@@ -160,11 +230,19 @@ class Polytope:
         return prepared
 
     def _optimise(self, coefficients: np.ndarray, minimise: bool) -> Optional[float]:
+        """The optimum of ``coefficients · x`` (``None`` if infeasible).
+
+        Raises :class:`LPFailure` when the solver fails.
+        """
         sign = 1.0 if minimise else -1.0
         prepared = self.prepared_lp()
         if prepared is not None:
-            fun = prepared.minimise(sign * coefficients)
-            return None if fun is None else float(sign * fun)
+            status, fun, _ = prepared.solve(sign * coefficients)
+            if status == _highs.INFEASIBLE:
+                return None
+            if status != _highs.OPTIMAL:
+                raise LPFailure("linear objective LP failed")
+            return float(sign * fun)
         result = linprog(
             sign * coefficients,
             A_ub=self.a,
@@ -175,7 +253,7 @@ class Polytope:
         if result.status == 2:  # infeasible
             return None
         if not result.success:
-            return None
+            raise LPFailure(result.message)
         return float(sign * result.fun)
 
     def is_empty(self) -> bool:
@@ -198,34 +276,54 @@ class Polytope:
         return result.status == 2
 
     def chebyshev_center(self) -> Optional[tuple[np.ndarray, float]]:
-        """Centre and radius of the largest inscribed ball (``None`` if empty)."""
+        """Centre and radius of the largest inscribed ball (``None`` if empty).
+
+        Raises :class:`LPFailure` when the LP fails, so a solver error is
+        never mistaken for emptiness.  The LP's constraint matrix is prepared
+        once per ``A`` (see :func:`_chebyshev_skeleton`); re-passing the whole
+        model on every solve keeps the floats those of a fresh solve.
+        """
         if self.dimension == 0:
             return None if self.is_empty() else (np.zeros(0), math.inf)
-        norms = np.linalg.norm(self.a, axis=1)
         objective = np.zeros(self.dimension + 1)
         objective[-1] = -1.0  # maximise the radius
-        a_ub = np.hstack([self.a, norms.reshape(-1, 1)])
         if _highs.kernel_available():
-            col_lower = np.concatenate([np.full(self.dimension, -np.inf), [0.0]])
-            prepared = _highs.PreparedLP(a_ub, self.b, col_lower=col_lower)
-            status, _, x = prepared.solve(objective)
-            if status != _highs.OPTIMAL:
+            status, _, x = _chebyshev_skeleton(self.a).solve(objective, self.b)
+            if status == _highs.INFEASIBLE:
                 return None
+            if status != _highs.OPTIMAL:
+                raise LPFailure("Chebyshev LP failed")
             x = np.asarray(x, dtype=float)
         else:
+            norms = np.linalg.norm(self.a, axis=1)
             result = linprog(
                 objective,
-                A_ub=a_ub,
+                A_ub=np.hstack([self.a, norms.reshape(-1, 1)]),
                 b_ub=self.b,
                 bounds=[(None, None)] * self.dimension + [(0.0, None)],
                 method="highs",
             )
-            if not result.success:
+            if result.status == 2:  # infeasible
                 return None
+            if not result.success:
+                raise LPFailure(result.message)
             x = result.x
         center = np.asarray(x[:-1], dtype=float)
         radius = float(x[-1])
         return center, radius
+
+    def is_full_dimensional(self) -> bool:
+        """Whether the inscribed ball's radius exceeds :data:`FLATNESS_RADIUS`.
+
+        ``False`` means :meth:`volume_bounds` is exactly ``[0, 0]`` — for this
+        polytope and for every subset of it.  A failed Chebyshev LP proves
+        nothing, so it counts as full-dimensional (nothing gets skipped).
+        """
+        try:
+            center_radius = self.chebyshev_center()
+        except LPFailure:
+            return True
+        return center_radius is not None and center_radius[1] > FLATNESS_RADIUS
 
     # ------------------------------------------------------------------
     # Volume
@@ -242,11 +340,14 @@ class Polytope:
         if self.dimension == 0:
             return np.zeros((1, 0))
         if center_radius is None:
-            center_radius = self.chebyshev_center()
+            try:
+                center_radius = self.chebyshev_center()
+            except LPFailure:
+                return None
         if center_radius is None:
             return None
         center, radius = center_radius
-        if radius <= _FEASIBILITY_TOL:
+        if radius <= FLATNESS_RADIUS:
             return None
         if self.dimension == 1:
             bound = self.bound_linear([1.0])
@@ -261,25 +362,35 @@ class Polytope:
             return None
 
     def volume_bounds(self) -> Interval:
-        """Sound bounds on the Lebesgue volume.
+        """Bounds on the Lebesgue volume.
 
-        The result is a point interval (the exact volume) in the regular case;
-        when the polytope is lower-dimensional the volume is exactly 0; when
-        Qhull fails on a genuinely full-dimensional polytope the fallback is
-        ``[0, volume of the bounding box]``, which keeps every downstream
-        bound sound (just less precise).
+        In the regular case the result is a point interval: Qhull's volume
+        of the joggled (``QJ``) vertex set, rounded to nearest — close to the
+        true volume but not a certified enclosure of it (see the ROADMAP's
+        certified-volume item).  An empty or flat polytope (Chebyshev radius
+        ``≤`` :data:`FLATNESS_RADIUS`) has volume exactly 0.  When Qhull
+        fails on a full-dimensional polytope the fallback is
+        ``[0, volume of the bounding box]``; when an LP fails it is
+        ``[0, volume of the axis-aligned rows' box]``.  Both keep every
+        downstream bound sound, just less precise.
         """
         if self.dimension == 0:
             return Interval.point(0.0) if self.is_empty() else Interval.point(1.0)
-        center_radius = self.chebyshev_center()
+        try:
+            center_radius = self.chebyshev_center()
+        except LPFailure:
+            return Interval(0.0, self._axis_box_volume())
         if center_radius is None:
             return Interval.point(0.0)
         _, radius = center_radius
-        if radius <= _FEASIBILITY_TOL:
+        if radius <= FLATNESS_RADIUS:
             # Lower-dimensional (or empty): Lebesgue volume 0.
             return Interval.point(0.0)
         if self.dimension == 1:
-            bound = self.bound_linear([1.0])
+            try:
+                bound = self._linear_range([1.0])
+            except LPFailure:
+                return Interval(0.0, self._axis_box_volume())
             if bound is None:
                 return Interval.point(0.0)
             return Interval.point(bound.width)
@@ -293,7 +404,8 @@ class Polytope:
             return Interval(0.0, self._bounding_box_volume())
 
     def volume(self) -> float:
-        """The exact volume when available, otherwise the sound upper bound."""
+        """The upper end of :meth:`volume_bounds` (the Qhull volume in the
+        regular case, otherwise the fallback's upper bound)."""
         return self.volume_bounds().hi
 
     def _bounding_box_volume(self) -> float:
@@ -301,10 +413,36 @@ class Polytope:
         for index in range(self.dimension):
             direction = np.zeros(self.dimension)
             direction[index] = 1.0
-            bound = self.bound_linear(direction)
+            try:
+                bound = self._linear_range(direction)
+            except LPFailure:
+                return self._axis_box_volume()
             if bound is None:
                 return 0.0
             if not bound.is_bounded:
                 return math.inf
             volume *= bound.width
         return volume
+
+    def _axis_box_volume(self) -> float:
+        """Volume of the box cut out by ``A``'s axis-aligned rows alone.
+
+        The polytope lies inside that box, so this is a sound upper bound on
+        its volume that needs no LP; ``inf`` when some axis is unbounded.
+        """
+        lower = np.full(self.dimension, -np.inf)
+        upper = np.full(self.dimension, np.inf)
+        for row, rhs in zip(self.a, self.b):
+            (axes,) = np.nonzero(row)
+            if len(axes) != 1:
+                continue
+            axis = axes[0]
+            limit = rhs / row[axis]
+            if row[axis] > 0.0:
+                upper[axis] = min(upper[axis], limit)
+            else:
+                lower[axis] = max(lower[axis], limit)
+        widths = upper - lower
+        if np.any(widths <= 0.0):
+            return 0.0
+        return float(np.prod(widths))

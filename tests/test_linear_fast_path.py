@@ -10,7 +10,12 @@ floats cannot move.  This suite makes each claim a property:
   :func:`~repro.analysis.linear_analyzer._integrate_reference`, the
   pre-batching per-combination loop kept as the oracle;
 * the prepared HiGHS kernel returns the exact floats of the
-  ``scipy.optimize.linprog`` wrapper it replaces;
+  ``scipy.optimize.linprog`` wrapper it replaces, its directly built CSC
+  arrays equal ``scipy.sparse``'s, and a Chebyshev LP re-solved on a shared
+  skeleton returns the floats of a fresh one;
+* the flat-base shortcut (an empty or flat polytope integrates to 0 before
+  any atom LP) keeps the lower bound of the reference loop exactly and only
+  drops its negligible-weight upper terms;
 * the ``uniform_pdf`` / ``beta_pdf`` array liftings agree cell by cell with
   the generic per-Interval lifting (including the agreement on *when* to
   abandon the sweep);
@@ -32,11 +37,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import AnalysisOptions, Model, analyze_path_linear
 from repro.analysis.linear_analyzer import (
+    _NEGLIGIBLE_WEIGHT,
     GeometryCache,
+    _analyze_linear_forms,
     _integrate,
     _integrate_reference,
     linear_analysis_applicable,
 )
+from repro.distributions import Uniform
 from repro.analysis.vectorize import (
     ScalarFallback,
     TableProgramEvaluator,
@@ -48,9 +56,11 @@ from repro.analysis.vectorize import (
 from repro.intervals import Interval, get_primitive
 from repro.models import pedestrian_program
 from repro.polytope import Polytope, kernel_available
-from repro.symbolic import symbolic_paths
+from repro.polytope import highs, polytope as polytope_module
+from repro.symbolic import LinearForm, symbolic_paths
 from repro.symbolic.execute import ExecutionLimits
 from repro.symbolic.linear import decompose_score
+from repro.symbolic.paths import Relation
 from repro.symbolic.value import SConst, SPrim, SVar
 
 TARGETS = (Interval(0.0, 1.0), Interval.reals())
@@ -131,6 +141,179 @@ class TestIntegrateMatchesReference:
                 ) == _integrate_reference(
                     polytope, templates, list(atoms), 1.0, options, is_lower
                 )
+
+
+def _flat_base(cut: float) -> Polytope:
+    """The unit square cut down to the segment ``x + y = cut`` (volume 0)."""
+    return Polytope.from_box([Interval(0.0, 1.0)] * 2).add_constraints(
+        [[1.0, 1.0], [-1.0, -1.0]], [cut, -cut]
+    )
+
+
+class TestFlatBaseShortcut:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=st.integers(min_value=0, max_value=4),
+        mu=st.floats(min_value=-1.0, max_value=1.0),
+        sigma=st.floats(min_value=0.3, max_value=2.0),
+        width=st.floats(min_value=0.5, max_value=2.0),
+        cut=st.floats(min_value=0.1, max_value=1.9),
+        splits=st.integers(min_value=1, max_value=5),
+    )
+    def test_flat_base_matches_reference(self, shape, mu, sigma, width, cut, splits):
+        polytope = _flat_base(cut)
+        atoms = []
+        templates = [
+            decompose_score(expr, atoms)
+            for expr in _score_exprs(mu, sigma, width)[shape]
+        ]
+        options = AnalysisOptions(score_splits=splits, max_score_combinations=64)
+        cells = splits ** len(atoms)
+        cache = GeometryCache()
+        for is_lower in (True, False):
+            reference = _integrate_reference(
+                polytope, templates, list(atoms), 1.0, options, is_lower
+            )
+            shortcut = _integrate(
+                polytope, templates, list(atoms), 1.0, options, cache, is_lower
+            )
+            if is_lower:
+                assert shortcut == reference
+            else:
+                # Only the reference's negligible-weight terms may be dropped.
+                assert shortcut <= reference
+                assert reference - shortcut <= cells * _NEGLIGIBLE_WEIGHT
+        # One Chebyshev solve settled the base: no atom LP, no cell volume.
+        assert cache.full_dimension == {polytope.cache_key(): False}
+        assert not cache.volumes and not cache.atom_bounds
+
+    def test_flat_upper_path_is_pruned(self):
+        # α₀ + α₁ ≤ 1 and α₀ + α₁ ≥ 1: the path polytope is a segment.
+        total = LinearForm.from_dict({0: 1.0, 1: 1.0}, Interval.point(-1.0))
+        constraints = [(total, Relation.LEQ), (total, Relation.GEQ)]
+        atoms = []
+        templates = [decompose_score(_score_exprs(0.0, 1.0, 1.0)[0][0], atoms)]
+        args = (
+            LinearForm.from_dict({0: 1.0}, Interval.point(0.0)),
+            constraints, atoms, templates, [Uniform(0.0, 1.0)] * 2, list(TARGETS),
+        )
+        cache = GeometryCache()
+        pruned = _analyze_linear_forms(*args, AnalysisOptions(score_splits=4), cache)
+        assert pruned == [(0.0, 0.0)] * len(TARGETS)
+        assert list(cache.full_dimension.values()) == [False]
+        assert not cache.volumes and not cache.atom_bounds
+        kept = _analyze_linear_forms(
+            *args, AnalysisOptions(score_splits=4, prune_empty_paths=False), GeometryCache()
+        )
+        for (lower, upper), (kept_lower, kept_upper) in zip(pruned, kept):
+            assert lower == kept_lower
+            assert upper <= kept_upper <= 4 * _NEGLIGIBLE_WEIGHT
+
+    def test_full_dimensional_base_still_integrates(self):
+        cache = GeometryCache()
+        square = Polytope.from_box([Interval(0.0, 1.0)] * 2)
+        assert cache.full_dimensional(square)
+        assert cache.full_dimensional(square)  # a memo hit
+        assert cache.stats()["unique_full_dimension"] == 1
+        assert not cache.full_dimensional(Polytope.from_box([Interval.empty()] * 2))
+
+
+def _random_dense(rng: np.random.Generator) -> np.ndarray:
+    """A small dense matrix with zero entries, zero rows/columns and -0.0."""
+    rows, cols = (int(n) for n in rng.integers(1, 9, size=2))
+    a = rng.normal(size=(rows, cols))
+    a[rng.random((rows, cols)) < 0.4] = 0.0
+    a[rng.random((rows, cols)) < 0.15] = -0.0
+    if rng.random() < 0.4:
+        a[rng.integers(rows)] = 0.0
+    if rng.random() < 0.4:
+        a[:, rng.integers(cols)] = -0.0
+    return a
+
+
+class TestDirectCsc:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_scipy_sparse(self, seed):
+        from scipy.sparse import csc_array
+
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            a = _random_dense(rng)
+            want = csc_array(a)
+            for got, expected in zip(
+                highs.csc_arrays(a), (want.indptr, want.indices, want.data)
+            ):
+                assert got.dtype == expected.dtype
+                assert got.tobytes() == expected.tobytes()
+
+    def test_all_zero_matrix(self):
+        indptr, indices, data = highs.csc_arrays(np.zeros((3, 2)))
+        assert indptr.tolist() == [0, 0, 0]
+        assert indices.size == 0 and data.size == 0
+
+
+@pytest.mark.skipif(not kernel_available(), reason="direct HiGHS kernel unavailable")
+class TestChebyshevSkeleton:
+    @staticmethod
+    def _fresh(polytope: Polytope):
+        """The Chebyshev LP on a freshly prepared system (no skeleton)."""
+        a = polytope.a
+        prepared = highs.PreparedLP(
+            np.hstack([a, np.linalg.norm(a, axis=1).reshape(-1, 1)]),
+            polytope.b,
+            col_lower=np.concatenate([np.full(polytope.dimension, -np.inf), [0.0]]),
+        )
+        objective = np.zeros(polytope.dimension + 1)
+        objective[-1] = -1.0
+        return prepared.solve(objective)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        cuts=st.lists(st.floats(min_value=-0.5, max_value=2.5), min_size=2, max_size=6),
+    )
+    def test_shared_skeleton_is_bit_identical(self, cuts):
+        # One constraint matrix, many right-hand sides: each solve after the
+        # first reuses the skeleton and must match a fresh solve exactly.
+        square = Polytope.from_box([Interval(0.0, 1.0)] * 2)
+        for cut in cuts:
+            cell = square.add_constraints([[1.0, 2.0], [-1.0, 0.5]], [cut, cut - 1.0])
+            status, _, x = self._fresh(cell)
+            got = cell.chebyshev_center()
+            if status == highs.INFEASIBLE:
+                assert got is None
+            else:
+                assert status == highs.OPTIMAL
+                center, radius = got
+                assert center.tobytes() == np.asarray(x[:-1], dtype=float).tobytes()
+                assert radius == float(x[-1])
+
+    def test_store_is_keyed_on_a_and_bounded(self):
+        limit = polytope_module._CHEBYSHEV_SKELETONS
+        for index in range(limit + 10):
+            # Boxes share one ``A`` whatever their ``b``; scaling a row does not.
+            Polytope(np.array([[1.0 + index], [-1.0]]), np.array([1.0, 0.0])).chebyshev_center()
+            Polytope.from_box([Interval(0.0, 1.0 + index)]).chebyshev_center()
+        assert len(polytope_module._SKELETONS.store) == limit
+
+
+class TestExecutorsAgree:
+    def test_pedestrian_depth4_serial_thread_process(self):
+        # The Chebyshev skeletons live per thread; concurrent engine threads
+        # and worker processes must reproduce the serial floats exactly.
+        results = {}
+        for executor in ("serial", "thread", "process"):
+            options = AnalysisOptions(
+                max_fixpoint_depth=4,
+                score_splits=4,
+                workers=1 if executor == "serial" else 2,
+                executor=executor,
+                chunk_size=4,
+            )
+            with Model(pedestrian_program(), options) as model:
+                bounds = model.bounds(list(TARGETS))
+            results[executor] = [(b.lower, b.upper) for b in bounds]
+        assert results["thread"] == results["serial"]
+        assert results["process"] == results["serial"]
 
 
 @pytest.mark.skipif(not kernel_available(), reason="direct HiGHS kernel unavailable")

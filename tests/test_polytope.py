@@ -8,15 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.linear_analyzer import GeometryCache
 from repro.intervals import Interval
 from repro.polytope import (
+    LPFailure,
     Polytope,
     PolytopeError,
     bound_form,
     enumerate_vertices,
     form_rows,
+    kernel_available,
     volume_by_enumeration,
 )
+from repro.polytope import highs, polytope as polytope_module
 from repro.symbolic import LinearForm
 
 
@@ -167,3 +171,57 @@ class TestFormRows:
         rows, rhs = form_rows(form, 1, lower=0.5, for_lower_bound=True)
         assert rows[0] == [-1.0]
         assert rhs[0] == pytest.approx(-0.5)
+
+
+class TestLPFailure:
+    """A failed LP is not emptiness: volumes widen instead of collapsing."""
+
+    @pytest.fixture
+    def failing_kernel(self, monkeypatch):
+        if not kernel_available():
+            pytest.skip("direct HiGHS kernel unavailable")
+        monkeypatch.setattr(
+            highs.PreparedLP, "solve", lambda self, *args, **kwargs: (highs.FAILED, None, None)
+        )
+
+    @pytest.fixture
+    def failing_linprog(self, monkeypatch):
+        class _Failed:
+            status = 4
+            success = False
+            message = "numerical trouble"
+
+        monkeypatch.setattr(highs, "kernel_available", lambda: False)
+        monkeypatch.setattr(polytope_module, "linprog", lambda *args, **kwargs: _Failed())
+
+    @pytest.mark.parametrize("solver", ["failing_kernel", "failing_linprog"])
+    def test_square_widens_to_its_axis_box(self, solver, request):
+        request.getfixturevalue(solver)
+        square = unit_cube(2)
+        with pytest.raises(LPFailure):
+            square.chebyshev_center()
+        assert square.volume_bounds() == Interval(0.0, 1.0)
+        # Cutting rows that are not axis-aligned do not shrink the fallback.
+        cut = square.add_constraints([[1.0, 1.0]], [0.5])
+        assert cut.volume_bounds() == Interval(0.0, 1.0)
+        assert cut.bound_linear([1.0, 0.0]) is None
+        with pytest.raises(LPFailure):
+            cut._linear_range([1.0, 0.0])
+
+    def test_failure_is_never_flat(self, failing_kernel):
+        square = unit_cube(2)
+        assert square.is_full_dimensional()
+        assert GeometryCache().full_dimensional(square)
+
+    def test_bounding_box_fallback(self, failing_kernel):
+        box = Polytope.from_box([Interval(0.0, 2.0), Interval(-1.0, 0.5)])
+        assert box._bounding_box_volume() == 3.0
+        assert Polytope.from_box([Interval(0.0, 1.0)]).volume_bounds() == Interval(0.0, 1.0)
+
+    def test_unbounded_axis_box_is_infinite(self, failing_kernel):
+        strip = Polytope(np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0]]), np.array([1.0, 0.0, 1.0]))
+        assert strip.volume_bounds() == Interval(0.0, math.inf)
+
+    def test_infeasible_axis_rows_have_no_volume(self, failing_kernel):
+        empty = unit_cube(2).add_constraints([[1.0, 0.0]], [-1.0])
+        assert empty.volume_bounds() == Interval.point(0.0)
