@@ -143,13 +143,6 @@ class TestIntegrateMatchesReference:
                 )
 
 
-def _flat_base(cut: float) -> Polytope:
-    """The unit square cut down to the segment ``x + y = cut`` (volume 0)."""
-    return Polytope.from_box([Interval(0.0, 1.0)] * 2).add_constraints(
-        [[1.0, 1.0], [-1.0, -1.0]], [cut, -cut]
-    )
-
-
 class TestFlatBaseShortcut:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -161,7 +154,10 @@ class TestFlatBaseShortcut:
         splits=st.integers(min_value=1, max_value=5),
     )
     def test_flat_base_matches_reference(self, shape, mu, sigma, width, cut, splits):
-        polytope = _flat_base(cut)
+        # The unit square cut down to the segment x + y = cut (volume 0).
+        polytope = Polytope.from_box([Interval(0.0, 1.0)] * 2).add_constraints(
+            [[1.0, 1.0], [-1.0, -1.0]], [cut, -cut]
+        )
         atoms = []
         templates = [
             decompose_score(expr, atoms)
@@ -209,7 +205,7 @@ class TestFlatBaseShortcut:
             assert lower == kept_lower
             assert upper <= kept_upper <= 4 * _NEGLIGIBLE_WEIGHT
 
-    def test_full_dimensional_base_still_integrates(self):
+    def test_flatness_is_memoised_and_empty_is_flat(self):
         cache = GeometryCache()
         square = Polytope.from_box([Interval(0.0, 1.0)] * 2)
         assert cache.full_dimensional(square)
