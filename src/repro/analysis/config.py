@@ -227,11 +227,11 @@ class AnalysisOptions:
             (``analyze_table``, see :mod:`repro.analysis.registry`) sweep
             chunk slices straight from the shared ``PathTable`` arrays
             instead of materialising ``SymbolicPath`` objects.  Applies to
-            process workers under the arena transport **and** to the
-            in-process (serial/thread) backends, which share one table per
-            compiled path set.  On by default; bounds are bit-identical
-            with the knob on or off.  ``$REPRO_ANALYSIS_COLUMNAR=0``
-            disables it process-wide.
+            process workers under the arena transport, to the in-process
+            (serial/thread) backends **and** to the default ``workers=1``
+            loop, which all share one table per compiled path set.  On by
+            default; bounds are bit-identical with the knob on or off.
+            ``$REPRO_ANALYSIS_COLUMNAR=0`` disables it process-wide.
         socket_endpoint: ``host:port`` the ``"socket"`` executor binds its
             work-queue server on.  ``None`` (the default) binds loopback with
             an ephemeral port — right for the common case where the executor

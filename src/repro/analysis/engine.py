@@ -153,9 +153,10 @@ def analyze_single_path(
 ) -> PathContribution:
     """Analyse one path with the first applicable analyzer.
 
-    This is the unit of work shared by the serial loop and the parallel
-    chunk workers, which is what guarantees that both modes compute exactly
-    the same per-path numbers.
+    The unit of work of the serial streaming loop; the chunk body every
+    other route runs (:func:`~repro.analysis.parallel.analyze_table_slice`)
+    calls the same analyzer methods, and raises this function's error for a
+    path no analyzer accepts.
     """
     for analyzer in analyzers:
         if analyzer.applicable(path, options):
@@ -228,6 +229,13 @@ def analyze_execution(
     :class:`repro.Model` does).  Serial and parallel runs return bit-identical
     bounds (see :func:`reduce_contributions`).
 
+    The serial loop (``workers=1``, no executor) runs the same chunk body as
+    every pool worker — :func:`~repro.analysis.parallel.analyze_table_slice`
+    over the execution's :class:`~repro.symbolic.arena.PathTable`, as one
+    slice — so it honours ``options.columnar``, and the linear analyzer's
+    geometry cache, kept in the table's scratch space, is shared across the
+    paths of the compiled program and across repeated queries on it.
+
     With ``options.refine="gap"`` the uniform sweep becomes the *seed* of a
     gap-directed refinement loop (:mod:`repro.analysis.refine`): the worst
     lower/upper-gap paths are iteratively re-analysed at doubled split
@@ -270,17 +278,18 @@ def analyze_execution(
         report.seconds += time.perf_counter() - start
         return bounds
 
-    # Serial loop: stream paths through the same accumulator the parallel
-    # merge uses, so memory stays O(targets) and the numerics stay identical.
-    analyzers = resolve_analyzers(options)
-    totals = [(0.0, 0.0) for _ in targets]
-    for path in execution.paths:
-        _accumulate(totals, analyze_single_path(path, analyzers, targets, options), report)
+    # Serial loop: the whole table as one slice of the pool workers' chunk
+    # body; the fold runs in canonical path order like every parallel merge.
+    from .parallel import analyze_table_slice
+
+    paths = execution.paths
+    contributions = analyze_table_slice(
+        execution.table(), 0, len(paths),
+        tuple(targets), options, resolve_analyzers(options), paths=paths,
+    )
+    bounds = reduce_contributions(contributions, targets, report)
     report.seconds += time.perf_counter() - start
-    return [
-        DenotationBounds(target=target, lower=lower, upper=upper)
-        for target, (lower, upper) in zip(targets, totals)
-    ]
+    return bounds
 
 
 def analyze_path_stream(

@@ -376,6 +376,9 @@ class GeometryCache:
 
         ``rows_key`` is the concatenated float64 bytes of ``dense_rows``;
         the full key pairs it with the polytope's H-representation bytes.
+        ``None`` entries mean the polytope is empty; an atom whose LP fails
+        gets its wider range over the polytope's axis box instead, so a
+        solver error never zeroes a bound.
         """
         key = (polytope.cache_key(), rows_key)
         value = self.atom_bounds.get(key)

@@ -447,7 +447,8 @@ def analyze_table_slice(
     ``options.columnar``, the materialised loop otherwise — the same two
     routes every backend runs, so any consumer holding a table and resolved
     analyzers (process workers, the socket tier's remote workers, in-process
-    backends) produces the exact same contribution records.
+    backends, the engine's default ``workers=1`` loop) produces the exact
+    same contribution records.
 
     ``indices`` (optional) overrides ``[start, stop)`` with an explicit
     path-index list — the refinement scheduler's scattered worst-gap

@@ -41,7 +41,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ..distributions.continuous import _SQRT_2PI, Beta
+from ..distributions.continuous import _MAX_SQUARABLE, _SQRT_2PI, Beta
 from ..intervals import Interval, get_primitive
 from ..symbolic.arena import KIND_ATOM, KIND_CONST, KIND_PRIM, KIND_VAR
 from ..symbolic.value import SAtom, SConst, SPrim, SVar, SymExpr
@@ -255,7 +255,7 @@ def _normal_pdf_cells(args, count: int):
             raise ScalarFallback
     out_lo = np.zeros(count)
     out_hi = np.zeros(count)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         # Any empty argument (the (inf, -inf) representation): the point 0.
         empty = (vlo > vhi) | (mlo > mhi) | (slo > shi)
         sig_lo_arr = np.maximum(slo, 1e-300)
@@ -285,14 +285,19 @@ def _normal_pdf_cells(args, count: int):
     exp = math.exp
     isfinite = math.isfinite
     norm = _SQRT_2PI
+    limit = _MAX_SQUARABLE
     for index in active:
         d_min = d_min_l[index]
         sig_lo = sig_lo_l[index]
         sig_hi = sig_hi_l[index]
-        # Upper bound: smallest distance, best sigma.
+        # Upper bound: smallest distance, best sigma.  A ratio beyond
+        # ``limit`` has density 0 (as in the scalar route), and ``**`` would
+        # raise on it.
         if isfinite(d_min):
-            first = exp(-0.5 * (d_min / sig_lo) ** 2) / (sig_lo * norm)
-            second = exp(-0.5 * (d_min / sig_hi) ** 2) / (sig_hi * norm)
+            ratio = d_min / sig_lo
+            first = exp(-0.5 * ratio ** 2) / (sig_lo * norm) if ratio <= limit else 0.0
+            ratio = d_min / sig_hi
+            second = exp(-0.5 * ratio ** 2) / (sig_hi * norm) if ratio <= limit else 0.0
         else:
             first = second = 0.0
         upper = first if first >= second else second
@@ -307,8 +312,10 @@ def _normal_pdf_cells(args, count: int):
         # Lower bound: largest distance, worst sigma.
         d_max = d_max_l[index]
         if isfinite(d_max):
-            first = exp(-0.5 * (d_max / sig_lo) ** 2) / (sig_lo * norm)
-            second = exp(-0.5 * (d_max / sig_hi) ** 2) / (sig_hi * norm)
+            ratio = d_max / sig_lo
+            first = exp(-0.5 * ratio ** 2) / (sig_lo * norm) if ratio <= limit else 0.0
+            ratio = d_max / sig_hi
+            second = exp(-0.5 * ratio ** 2) / (sig_hi * norm) if ratio <= limit else 0.0
             lower = first if first <= second else second
         else:
             lower = 0.0

@@ -8,6 +8,7 @@ and a sound interval lifting of its density.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy import stats
@@ -26,6 +27,9 @@ __all__ = [
 ]
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+#: The largest float whose square is finite: Python's float ``**`` raises
+#: ``OverflowError`` above it.
+_MAX_SQUARABLE = math.sqrt(sys.float_info.max)
 
 
 def unimodal_pdf_bounds(pdf, mode: float, values: Interval, support: Interval) -> Interval:
@@ -159,7 +163,9 @@ class Normal(ContinuousDistribution):
         d_min, d_max = distance.lo, distance.hi
 
         def density(d: float, sigma: float) -> float:
-            if not math.isfinite(d):
+            if not math.isfinite(d) or d / sigma > _MAX_SQUARABLE:
+                # Beyond the largest squarable ratio the density is far below
+                # the smallest subnormal (and ``**`` would raise).
                 return 0.0
             return math.exp(-0.5 * (d / sigma) ** 2) / (sigma * _SQRT_2PI)
 

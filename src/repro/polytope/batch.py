@@ -11,7 +11,8 @@ all objectives run against it on the direct HiGHS kernel
 The results are bit-identical to calling :meth:`Polytope.bound_linear` per
 form — :class:`BatchPolytope` goes through the exact same per-polytope
 prepared model and result mapping, it just amortises the setup across the
-batch.  When the kernel binding is unavailable every solve degrades to the
+batch — except that a failed LP widens to a sound range instead of ``None``.
+When the kernel binding is unavailable every solve degrades to the
 ``linprog`` fallback inside :meth:`Polytope._optimise` automatically.
 """
 
@@ -22,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..intervals import Interval
-from .polytope import Polytope
+from .polytope import LPFailure, Polytope
 
 __all__ = ["BatchPolytope"]
 
@@ -41,9 +42,11 @@ class BatchPolytope:
         """``[polytope.bound_linear(row) for row in rows]``, batched.
 
         One prepared model serves all ``2 * len(rows)`` solves.  Each entry
-        is the exact range of ``row · x`` over the polytope, or ``None`` when
-        the polytope is empty (every later entry is then ``None`` too, as an
-        empty polytope bounds nothing).
+        is the range of ``row · x`` over the polytope, or ``None`` when the
+        polytope is empty (every later entry is then ``None`` too, as an
+        empty polytope bounds nothing).  Unlike ``bound_linear``, a failed
+        LP is not read as emptiness: that row's entry widens to its range
+        over the polytope's axis box (:meth:`Polytope.axis_box_range`).
         """
         polytope = self.polytope
         results: list[Optional[Interval]] = []
@@ -52,7 +55,10 @@ class BatchPolytope:
             if infeasible:
                 results.append(None)
                 continue
-            bound = polytope.bound_linear(row)
+            try:
+                bound = polytope._linear_range(row)
+            except LPFailure:
+                bound = polytope.axis_box_range(row)
             if bound is None:
                 infeasible = True
             results.append(bound)

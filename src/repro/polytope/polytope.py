@@ -34,7 +34,9 @@ kernel is bit-identical to ``scipy.optimize.linprog`` by construction, and
 An LP that fails — neither an optimum nor a proof of infeasibility — is not
 read as emptiness: :class:`LPFailure` reaches the volume code, which widens
 to ``[0, v]`` with ``v`` the volume of the box cut out by ``A``'s
-axis-aligned rows (``inf`` when that box is unbounded).
+axis-aligned rows (``inf`` when that box is unbounded), and the batched atom
+sweep (:class:`~repro.polytope.batch.BatchPolytope`), which widens an atom's
+range to its range over that box (:meth:`Polytope.axis_box_range`).
 """
 
 from __future__ import annotations
@@ -424,11 +426,11 @@ class Polytope:
             volume *= bound.width
         return volume
 
-    def _axis_box_volume(self) -> float:
-        """Volume of the box cut out by ``A``'s axis-aligned rows alone.
+    def _axis_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Corners of the box cut out by ``A``'s axis-aligned rows alone.
 
-        The polytope lies inside that box, so this is a sound upper bound on
-        its volume that needs no LP; ``inf`` when some axis is unbounded.
+        The polytope lies inside that box; an axis no such row bounds spans
+        the whole line.  Needs no LP.
         """
         lower = np.full(self.dimension, -np.inf)
         upper = np.full(self.dimension, np.inf)
@@ -442,7 +444,35 @@ class Polytope:
                 upper[axis] = min(upper[axis], limit)
             else:
                 lower[axis] = max(lower[axis], limit)
+        return lower, upper
+
+    def _axis_box_volume(self) -> float:
+        """Volume of :meth:`_axis_box`: a sound upper bound on the polytope's
+        volume, ``inf`` when some axis is unbounded."""
+        lower, upper = self._axis_box()
         widths = upper - lower
         if np.any(widths <= 0.0):
             return 0.0
         return float(np.prod(widths))
+
+    def axis_box_range(self, coefficients: Sequence[float]) -> Optional[Interval]:
+        """Range of ``c·x`` over :meth:`_axis_box` (``None`` if that box is empty).
+
+        It encloses the range over the polytope, so it is the sound stand-in
+        for :meth:`bound_linear` when the LP fails; infinite where ``c`` has
+        weight on an unbounded axis.
+        """
+        lower, upper = self._axis_box()
+        if np.any(lower > upper):
+            return None
+        coefficients = np.asarray(coefficients, dtype=float)
+        positive, negative = coefficients > 0.0, coefficients < 0.0
+        lo = float(
+            np.dot(coefficients[positive], lower[positive])
+            + np.dot(coefficients[negative], upper[negative])
+        )
+        hi = float(
+            np.dot(coefficients[positive], upper[positive])
+            + np.dot(coefficients[negative], lower[negative])
+        )
+        return Interval(lo, hi)

@@ -369,6 +369,35 @@ class TestNormalPdfKernel:
         if not reference_failed:
             assert kernel == reference
 
+    def test_overflowing_cells_match_scalar_without_warnings(self):
+        import warnings
+
+        import numpy as np
+
+        from repro.analysis.vectorize import _normal_pdf_cells
+        from repro.distributions.continuous import Normal
+
+        cells = [  # (mean, std, value): d/std beyond the largest squarable float
+            ((0.5, 0.5), (0.0, 1.0), (1.0, 2.0)),
+            ((0.5, 0.5), (0.0, 1e-200), (1e200, 1e201)),
+            ((0.0, 0.0), (1e-300, 1e-300), (1e-145, 1e-140)),
+            ((-1e308, 1e308), (1.0, 2.0), (-1e308, 1e308)),  # d overflows to inf
+        ]
+        args = [
+            tuple(np.array([cell[column][end] for cell in cells]) for end in (0, 1))
+            for column in range(3)
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = _normal_pdf_cells(args, len(cells))
+            reference = [
+                Normal.pdf_interval_params(*(Interval(*cell[column]) for column in range(3)))
+                for cell in cells
+            ]
+        assert list(zip(lo.tolist(), hi.tolist())) == [
+            (bounds.lo, bounds.hi) for bounds in reference
+        ]
+
 
 # ----------------------------------------------------------------------
 # Routing: analyzers without analyze_table still get materialised paths

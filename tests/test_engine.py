@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy import integrate, stats
 
 from repro.analysis import AnalysisOptions, AnalysisReport, Model
 from repro.intervals import Interval
-from repro.lang import builder as b
+from repro.lang import builder as b, parse
 from repro.models import discrete_suite
 
 from helpers import geometric_program, simple_observe_model
@@ -69,6 +70,23 @@ class TestBoundDenotation:
         report = AnalysisReport()
         model.bounds([Interval(0.0, 1.0)], AnalysisOptions(analyzers=("box",)), report=report)
         assert report.analyzer_paths == {"box": 1}
+
+    @pytest.mark.parametrize("analyzers", [("box",), ("linear", "box")])
+    def test_interval_std_likelihood_is_well_formed(self, analyzers):
+        # A Gaussian likelihood whose std is U(0,1): near std 0 the ratio
+        # d/std exceeds the largest squarable float.
+        term = parse(
+            "(let s (sample) (let x (sample normal 0.0 1.0)"
+            " (let _ (score (normal_pdf 0.5 s x)) x)))"
+        )
+        options = AnalysisOptions(analyzers=analyzers, workers=1, executor="serial")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bounds = Model(term, options).bounds([Interval(0.0, 1.0), Interval.reals()])
+        for bound in bounds:
+            assert not math.isnan(bound.lower) and not math.isnan(bound.upper)
+            assert 0.0 < bound.lower <= bound.upper
+        assert bounds[0].upper <= bounds[1].upper
 
 
 class TestBoundQuery:

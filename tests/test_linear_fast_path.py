@@ -24,18 +24,23 @@ floats cannot move.  This suite makes each claim a property:
 * end-to-end bounds are invariant under chunk size, executor backend and
   payload transport — the observable consequence of the geometry cache's
   exact-bytes keying (a hit returns the identical float64s a fresh
-  computation would, so partitioning cannot matter).
+  computation would, so partitioning cannot matter);
+* the default serial loop shares one geometry cache across a compiled
+  program's paths and repeated queries, and a failed atom-range LP widens
+  the bound instead of zeroing it.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import AnalysisOptions, Model, analyze_path_linear
+from repro.analysis import AnalysisOptions, Model, analyze_path_linear, histogram_buckets
 from repro.analysis.linear_analyzer import (
     _NEGLIGIBLE_WEIGHT,
     GeometryCache,
@@ -214,6 +219,40 @@ class TestFlatBaseShortcut:
         assert not cache.full_dimensional(Polytope.from_box([Interval.empty()] * 2))
 
 
+class TestAtomLPFailure:
+    """A failed atom-range LP widens the atom's range; it never zeroes a bound."""
+
+    @pytest.mark.parametrize("cut", [None, 1.2])
+    def test_failed_base_lp_still_bounds_soundly(self, cut, monkeypatch):
+        base = Polytope.from_box([Interval(0.0, 1.0)] * 2)
+        if cut is not None:
+            base = base.add_constraints([[1.0, 1.0]], [cut])
+        atoms = []
+        templates = [decompose_score(_score_exprs(0.8, 0.3, 1.0)[0][0], atoms)]
+        options = AnalysisOptions(score_splits=8)
+
+        def bounds():
+            return [
+                _integrate(base, templates, list(atoms), 1.0, options, GeometryCache(), is_lower)
+                for is_lower in (True, False)
+            ]
+
+        healthy_lower, healthy_upper = bounds()
+        optimise = Polytope._optimise
+
+        def failing(self, coefficients, minimise):
+            if self.cache_key() == base.cache_key():
+                raise polytope_module.LPFailure("forced")
+            return optimise(self, coefficients, minimise)
+
+        monkeypatch.setattr(Polytope, "_optimise", failing)
+        lower, upper = bounds()
+        assert healthy_lower > 0.0
+        assert math.isfinite(lower) and math.isfinite(upper)
+        assert 0.0 <= lower <= healthy_lower
+        assert upper >= healthy_upper
+
+
 def _random_dense(rng: np.random.Generator) -> np.ndarray:
     """A small dense matrix with zero entries, zero rows/columns and -0.0."""
     rows, cols = (int(n) for n in rng.integers(1, 9, size=2))
@@ -310,6 +349,71 @@ class TestExecutorsAgree:
             results[executor] = [(b.lower, b.upper) for b in bounds]
         assert results["thread"] == results["serial"]
         assert results["process"] == results["serial"]
+
+
+class TestSerialTableRoute:
+    """The default serial loop shares one geometry cache per compiled program."""
+
+    # Explicit workers/executor/refine/columnar: the same route under any
+    # REPRO_ANALYSIS_* environment.
+    OPTIONS = AnalysisOptions(
+        max_fixpoint_depth=4, score_splits=8, workers=1, executor="serial",
+        refine="off", columnar=True,
+    )
+
+    @pytest.fixture
+    def volume_calls(self, monkeypatch):
+        calls = []
+        volume_bounds = Polytope.volume_bounds
+
+        def counted(self):
+            calls.append(self)
+            return volume_bounds(self)
+
+        monkeypatch.setattr(Polytope, "volume_bounds", counted)
+        return calls
+
+    def test_fewer_volumes_than_path_by_path(self, volume_calls):
+        model = Model(pedestrian_program(), self.OPTIONS)
+        targets = list(histogram_buckets(0.0, 3.0, 6)) + [Interval.reals()]
+        for path in model.compile().execution.paths:
+            if linear_analysis_applicable(path):
+                analyze_path_linear(path, targets, self.OPTIONS)  # a fresh cache each
+        path_by_path = len(volume_calls)
+        volume_calls.clear()
+        model.histogram(0.0, 3.0, 6)
+        assert 0 < len(volume_calls) < path_by_path
+
+    def test_repeated_query_issues_no_volumes(self, volume_calls):
+        model = Model(pedestrian_program(), self.OPTIONS)
+        first = model.histogram(0.0, 3.0, 6)
+        assert volume_calls
+        volume_calls.clear()
+        assert model.histogram(0.0, 3.0, 6) == first
+        assert not volume_calls
+
+    def test_concurrent_queries_share_the_table_safely(self):
+        # Engine threads may run serial queries on one Model at once, all
+        # sharing the compiled table's analyzer memos.
+        variants = [
+            self.OPTIONS.with_updates(max_fixpoint_depth=3, **changes)
+            for changes in ({"score_splits": 2}, {"score_splits": 4}, {"analyzers": ("box",)})
+        ]
+        expected = [Model(pedestrian_program(), options).bounds(list(TARGETS)) for options in variants]
+        model = Model(pedestrian_program(), variants[0])
+        model.compile().execution.table()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [
+                    pool.submit(model.bounds, list(TARGETS), variants[index % 3])
+                    for index in range(6)
+                ]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected[index % 3] for index in range(6)]
 
 
 @pytest.mark.skipif(not kernel_available(), reason="direct HiGHS kernel unavailable")

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis.linear_analyzer import GeometryCache
 from repro.intervals import Interval
 from repro.polytope import (
+    BatchPolytope,
     LPFailure,
     Polytope,
     PolytopeError,
@@ -225,3 +226,17 @@ class TestLPFailure:
     def test_infeasible_axis_rows_have_no_volume(self, failing_kernel):
         empty = unit_cube(2).add_constraints([[1.0, 0.0]], [-1.0])
         assert empty.volume_bounds() == Interval.point(0.0)
+
+    def test_atom_rows_widen_to_the_axis_box_range(self, failing_kernel):
+        cut = unit_cube(2).add_constraints([[1.0, 1.0]], [0.5])
+        assert BatchPolytope(cut).bound_rows([[1.0, 2.0], [-1.0, 0.0], [0.0, 0.0]]) == [
+            Interval(0.0, 3.0), Interval(-1.0, 0.0), Interval.point(0.0)
+        ]
+
+    def test_axis_box_range_unbounded_and_empty(self):
+        strip = Polytope(np.array([[1.0, 1.0], [-1.0, -1.0], [1.0, 0.0]]), np.array([1.0, 0.0, 1.0]))
+        assert strip.axis_box_range([1.0, 0.0]) == Interval(-math.inf, 1.0)
+        assert strip.axis_box_range([0.0, -1.0]) == Interval(-math.inf, math.inf)
+        assert strip.axis_box_range([1.0, -0.0]) == Interval(-math.inf, 1.0)
+        empty = unit_cube(2).add_constraints([[1.0, 0.0]], [-1.0])
+        assert empty.axis_box_range([1.0, 1.0]) is None
