@@ -1,20 +1,16 @@
-"""Arena vs pickle process dispatch: payload bytes, dispatch time, cache tee.
+"""Shared-memory process dispatch: job bytes, dispatch time, cache tee.
 
-The parallel bound engine's ``"pickle"`` transport re-serialises every chunk
-of symbolic paths (interned, but still a full object graph) per query; the
-``"arena"`` transport writes the path set once into a shared-memory arena
-segment and ships only tiny index-range references per chunk, reusing the
-segment across queries on the cached worker pool.  This driver measures, on
-the pedestrian-walk workload:
+The parallel bound engine writes a path set once into a shared-memory
+path-table segment and ships only tiny table jobs (segment name, context
+name, index range) per chunk, reusing the segment across queries on the
+cached worker pool.  This driver measures, on the pedestrian-walk workload:
 
-* **per-query dispatch bytes** — the pickled chunk payload bytes of the
-  pickle transport vs the pickled chunk-reference bytes of the arena
-  transport (the segment itself is written once and reused), asserted
-  **≥ 5× smaller**;
-* **dispatch time** — interning + pickling every chunk vs encoding the
-  arena (first query) vs refs-only (cached segment, every later query);
-* **bit-equality** — bounds of a real 2-worker process-pool query under
-  both transports, always asserted (this is the CI gate in smoke mode);
+* **dispatch bytes** — the segment and context images written once, and the
+  pickled table-job bytes shipped per query;
+* **dispatch time** — encoding and publishing the segments (first query) vs
+  jobs only (cached segments, every later query);
+* **bit-equality** — bounds of a real 2-worker process-pool query against a
+  serial run, always asserted (this is the CI gate in smoke mode);
 * **streamed-query cache tee** — a repeated ``stream=True`` query must be
   served from the compiled-program cache at batch-cached speed.
 """
@@ -27,19 +23,19 @@ import time
 from repro.analysis import (
     AnalysisOptions,
     Model,
+    TableJob,
     create_arena_segment,
     partition_paths,
     shared_memory_available,
 )
-from repro.analysis.parallel import ChunkPayload
-from repro.analysis.transport import ArenaChunkRef, create_context_segment
+from repro.analysis.transport import create_context_segment
 from repro.intervals import Interval
 from repro.models import pedestrian_program
-from repro.symbolic import ExecutionLimits, encode_paths, intern_paths, symbolic_paths
+from repro.symbolic import ExecutionLimits, symbolic_paths
 
 from bench_utils import TINY, emit, scaled
 
-_BYTES_DEPTH = scaled(6, 3)  # the ISSUE's reference workload: pedestrian depth 6
+_BYTES_DEPTH = scaled(6, 3)  # the reference workload: pedestrian depth 6
 _QUERY_DEPTH = scaled(5, 3)  # end-to-end pool queries (analysis-heavy, keep modest)
 _CHUNK_SIZE = 8
 _TARGETS = (Interval(0.0, 1.0), Interval.reals())
@@ -51,73 +47,40 @@ def _measure_dispatch_bytes(records: dict) -> None:
     options = AnalysisOptions(max_fixpoint_depth=_BYTES_DEPTH, workers=2, chunk_size=_CHUNK_SIZE)
     chunks = partition_paths(paths, workers=2, chunk_size=_CHUNK_SIZE)
 
-    # Pickle transport: intern against one shared memo, pickle every chunk.
-    start = time.perf_counter()
-    memo: dict = {}
-    payloads = [
-        ChunkPayload(
-            index=index,
-            paths=intern_paths(paths[chunk.start : chunk.stop], memo),
-            targets=_TARGETS,
-            options=options,
-            specs=(),
-        )
-        for index, chunk in enumerate(chunks)
-    ]
-    pickle_bytes = sum(len(pickle.dumps(payload)) for payload in payloads)
-    pickle_seconds = time.perf_counter() - start
-
-    # Arena transport, first query: encode + publish the arena and context
-    # segments, pickle the per-chunk refs.
+    # First query: encode + publish the arena and context segments, pickle
+    # the per-chunk jobs.
     start = time.perf_counter()
     segment = create_arena_segment(paths)
     assert segment is not None, "shared memory unavailable; arena bench cannot run"
     context = create_context_segment(_TARGETS, options, ())
     assert context is not None
-    refs = [
-        ArenaChunkRef(
-            index=index,
-            segment=segment.name,
-            nbytes=segment.nbytes,
-            start=chunk.start,
-            stop=chunk.stop,
-            context=context.name,
-        )
+    jobs = [
+        TableJob(index, segment.name, context.name, chunk.start, chunk.stop)
         for index, chunk in enumerate(chunks)
     ]
-    ref_bytes = sum(len(pickle.dumps(ref)) for ref in refs)
+    job_bytes = sum(len(pickle.dumps(job)) for job in jobs)
     arena_first_seconds = time.perf_counter() - start
 
-    # Arena transport, cached segments (every later query): refs only.
+    # Cached segments (every later query): jobs only.
     start = time.perf_counter()
-    cached_ref_bytes = sum(len(pickle.dumps(ref)) for ref in refs)
+    sum(len(pickle.dumps(job)) for job in jobs)
     arena_cached_seconds = time.perf_counter() - start
     segment_bytes = segment.nbytes
     context_bytes = context.nbytes
     segment.unlink()
     context.unlink()
 
-    ratio = pickle_bytes / max(1, ref_bytes)
     records.update(
         {
             "depth": _BYTES_DEPTH,
             "path_count": len(paths),
             "chunk_count": len(chunks),
-            "pickle_payload_bytes": pickle_bytes,
-            "pickle_dispatch_seconds": pickle_seconds,
             "arena_segment_bytes": segment_bytes,
             "arena_context_bytes": context_bytes,
-            "arena_ref_bytes": ref_bytes,
+            "arena_ref_bytes": job_bytes,
             "arena_first_dispatch_seconds": arena_first_seconds,
             "arena_cached_dispatch_seconds": arena_cached_seconds,
-            "per_query_bytes_ratio": ratio,
         }
-    )
-    # The acceptance gate: per-query dispatch bytes reduced ≥ 5× vs interned
-    # pickles (the arena segment is written once and amortised).
-    assert ratio >= 5.0, (
-        f"arena refs only ×{ratio:.1f} smaller than pickled payloads "
-        f"({cached_ref_bytes} vs {pickle_bytes} bytes)"
     )
 
 
@@ -126,27 +89,26 @@ def _measure_pool_queries(records: dict, lines: list[str]) -> None:
         max_fixpoint_depth=_QUERY_DEPTH, score_splits=scaled(8, 4), workers=1, executor="serial"
     )
     serial = Model(pedestrian_program(), base_options).bounds(list(_TARGETS))
-    for transport in ("pickle", "arena"):
-        options = base_options.with_updates(
-            workers=2, executor="process", chunk_size=_CHUNK_SIZE, payload_transport=transport
-        )
-        with Model(pedestrian_program(), options) as model:
-            start = time.perf_counter()
-            first = model.bounds(list(_TARGETS))
-            first_seconds = time.perf_counter() - start
-            start = time.perf_counter()
-            second = model.bounds(list(_TARGETS))
-            second_seconds = time.perf_counter() - start
-        for bounds in (first, second):
-            for mine, reference in zip(bounds, serial):
-                assert mine.lower == reference.lower, transport
-                assert mine.upper == reference.upper, transport
-        records[f"{transport}_query_seconds"] = first_seconds
-        records[f"{transport}_cached_query_seconds"] = second_seconds
-        lines.append(
-            f"process pool ({transport}): query {first_seconds:.3f}s, "
-            f"repeat {second_seconds:.3f}s | bounds bit-identical to serial"
-        )
+    options = base_options.with_updates(
+        workers=2, executor="process", chunk_size=_CHUNK_SIZE, payload_transport="arena"
+    )
+    with Model(pedestrian_program(), options) as model:
+        start = time.perf_counter()
+        first = model.bounds(list(_TARGETS))
+        first_seconds = time.perf_counter() - start
+        start = time.perf_counter()
+        second = model.bounds(list(_TARGETS))
+        second_seconds = time.perf_counter() - start
+    for bounds in (first, second):
+        for mine, reference in zip(bounds, serial):
+            assert mine.lower == reference.lower
+            assert mine.upper == reference.upper
+    records["arena_query_seconds"] = first_seconds
+    records["arena_cached_query_seconds"] = second_seconds
+    lines.append(
+        f"process pool (arena): query {first_seconds:.3f}s, "
+        f"repeat {second_seconds:.3f}s | bounds bit-identical to serial"
+    )
 
 
 def _measure_cache_tee(records: dict, lines: list[str]) -> None:
@@ -207,15 +169,13 @@ def test_arena_dispatch(bench_once):
     lines.insert(
         0,
         f"pedestrian depth={records['depth']} ({records['path_count']} paths, "
-        f"{records['chunk_count']} chunks): pickled payloads "
-        f"{records['pickle_payload_bytes']} B vs arena refs {records['arena_ref_bytes']} B "
-        f"(×{records['per_query_bytes_ratio']:.1f} smaller per query; segment "
-        f"{records['arena_segment_bytes']} B written once)",
+        f"{records['chunk_count']} chunks): table jobs {records['arena_ref_bytes']} B "
+        f"per query; segment {records['arena_segment_bytes']} B and context "
+        f"{records['arena_context_bytes']} B written once",
     )
     lines.insert(
         1,
-        f"dispatch time: pickle {records['pickle_dispatch_seconds']:.4f}s | arena first "
-        f"{records['arena_first_dispatch_seconds']:.4f}s | arena cached "
+        f"dispatch time: first {records['arena_first_dispatch_seconds']:.4f}s | cached "
         f"{records['arena_cached_dispatch_seconds']:.5f}s",
     )
     emit("arena_dispatch", lines, data=records)

@@ -12,7 +12,6 @@ compatibility.
 
 from .box_analyzer import BoxPathAnalyzer, analyze_path_boxes, analyze_table_boxes, split_domain
 from .config import (
-    DEFAULT_TRANSPORT,
     EXECUTOR_KINDS,
     REFINE_KINDS,
     TRANSPORT_KINDS,
@@ -49,8 +48,8 @@ from .parallel import (
     shared_executor,
 )
 from .transport import (
-    ArenaChunkRef,
     ArenaSegment,
+    TableJob,
     create_arena_segment,
     shared_memory_available,
 )
@@ -71,15 +70,14 @@ __all__ = [
     "Model",
     "CompiledProgram",
     "AnalysisOptions",
-    "DEFAULT_TRANSPORT",
     "EXECUTOR_KINDS",
     "REFINE_KINDS",
     "TRANSPORT_KINDS",
     "RefinementScheduler",
     "refine_execution",
     "level_options",
-    "ArenaChunkRef",
     "ArenaSegment",
+    "TableJob",
     "create_arena_segment",
     "shared_memory_available",
     "AnalysisReport",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -15,7 +16,6 @@ __all__ = [
     "DEFAULT_JOB_TIMEOUT",
     "DEFAULT_REFINE_MAX_ROUNDS",
     "DEFAULT_SOCKET_ENDPOINT",
-    "DEFAULT_TRANSPORT",
     "EXECUTOR_KINDS",
     "REFINE_KINDS",
     "TRANSPORT_KINDS",
@@ -48,18 +48,11 @@ DEFAULT_JOB_RETRIES = 2
 #: zero connected workers before degrading to a local backend.
 DEFAULT_IO_TIMEOUT = 30.0
 
-#: The recognised process-dispatch payload formats.  ``"arena"`` (the
-#: default) writes the path set once into a ``multiprocessing.shared_memory``
-#: path-table segment (:mod:`repro.symbolic.arena`) and ships only tiny chunk
-#: references — the segment is reused across queries on the cached worker
-#: pool, and degrades to pickle automatically when shared memory is
-#: unavailable.  ``"pickle"`` ships every chunk as an interned pickled object
-#: graph.  Both transports produce bit-identical bounds; in-process backends
-#: (serial, thread) pass direct references and ignore the knob entirely.
-TRANSPORT_KINDS = ("pickle", "arena")
-
-#: The payload transport selected when ``payload_transport`` is unset.
-DEFAULT_TRANSPORT = "arena"
+#: The recognised process-dispatch payload formats.  ``"arena"`` (the only
+#: one) writes the path table once into a ``multiprocessing.shared_memory``
+#: segment (:mod:`repro.analysis.transport`) and ships tiny table jobs; on a
+#: host where publishing fails, jobs carry the table's byte image inline.
+TRANSPORT_KINDS = ("arena",)
 
 #: The recognised anytime-refinement modes.  ``"off"`` (the default) runs
 #: the classic one-shot uniform sweep; ``"gap"`` seeds from that sweep and
@@ -70,7 +63,7 @@ REFINE_KINDS = ("off", "gap")
 #: Default round cap of gap-directed refinement when no explicit budget is
 #: given.  A *round* re-analyses a fixed-size batch of worst-gap paths at a
 #: doubled split budget; a fixed default keeps refined bounds deterministic
-#: (bit-identical across backends and transports) out of the box.
+#: (bit-identical across backends) out of the box.
 DEFAULT_REFINE_MAX_ROUNDS = 4
 
 #: Default memory budget (in bytes) of the streamed-query cache tee: a
@@ -86,8 +79,6 @@ DEFAULT_STREAM_CACHE_BUDGET = 64 * 1024 * 1024
 _WORKERS_ENV = "REPRO_ANALYSIS_WORKERS"
 _EXECUTOR_ENV = "REPRO_ANALYSIS_EXECUTOR"
 _STREAM_ENV = "REPRO_ANALYSIS_STREAM"
-_TRANSPORT_ENV = "REPRO_ANALYSIS_TRANSPORT"
-_COLUMNAR_ENV = "REPRO_ANALYSIS_COLUMNAR"
 _SOCKET_ENDPOINT_ENV = "REPRO_ANALYSIS_SOCKET_ENDPOINT"
 _REFINE_ENV = "REPRO_ANALYSIS_REFINE"
 
@@ -95,6 +86,26 @@ _REFINE_ENV = "REPRO_ANALYSIS_REFINE"
 def _require_positive(name: str, value: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _require_seconds(name: str, value, optional: bool = True) -> None:
+    """Reject anything but a finite positive number of seconds (or ``None``).
+
+    NaN and infinity are refused: ``socket.settimeout`` raises on both, and a
+    NaN grace period never expires.
+    """
+    if value is None and optional:
+        return
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not math.isfinite(value)
+        or value <= 0
+    ):
+        suffix = " or None" if optional else ""
+        raise ValueError(
+            f"{name} must be a finite positive number of seconds{suffix}, got {value!r}"
+        )
 
 
 def _default_workers() -> int:
@@ -114,14 +125,6 @@ def _default_executor() -> Optional[str]:
 
 def _default_stream() -> bool:
     return os.environ.get(_STREAM_ENV, "").lower() not in ("", "0", "false", "no")
-
-
-def _default_transport() -> Optional[str]:
-    return os.environ.get(_TRANSPORT_ENV) or None
-
-
-def _default_columnar() -> bool:
-    return os.environ.get(_COLUMNAR_ENV, "").lower() not in ("0", "false", "no")
 
 
 def _default_socket_endpoint() -> Optional[str]:
@@ -213,25 +216,11 @@ class AnalysisOptions:
             ``workers × prefetch`` chunks are in flight at once, which caps
             the number of paths resident in the parent process at roughly
             ``(workers × prefetch + 1) × chunk size``.
-        payload_transport: how chunk payloads reach process workers —
-            ``"arena"`` (the default: a flat shared-memory path table
-            written once per path set, with workers attaching and analysing
-            chunk views; see :mod:`repro.symbolic.arena`) or ``"pickle"``
-            (interned pickled object graphs).  Bounds are bit-identical
-            either way.  Ignored by the serial and thread backends, which
-            pass direct references, and silently degraded to pickle when
-            ``multiprocessing.shared_memory`` is unavailable (so the arena
-            default is safe on every host).  Defaults to
-            ``$REPRO_ANALYSIS_TRANSPORT`` when that variable is set.
-        columnar: let analyzers with a columnar fast path
-            (``analyze_table``, see :mod:`repro.analysis.registry`) sweep
-            chunk slices straight from the shared ``PathTable`` arrays
-            instead of materialising ``SymbolicPath`` objects.  Applies to
-            process workers under the arena transport, to the in-process
-            (serial/thread) backends **and** to the default ``workers=1``
-            loop, which all share one table per compiled path set.  On by
-            default; bounds are bit-identical with the knob on or off.
-            ``$REPRO_ANALYSIS_COLUMNAR=0`` disables it process-wide.
+        payload_transport: how path tables reach process workers.  Only
+            ``"arena"`` (or ``None``, the same) is accepted: the table is
+            published once per path set as a shared-memory segment and
+            every table job names it; where publishing fails, jobs carry the
+            table's byte image instead.  Bounds are identical either way.
         socket_endpoint: ``host:port`` the ``"socket"`` executor binds its
             work-queue server on.  ``None`` (the default) binds loopback with
             an ephemeral port — right for the common case where the executor
@@ -248,7 +237,7 @@ class AnalysisOptions:
         job_timeout: per-job wall-clock limit (seconds) of the socket work
             queue.  A job that exceeds it is requeued to another worker (the
             stuck worker's connection is dropped); ``None`` disables the
-            timeout.
+            timeout.  Like every timeout here it must be finite.
         job_retries: how many times a failed, timed-out or lost socket job
             is re-dispatched before the query fails.  Bounded retry is what
             turns a dead or wedged worker into a throughput loss instead of
@@ -291,9 +280,9 @@ class AnalysisOptions:
         refine_max_rounds: cap on the number of refinement rounds.  The
             default (:data:`DEFAULT_REFINE_MAX_ROUNDS`) keeps refined bounds
             deterministic — for a fixed round count they are bit-identical
-            across backends, transports and the columnar knob.  ``None``
-            removes the cap (rounds run until the gap heap drains, the width
-            target is met or the time budget expires).
+            across backends.  ``None`` removes the cap (rounds run until the
+            gap heap drains, the width target is met or the time budget
+            expires).
         stream_cache_budget: memory budget (bytes) of the streamed-query
             cache tee.  A ``stream=True`` query on a cache miss materialises
             the paths it dispatches (interned, so the footprint is the
@@ -322,8 +311,7 @@ class AnalysisOptions:
     vectorized_transcendentals: bool = False
     stream: bool = field(default_factory=_default_stream)
     prefetch: int = 4
-    payload_transport: Optional[str] = field(default_factory=_default_transport)
-    columnar: bool = field(default_factory=_default_columnar)
+    payload_transport: Optional[str] = None
     socket_endpoint: Optional[str] = field(default_factory=_default_socket_endpoint)
     socket_spawn_workers: Optional[int] = None
     job_timeout: Optional[float] = DEFAULT_JOB_TIMEOUT
@@ -353,8 +341,6 @@ class AnalysisOptions:
                 f"executor must be one of {kinds} (or None for automatic), "
                 f"got {self.executor!r}"
             )
-        if not isinstance(self.columnar, bool):
-            raise ValueError(f"columnar must be a boolean, got {self.columnar!r}")
         if self.payload_transport is not None and self.payload_transport not in TRANSPORT_KINDS:
             kinds = ", ".join(repr(kind) for kind in TRANSPORT_KINDS)
             raise ValueError(
@@ -369,27 +355,13 @@ class AnalysisOptions:
                 raise ValueError(
                     f"socket_spawn_workers must be a non-negative integer or None, got {spawn!r}"
                 )
-        if self.job_timeout is not None:
-            timeout = self.job_timeout
-            if not isinstance(timeout, (int, float)) or isinstance(timeout, bool) or timeout <= 0:
-                raise ValueError(
-                    f"job_timeout must be a positive number of seconds or None, got {timeout!r}"
-                )
+        _require_seconds("job_timeout", self.job_timeout)
         if not isinstance(self.job_retries, int) or isinstance(self.job_retries, bool) or self.job_retries < 0:
             raise ValueError(
                 f"job_retries must be a non-negative integer, got {self.job_retries!r}"
             )
-        io_timeout = self.io_timeout
-        if not isinstance(io_timeout, (int, float)) or isinstance(io_timeout, bool) or io_timeout <= 0:
-            raise ValueError(
-                f"io_timeout must be a positive number of seconds, got {io_timeout!r}"
-            )
-        if self.time_budget is not None:
-            budget = self.time_budget
-            if not isinstance(budget, (int, float)) or isinstance(budget, bool) or budget <= 0:
-                raise ValueError(
-                    f"time_budget must be a positive number of seconds or None, got {budget!r}"
-                )
+        _require_seconds("io_timeout", self.io_timeout, optional=False)
+        _require_seconds("time_budget", self.time_budget)
         if self.stream_cache_budget is not None:
             budget = self.stream_cache_budget
             if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
@@ -400,15 +372,14 @@ class AnalysisOptions:
         if self.refine not in REFINE_KINDS:
             kinds = ", ".join(repr(kind) for kind in REFINE_KINDS)
             raise ValueError(f"refine must be one of {kinds}, got {self.refine!r}")
-        if self.refine_time_budget is not None:
-            budget = self.refine_time_budget
-            if not isinstance(budget, (int, float)) or isinstance(budget, bool) or budget <= 0:
-                raise ValueError(
-                    f"refine_time_budget must be a positive number of seconds "
-                    f"or None, got {budget!r}"
-                )
+        _require_seconds("refine_time_budget", self.refine_time_budget)
         width = self.refine_width_target
-        if not isinstance(width, (int, float)) or isinstance(width, bool) or width < 0:
+        if (
+            not isinstance(width, (int, float))
+            or isinstance(width, bool)
+            or math.isnan(width)
+            or width < 0
+        ):
             raise ValueError(
                 f"refine_width_target must be a non-negative number, got {width!r}"
             )
@@ -447,17 +418,6 @@ class AnalysisOptions:
     def parallel(self) -> bool:
         """Whether queries with these options run on a worker pool."""
         return self.effective_executor != "serial"
-
-    @property
-    def effective_transport(self) -> str:
-        """The process-dispatch payload format selected by this configuration.
-
-        An explicit ``payload_transport`` wins; otherwise ``"arena"`` (the
-        default since the columnar path core landed).  The executor
-        additionally degrades ``"arena"`` to pickle at dispatch time when
-        ``multiprocessing.shared_memory`` is unavailable on the host.
-        """
-        return self.payload_transport if self.payload_transport is not None else DEFAULT_TRANSPORT
 
     @property
     def refine_enabled(self) -> bool:

@@ -232,9 +232,9 @@ def analyze_execution(
     The serial loop (``workers=1``, no executor) runs the same chunk body as
     every pool worker — :func:`~repro.analysis.parallel.analyze_table_slice`
     over the execution's :class:`~repro.symbolic.arena.PathTable`, as one
-    slice — so it honours ``options.columnar``, and the linear analyzer's
-    geometry cache, kept in the table's scratch space, is shared across the
-    paths of the compiled program and across repeated queries on it.
+    slice — and the linear analyzer's geometry cache, kept in the table's
+    scratch space, is shared across the paths of the compiled program and
+    across repeated queries on it.
 
     With ``options.refine="gap"`` the uniform sweep becomes the *seed* of a
     gap-directed refinement loop (:mod:`repro.analysis.refine`): the worst

@@ -34,7 +34,7 @@ from ..intervals import Interval
 from ..lang.ast import Term
 from ..symbolic import (
     ExecutionLimits,
-    PathInterner,
+    PathTableBuilder,
     SymbolicExecutionResult,
     fingerprint_term,
     stream_symbolic_paths,
@@ -407,8 +407,8 @@ class Model:
         materialises the paths *as they are dispatched*: if the whole stream
         fits ``options.stream_cache_budget`` bytes (measured as the interned,
         arena-encoded footprint), the result is installed in the
-        compiled-program cache — and, under the arena transport, the arena
-        segment is primed on the worker pool — so a repeated query is served
+        compiled-program cache — and, on a process pool, its shared-memory
+        segment is published — so a repeated query is served
         at batch-cached speed while the first query kept its
         time-to-first-bound.  Overflowing the budget simply degrades to
         uncached streaming.  When a compiled program for the options'
@@ -462,7 +462,7 @@ class Model:
         limits = options.execution_limits()
         stream = stream_symbolic_paths(self._term, limits)
         executor = self._executor_for(options)
-        collector = PathInterner() if options.stream_cache_enabled else None
+        collector = PathTableBuilder() if options.stream_cache_enabled else None
         sink: Optional[list] = [] if options.refine_enabled else None
         #: Seconds spent *producing* paths (exploration + the tee's intern
         #: walk), excluding the analysis that runs between yields — the
@@ -480,8 +480,8 @@ class Model:
                     # chunks share the same objects.  Everything collected is
                     # dropped the moment the arena-size estimate crosses the
                     # budget.
-                    path = collector.add(path)
-                    if collector.approximate_arena_bytes() > budget:
+                    path = collector.append(path)
+                    if collector.nbytes_estimate > budget:
                         collector.clear()
                         collecting = False
                 explore_seconds[0] += time.perf_counter() - resumed
@@ -495,19 +495,18 @@ class Model:
         execution = None
         if collector is not None and collector.paths and stream.stats.exhausted:
             # The stream completed within budget: its paths ARE the compiled
-            # program.  The collector is a PathTableBuilder in disguise, so
-            # the columnar tables are already accumulated — hand the builder
-            # to the execution result (its table() finalises without another
-            # walk), install the program so the next query (streamed or
-            # batch) is a cache hit, and — under the arena transport —
-            # publish the table bytes now, making the shared-memory segment
-            # the cached dispatch representation too.
+            # program.  The builder has already accumulated the columnar
+            # tables — hand it to the execution result (its table()
+            # finalises without another walk), install the program so the
+            # next query (streamed or batch) is a cache hit, and — on a
+            # process pool — publish the table bytes now, making the
+            # shared-memory segment the cached dispatch representation too.
             execution = SymbolicExecutionResult(
                 paths=tuple(collector.paths),
                 truncated_paths=stream.stats.truncated_paths,
                 pruned_paths=stream.stats.pruned_paths,
             )
-            execution.attach_table_source(collector.builder)
+            execution.attach_table_source(collector)
             if limits not in self._compiled:
                 self._stream_tee_primes += 1
             self._compiled.setdefault(
@@ -519,19 +518,10 @@ class Model:
                     compile_seconds=explore_seconds[0],
                 ),
             )
-            if (
-                executor is not None
-                and executor.kind == "process"
-                and options.effective_transport == "arena"
-            ):
-                # Process dispatch only — serialising the table for an
-                # in-process pool would be pure waste.  Already interned
-                # against the collector's memo, so publish the finalised
-                # table bytes (or, for a concurrently-installed program,
-                # encode without the redundant interning pass).
-                cached = self._compiled[limits].execution
-                image = cached.table().to_bytes() if cached is execution else None
-                executor.prime_arena(cached.paths, intern=False, image=image)
+            if executor is not None:
+                # Process pools only: serialising the table for an
+                # in-process pool would be pure waste.
+                executor.prime_arena(self._compiled[limits].execution)
         if sink is not None and execution is None and stream.stats.exhausted:
             # The tee could not materialise the path set but refinement
             # needs one: the compiled program supplies it — cached from a

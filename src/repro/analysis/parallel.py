@@ -8,51 +8,46 @@ regime where it matters: path explosion (Section 7.5) produces tens of
 thousands of paths, each of which runs a polytope volume computation or an
 exponential box grid.
 
-This module fans that loop out over a ``concurrent.futures`` pool:
+This module fans that loop out as **table jobs**:
 
 * :func:`partition_paths` cuts the path set into *deterministic, contiguous,
   cost-balanced* chunks (using :meth:`SymbolicPath.analysis_cost_hint`), so
   the same workload always produces the same partition;
-* :func:`analyze_chunk` / :func:`analyze_arena_chunk` are the units of work
-  — the former receives plain pickled paths, the latter an
-  :class:`~repro.analysis.transport.ArenaChunkRef` into a shared-memory
-  arena segment (see :mod:`repro.analysis.transport`); both carry analyzer
-  *names* (re-resolved through the registry inside the worker, see
-  :func:`repro.analysis.registry.ensure_analyzers_registered`) and return
-  raw :class:`~repro.analysis.engine.PathContribution` records;
-* :class:`ParallelAnalysisExecutor` owns the pool, dispatches chunks and
-  merges the results with :func:`repro.analysis.engine.reduce_contributions`,
-  which always folds contributions in canonical path order — the merged
-  bounds are therefore **bit-identical** to a serial run, independent of the
-  worker count, the chunk size and the order in which workers finish.
+* a :class:`~repro.analysis.transport.TableJob` — a path table, a query
+  context and a ``[start, stop)`` range or an explicit index list — is the
+  only unit of work on every backend.  Process pools receive the name of a
+  shared-memory segment holding the ``PathTable`` image (or, where
+  publishing fails, the image itself), socket workers receive the image as
+  a content-addressed resource, and in-process backends receive the compiled
+  ``PathTable`` object.  Analyzers travel as registry *specs* inside the
+  context and are re-resolved by name in the worker (see
+  :func:`repro.analysis.registry.ensure_analyzers_registered`);
+* :func:`run_table_job` resolves a job and runs :func:`analyze_table_slice`,
+  the one chunk body every backend, the socket workers and the default
+  ``workers=1`` loop share;
+* :class:`ParallelAnalysisExecutor` owns the pools.  Batch, refinement and
+  streamed queries are job producers over one submit per backend and one
+  collect loop, and the per-job results merge through
+  :func:`repro.analysis.engine.reduce_contributions` in canonical path order
+  — the bounds are therefore **bit-identical** to a serial run, independent
+  of the backend, the worker count, the chunk size and the order in which
+  workers finish.
 
 Exceptions raised inside a worker (including
 :class:`~repro.symbolic.PathExplosionError` and analyzer failures) are
-re-raised in the parent by ``concurrent.futures``.
+re-raised in the parent.  A socket job that exhausts its retries, or whose
+queue loses every worker, takes the degradation ladder: it is re-run as an
+inline-image job on a local process pool, then serially.
 
 Backend guidance: the ``"process"`` executor is the right default for
 CPU-bound bound analysis (the per-path work is pure Python and NumPy, so the
-GIL serialises threads); ``"thread"`` is useful when the paths are cheap to
-analyse but the payloads are large to pickle, or inside environments that
-forbid subprocesses; ``"serial"`` runs the identical chunked pipeline
-in-process (handy for debugging a parallel run).
+GIL serialises threads); ``"thread"`` suits environments that forbid
+subprocesses; ``"serial"`` runs the identical jobs in-process (handy for
+debugging a parallel run).
 
-Process payload transport is a knob (``payload_transport``): ``"arena"``
-(the default) publishes the path set once as a shared-memory path-table
-segment (cached across queries, unlinked on
-:meth:`ParallelAnalysisExecutor.close`) and ships tiny index-range
-references; ``"pickle"`` ships interned object graphs per chunk.  In-process
-backends pass direct references and never intern.
-
-The **columnar fast path** (``options.columnar``, on by default) analyses
-chunks straight from the shared :class:`~repro.symbolic.arena.PathTable`:
-arena workers run :func:`_analyze_table_range` over their attached segment,
-and the in-process (serial/thread) backends run the identical loop over the
-compiled program's own table — analyzers that implement ``analyze_table``
-(box, linear) sweep the node/CSR arrays without materialising
-``SymbolicPath`` objects, while analyzers without the hook transparently
-receive decoded paths.  Bounds are bit-identical across every
-transport/backend/columnar combination.
+Analyzers that implement ``analyze_table`` (box, linear) sweep the table's
+node/CSR arrays without materialising ``SymbolicPath`` objects; analyzers
+without the hook transparently receive decoded paths.
 """
 
 from __future__ import annotations
@@ -63,7 +58,6 @@ import os
 import pickle
 import time
 import warnings
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from collections import OrderedDict
@@ -74,9 +68,8 @@ from ..symbolic import (
     PathExplosionError,
     SymbolicExecutionResult,
     SymbolicPath,
-    intern_paths,
 )
-from ..symbolic.arena import encode_paths
+from ..symbolic.arena import PathTable, encode_paths
 from .config import (
     DEFAULT_IO_TIMEOUT,
     DEFAULT_SOCKET_ENDPOINT,
@@ -98,26 +91,24 @@ from .registry import (
     resolve_analyzers,
 )
 from .transport import (
-    ArenaChunkRef,
     ArenaSegment,
     ContextSegment,
-    attach_arena,
+    TableJob,
     attach_context,
     create_arena_segment,
     create_context_segment,
+    job_table,
     publish_arena_image,
     register_worker_reset,
-    shared_memory_available,
 )
 
 __all__ = [
-    "ChunkPayload",
     "ParallelAnalysisExecutor",
-    "analyze_arena_chunk",
-    "analyze_chunk",
+    "TableJob",
     "analyze_table_slice",
     "close_shared_executors",
     "partition_paths",
+    "run_table_job",
     "shared_executor",
 ]
 
@@ -130,8 +121,12 @@ _OVERSUBSCRIPTION = 4
 #: explicit ``chunk_size``.  Streaming cannot cost-balance (the total cost is
 #: unknown while the stream is live), so it uses fixed-size chunks: small
 #: enough that the first chunk dispatches early (time-to-first-bound), large
-#: enough to amortise pickling overhead.
+#: enough to amortise per-job overhead.
 _STREAM_CHUNK_SIZE = 32
+
+#: How often (seconds) a wait on socket jobs re-checks that the work queue
+#: still has workers.
+_SOCKET_POLL = 0.25
 
 
 def partition_paths(
@@ -179,39 +174,6 @@ def partition_paths(
     return chunks
 
 
-@dataclass(frozen=True)
-class ChunkPayload:
-    """Everything one worker needs to analyse one chunk of paths.
-
-    The payload is deliberately *value-only*: paths, targets and options are
-    plain picklable data, and analyzers travel as registry specs rather than
-    instances (resolved by name inside the worker).
-    """
-
-    index: int
-    paths: tuple[SymbolicPath, ...]
-    targets: tuple[Interval, ...]
-    options: AnalysisOptions
-    specs: tuple[AnalyzerSpec, ...]
-
-
-def _analyze_paths(
-    paths: Sequence[SymbolicPath],
-    targets: tuple[Interval, ...],
-    options: AnalysisOptions,
-    specs: tuple[AnalyzerSpec, ...],
-) -> list[PathContribution]:
-    """The worker-side per-chunk loop over materialised paths.
-
-    Resolves the analyzer selection and delegates to
-    :func:`_analyze_paths_resolved` (the pickled-payload transports arrive
-    here; the arena transport resolves once per query shape instead, see
-    :func:`analyze_arena_chunk`).
-    """
-    ensure_analyzers_registered(specs)
-    return _analyze_paths_resolved(paths, targets, options, resolve_analyzers(options))
-
-
 def _batch_results(analyzer, batch, paths, targets, options):
     """Run ``analyze_batch`` (validated) or the per-path loop for a group."""
     if batch is not None and len(paths) > 1:
@@ -227,72 +189,7 @@ def _batch_results(analyzer, batch, paths, targets, options):
     return [analyzer.analyze(path, targets, options) for path in paths]
 
 
-def _analyze_paths_resolved(
-    paths: Sequence[SymbolicPath],
-    targets: tuple[Interval, ...],
-    options: AnalysisOptions,
-    analyzers,
-) -> list[PathContribution]:
-    """The materialised per-chunk loop, shared by every payload transport.
-
-    Consecutive paths handled by the same analyzer are grouped and handed to
-    the analyzer's ``analyze_batch`` when it provides one, amortising
-    per-call overhead (e.g. the box analyser's vectorised grid sweep) over
-    the whole run; analyzers without batch support fall back to per-path
-    calls.  Both routes produce the same per-path contribution records.
-    """
-    contributions: list[PathContribution] = []
-
-    group: list[SymbolicPath] = []
-    group_analyzer = None
-
-    def flush() -> None:
-        nonlocal group, group_analyzer
-        if not group:
-            return
-        results = _batch_results(
-            group_analyzer,
-            getattr(group_analyzer, "analyze_batch", None),
-            group,
-            targets,
-            options,
-        )
-        for path, result in zip(group, results):
-            contributions.append(
-                PathContribution(
-                    analyzer_name=group_analyzer.name,
-                    truncated=path.truncated,
-                    contributions=tuple(result),
-                )
-            )
-        group = []
-        group_analyzer = None
-
-    for path in paths:
-        for analyzer in analyzers:
-            if analyzer.applicable(path, options):
-                if analyzer is not group_analyzer:
-                    flush()
-                    group_analyzer = analyzer
-                group.append(path)
-                break
-        else:
-            flush()
-            # Delegate to the shared single-path helper for the canonical
-            # "no applicable analyzer" error.
-            contributions.append(analyze_single_path(path, analyzers, targets, options))
-    flush()
-    return contributions
-
-
-def analyze_chunk(payload: ChunkPayload) -> tuple[int, list[PathContribution]]:
-    """Analyse one pickled chunk of paths (runs inside a worker)."""
-    return payload.index, _analyze_paths(
-        payload.paths, payload.targets, payload.options, payload.specs
-    )
-
-
-def _analyze_table_range(
+def analyze_table_slice(
     table,
     start: int,
     stop: int,
@@ -302,26 +199,27 @@ def _analyze_table_range(
     paths: Optional[Sequence[SymbolicPath]] = None,
     indices: Optional[Sequence[int]] = None,
 ) -> list[PathContribution]:
-    """The columnar per-chunk loop over a ``PathTable`` slice.
+    """Analyse one ``[start, stop)`` slice of a ``PathTable`` (resolved form).
+
+    The one chunk body: process and socket workers, in-process backends and
+    the engine's default ``workers=1`` loop all run it, so every consumer
+    holding a table and resolved analyzers produces the exact same
+    contribution records.
 
     Every path index is routed to the first applicable analyzer — via its
     ``applicable_table`` hook when it has one, otherwise by asking
     ``applicable`` on the materialised path.  ``paths`` (optional) is the
-    already-materialised path sequence the table was built from — in-process
-    backends pass ``execution.paths`` so analyzers without the columnar
-    hooks receive the original objects for free; workers over a
-    shared-memory attachment leave it ``None`` and decode on demand
-    (memoised per call).  Consecutive same-analyzer indices form a group:
+    already-materialised path sequence the table was built from — the
+    serial loop passes ``execution.paths`` so analyzers without the
+    columnar hooks receive the original objects for free; jobs leave it
+    ``None`` and decode on demand (memoised per call).  Consecutive
+    same-analyzer indices form a group:
 
     * analyzers with ``analyze_table`` receive the index group directly and
       sweep the table's node/CSR arrays — **no** ``SymbolicPath`` objects
       are materialised for them;
-    * analyzers without the hook transparently receive the decoded paths
-      through the same batch/per-path calls as the materialised loop.
-
-    Contribution records (analyzer name, truncated flag, per-target bounds)
-    are identical to :func:`_analyze_paths_resolved` over the decoded
-    slice — the columnar route never moves a bound.
+    * analyzers without the hook receive the decoded paths through their
+      ``analyze_batch`` or per-path ``analyze``.
 
     ``indices`` (optional) replaces the contiguous ``[start, stop)`` range
     with an explicit index list (the refinement scheduler's scattered
@@ -367,9 +265,9 @@ def _analyze_table_range(
                     "path contributions and break soundness)"
                 )
         else:
-            paths = [path_at(index) for index in group]
+            group_paths = [path_at(index) for index in group]
             results = _batch_results(
-                analyzer, getattr(analyzer, "analyze_batch", None), paths, targets, options
+                analyzer, getattr(analyzer, "analyze_batch", None), group_paths, targets, options
             )
         for index, result in zip(group, results):
             contributions.append(
@@ -401,13 +299,11 @@ def _analyze_table_range(
 #: Worker-side cache of *resolved* query contexts, keyed by the context
 #: segment name (which uniquely identifies one query shape): the decoded
 #: targets/options plus the analyzer instances, with
-#: ``ensure_analyzers_registered`` already applied.  Without it every chunk
-#: of a query re-decoded the context and re-resolved the registry — pure
-#: per-chunk overhead for multi-chunk queries.  Context segments are
-#: published once per query shape and shared by every arena segment of the
-#: query (batch *and* streamed per-chunk segments), so the context name
-#: alone is the right key — keying by arena segment too would miss on every
-#: streamed chunk.
+#: ``ensure_analyzers_registered`` already applied.  Without it every job of
+#: a query re-decoded the context and re-resolved the registry.  Context
+#: segments are published once per query shape and shared by every table of
+#: the query (batch *and* streamed per-chunk segments), so the context name
+#: alone is the right key.
 _RESOLVED_CONTEXTS: "OrderedDict[str, tuple]" = OrderedDict()
 _RESOLVED_CONTEXT_CAP = 16
 
@@ -416,8 +312,12 @@ _RESOLVED_CONTEXT_CAP = 16
 register_worker_reset(_RESOLVED_CONTEXTS.clear)
 
 
-def _resolved_context(context: str) -> tuple:
-    """``(targets, options, analyzers)`` for one query shape (cached)."""
+def _resolved_context(context) -> tuple:
+    """``(targets, options, analyzers)`` of a job's context (segments cached)."""
+    if not isinstance(context, str):
+        targets, options, specs = context
+        ensure_analyzers_registered(specs)
+        return targets, options, resolve_analyzers(options)
     entry = _RESOLVED_CONTEXTS.get(context)
     if entry is not None:
         _RESOLVED_CONTEXTS.move_to_end(context)
@@ -431,77 +331,52 @@ def _resolved_context(context: str) -> tuple:
     return entry
 
 
-def analyze_table_slice(
-    table,
-    start: int,
-    stop: int,
-    targets: tuple[Interval, ...],
-    options: AnalysisOptions,
-    analyzers,
-    paths: Optional[Sequence[SymbolicPath]] = None,
-    indices: Optional[Sequence[int]] = None,
-) -> list[PathContribution]:
-    """Analyse one ``[start, stop)`` slice of a ``PathTable`` (resolved form).
+def run_table_job(job: TableJob) -> tuple[int, list[PathContribution]]:
+    """Analyse one :class:`TableJob` (runs in the parent or in a worker).
 
-    The transport-independent chunk body: the columnar sweep under
-    ``options.columnar``, the materialised loop otherwise — the same two
-    routes every backend runs, so any consumer holding a table and resolved
-    analyzers (process workers, the socket tier's remote workers, in-process
-    backends, the engine's default ``workers=1`` loop) produces the exact
-    same contribution records.
-
-    ``indices`` (optional) overrides ``[start, stop)`` with an explicit
-    path-index list — the refinement scheduler's scattered worst-gap
-    subsets travel through the very same chunk body on every backend.
+    A segment-name table is attached once per worker and cached across jobs
+    and queries (see :func:`repro.analysis.transport.attach_arena`), with its
+    decoded-node memo and analyzer scratch space.  The scratch space is how
+    analyzer memos travel: the linear analyzer keeps its cross-path
+    :class:`~repro.analysis.linear_analyzer.GeometryCache` there.  Its
+    exact-bytes keying returns identical float64s on a hit, so bounds do not
+    depend on which jobs landed on which worker.
     """
-    if options.columnar:
-        return _analyze_table_range(
-            table, start, stop, targets, options, analyzers, paths=paths, indices=indices
-        )
-    if indices is not None:
-        decoded = (
-            [paths[index] for index in indices]
-            if paths is not None
-            else [table.decode_path(index) for index in indices]
-        )
-    else:
-        decoded = paths[start:stop] if paths is not None else table.decode_range(start, stop)
-    return _analyze_paths_resolved(decoded, targets, options, analyzers)
-
-
-def analyze_arena_chunk(ref: ArenaChunkRef) -> tuple[int, list[PathContribution]]:
-    """Analyse one chunk referenced into a shared-memory path-table segment.
-
-    The worker attaches the table segment on first sight (the attachment —
-    with its decoded-node memo and analyzer scratch space — is cached across
-    chunks and queries, see :func:`repro.analysis.transport.attach_arena`)
-    and resolves the query context once per query shape instead of once per
-    chunk.  The scratch space is how analyzer memos travel on this transport:
-    the linear analyzer keeps its cross-path
-    :class:`~repro.analysis.linear_analyzer.GeometryCache` there, so LP
-    sweeps and exact volumes warm up across every chunk and query a worker
-    sees — safely, because the cache's exact-bytes keying returns identical
-    float64s on a hit, keeping bounds independent of which chunks landed on
-    which worker.  With ``options.columnar`` (the default) the
-    ``[start, stop)`` slice runs the columnar loop
-    (:func:`_analyze_table_range`); otherwise the slice is decoded and runs
-    the materialised loop.  Both compute bit-identical contributions, and
-    both match the pickle transport.
-    """
-    targets, options, analyzers = _resolved_context(ref.context)
-    table = attach_arena(ref.segment)
-    return ref.index, analyze_table_slice(
-        table, ref.start, ref.stop, targets, options, analyzers, indices=ref.indices
+    targets, options, analyzers = _resolved_context(job.context)
+    return job.index, analyze_table_slice(
+        job_table(job.table), job.start, job.stop, targets, options, analyzers,
+        indices=job.indices,
     )
 
 
-def _gathered(results: list[tuple[int, list[PathContribution]]]) -> list[PathContribution]:
-    """Reassemble per-chunk results into one canonical-order contribution list."""
-    results.sort(key=lambda item: item[0])
-    contributions: list[PathContribution] = []
-    for _, chunk_contributions in results:
-        contributions.extend(chunk_contributions)
-    return contributions
+def _run_inline(job: TableJob) -> concurrent.futures.Future:
+    """Run ``job`` now; its outcome as an already-finished future."""
+    future: concurrent.futures.Future = concurrent.futures.Future()
+    try:
+        future.set_result(run_table_job(job))
+    except Exception as error:  # noqa: BLE001 - re-raised by future.result()
+        future.set_exception(error)
+    return future
+
+
+def _deadline(options: AnalysisOptions) -> Optional[float]:
+    """The absolute socket-job deadline of ``options.time_budget`` (or None)."""
+    if options.time_budget is None:
+        return None
+    return time.monotonic() + options.time_budget
+
+
+def _worker_lost(queue):
+    """The socket tier's ``WorkerLost``, or ``()`` — which catches nothing.
+
+    Imported lazily: :mod:`repro.service` imports this module for the shared
+    chunk body, so a module-level import would be circular.
+    """
+    if queue is None:
+        return ()
+    from ..service.protocol import WorkerLost
+
+    return WorkerLost
 
 
 #: Process-wide executor cache for callers without their own pool lifecycle
@@ -558,10 +433,10 @@ class ParallelAnalysisExecutor:
 
     ``kind`` is one of ``"process"`` (default; true CPU parallelism),
     ``"thread"`` (no pickling, but GIL-bound), ``"serial"`` (the identical
-    chunked pipeline without a pool, for debugging) or ``"socket"`` (a TCP
-    work queue dispatching chunks to ``python -m repro.service.worker``
-    processes — local ones it spawns itself and/or remote ones that connect
-    to ``socket_endpoint``; see :mod:`repro.service.queue`).
+    jobs without a pool, for debugging) or ``"socket"`` (a TCP work queue
+    dispatching jobs to ``python -m repro.service.worker`` processes — local
+    ones it spawns itself and/or remote ones that connect to
+    ``socket_endpoint``; see :mod:`repro.service.queue`).
     """
 
     def __init__(
@@ -594,33 +469,33 @@ class ParallelAnalysisExecutor:
         #: (see :meth:`_ensure_queue`), plus LRU key caches mirroring the
         #: arena/context segment caches of the shared-memory transport.
         self._queue = None
-        self._socket_tables: "OrderedDict[int, tuple[tuple, str]]" = OrderedDict()
+        self._socket_tables: "OrderedDict[int, tuple[tuple, str, bytes]]" = OrderedDict()
         self._socket_contexts: "OrderedDict[tuple, str]" = OrderedDict()
         self._pool: Optional[concurrent.futures.Executor] = None
         self._closed = False
         #: Published arena segments, keyed by ``id`` of the path tuple they
         #: encode (each segment pins its tuple, so keys cannot alias).  The
         #: cache is what lets repeated queries over the same compiled path
-        #: set dispatch with zero re-encoding and zero per-chunk path bytes.
+        #: set dispatch with zero re-encoding and zero per-job path bytes.
         self._arena_segments: "OrderedDict[int, ArenaSegment]" = OrderedDict()
         #: Published query-context segments, keyed by the context value
         #: (targets, options, specs — all hashable), so a repeated query
         #: re-uses the published context just like it re-uses the arena.
         self._context_segments: "OrderedDict[tuple, ContextSegment]" = OrderedDict()
         #: Flipped when segment creation fails at runtime (e.g. exhausted
-        #: /dev/shm): later queries skip straight to pickled payloads
-        #: instead of re-encoding the whole arena image per query only to
-        #: fail publishing it again.
+        #: /dev/shm): later queries skip straight to inline table images
+        #: instead of re-encoding the image per query only to fail
+        #: publishing it again.
         self._arena_degraded = False
         #: The degradation ladder's local process pool, created lazily the
         #: first time the socket backend has to hand work back (see
-        #: :meth:`_complete_payloads_locally`).
+        #: :meth:`_run_locally`).
         self._fallback_pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self.chunks_dispatched = 0
         self.paths_analyzed = 0
         self.arena_segments_created = 0
-        #: Ladder telemetry: how many chunks were re-dispatched locally, and
-        #: the lowest rung reached ("process" or "serial"; None = no
+        #: Ladder telemetry: how many jobs were re-run locally, and the
+        #: lowest rung reached ("process" or "serial"; None = no
         #: degradation yet).
         self.degraded_chunks = 0
         self.degraded_to: Optional[str] = None
@@ -656,7 +531,7 @@ class ParallelAnalysisExecutor:
             raise RuntimeError("ParallelAnalysisExecutor is closed")
         if self._queue is None:
             # Imported lazily: repro.service imports this module for the
-            # shared chunk loop, so a module-level import would be circular.
+            # shared chunk body, so a module-level import would be circular.
             from ..service.queue import WorkQueueServer
 
             self._queue = WorkQueueServer(
@@ -710,7 +585,7 @@ class ParallelAnalysisExecutor:
         )
 
     # ------------------------------------------------------------------
-    # Arena segment lifecycle
+    # Table and context carriers
     # ------------------------------------------------------------------
     #: How many per-query arena segments the executor keeps published.  One
     #: per cached compiled program is the common case; the small LRU bounds
@@ -718,13 +593,11 @@ class ParallelAnalysisExecutor:
     _ARENA_CACHE_CAP = 4
 
     def _arena_for(self, execution: SymbolicExecutionResult) -> Optional[ArenaSegment]:
-        """The published segment encoding ``execution.paths`` (created on miss).
+        """The published segment of ``execution``'s table (created on miss).
 
-        When the execution already carries a finalised columnar table (the
-        batch collector or a previous in-process columnar query built it),
-        its bytes are published directly; otherwise the paths are encoded
-        through :func:`create_arena_segment`.  Either way the segment is
-        just a backing store for the same table bytes.
+        The compiled program's ``PathTable`` serialises straight to the
+        segment image — no re-interning, no encode walk.  Returns ``None``
+        (and stays degraded) once publishing has failed.
         """
         if self._arena_degraded:
             return None
@@ -734,59 +607,29 @@ class ParallelAnalysisExecutor:
         if segment is not None and segment.paths is paths:
             self._arena_segments.move_to_end(key)
             return segment
-        if shared_memory_available() and hasattr(execution, "table"):
-            # The compiled program's columnar table (built by the run()
-            # collector, or finalised here on first use) serialises straight
-            # to the wire image — no re-interning, no encode walk.
-            segment = publish_arena_image(execution.table().to_bytes(), paths)
-        else:
-            segment = create_arena_segment(paths)
+        segment = publish_arena_image(execution.table().to_bytes(), paths)
         if segment is None:
             self._arena_degraded = True
             return None
-        self._register_arena(key, segment)
-        return segment
-
-    def _register_arena(self, key: int, segment: ArenaSegment) -> None:
         self._arena_segments[key] = segment
         self.arena_segments_created += 1
         while len(self._arena_segments) > self._ARENA_CACHE_CAP:
             _, old = self._arena_segments.popitem(last=False)
             old.unlink()
+        return segment
 
-    def prime_arena(
-        self,
-        paths: tuple[SymbolicPath, ...],
-        intern: bool = True,
-        image: Optional[bytes] = None,
-    ) -> bool:
-        """Publish (and cache) the arena segment for ``paths`` ahead of a query.
+    def prime_arena(self, execution: SymbolicExecutionResult) -> bool:
+        """Publish (and cache) the arena segment of ``execution`` ahead of a query.
 
         Used by the streamed-query cache tee: once a streamed query has
         materialised its path set into the compile cache, priming makes the
-        arena segment itself the cached dispatch representation — the next
-        query over those paths attaches workers to the existing segment
-        without re-encoding.  ``image`` (optional) is the already-encoded
-        table bytes — the tee's builder serialises its columns directly, so
-        priming never re-walks the paths.  Returns False when the arena
-        transport is unavailable (the query will fall back to pickled
-        payloads).
+        segment the cached dispatch representation too — the next query
+        attaches workers to it without re-encoding.  Returns False when
+        this is no process pool or publishing is unavailable.
         """
-        if self.kind != "process" or self._closed or self._arena_degraded:
+        if self.kind != "process" or self._closed:
             return False
-        key = id(paths)
-        existing = self._arena_segments.get(key)
-        if existing is not None and existing.paths is paths:
-            return True
-        if image is not None and shared_memory_available():
-            segment = publish_arena_image(image, paths)
-        else:
-            segment = create_arena_segment(paths, intern=intern)
-        if segment is None:
-            self._arena_degraded = True
-            return False
-        self._register_arena(key, segment)
-        return True
+        return self._arena_for(execution) is not None
 
     def arena_segment_names(self) -> tuple[str, ...]:
         """Names of the currently published per-query segments (telemetry)."""
@@ -796,44 +639,42 @@ class ParallelAnalysisExecutor:
     #: pickled (targets, options, specs) tuple each).
     _CONTEXT_CACHE_CAP = 8
 
-    def _context_for(
-        self,
-        targets: tuple[Interval, ...],
-        options: AnalysisOptions,
-        specs: tuple[AnalyzerSpec, ...],
-    ) -> Optional[ContextSegment]:
-        """The published context segment for one query shape (cached)."""
-        key = (targets, options, specs)
-        context = self._context_segments.get(key)
-        if context is not None:
-            self._context_segments.move_to_end(key)
+    def _process_context(self, context: tuple):
+        """A process job's context: its published segment's name (cached).
+
+        Falls back to the ``(targets, options, specs)`` tuple itself once
+        publishing has failed.
+        """
+        if self._arena_degraded:
             return context
-        context = create_context_segment(targets, options, specs)
-        if context is None:
+        segment = self._context_segments.get(context)
+        if segment is not None:
+            self._context_segments.move_to_end(context)
+            return segment.name
+        segment = create_context_segment(*context)
+        if segment is None:
             self._arena_degraded = True
-            return None
-        self._context_segments[key] = context
+            return context
+        self._context_segments[context] = segment
         while len(self._context_segments) > self._CONTEXT_CACHE_CAP:
             _, old = self._context_segments.popitem(last=False)
             old.unlink()
-        return context
+        return segment.name
 
-    # ------------------------------------------------------------------
-    # Socket-backend resource registration
-    # ------------------------------------------------------------------
     #: How many path-table resources stay registered with the work queue
     #: (mirrors the arena segment cache: one per cached compiled program).
     _SOCKET_TABLE_CAP = 4
     #: How many query-context resources stay registered (tiny pickles).
     _SOCKET_CONTEXT_CAP = 8
 
-    def _socket_table_key(self, execution: SymbolicExecutionResult, queue) -> str:
-        """Register ``execution``'s path-table image with the queue (cached).
+    def _socket_table(self, execution: SymbolicExecutionResult, queue) -> tuple[str, bytes]:
+        """``(key, image)`` of ``execution``'s table, registered with the queue.
 
         The content hash of the table bytes is the resource key, so the
         image is encoded once per compiled path set, shipped at most once
         per worker connection, and naturally deduplicated when two
-        executions encode equal tables.
+        executions encode equal tables.  The image doubles as the table of
+        the inline jobs the degradation ladder re-runs locally.
         """
         from ..service.protocol import hash_bytes
 
@@ -842,43 +683,127 @@ class ParallelAnalysisExecutor:
         entry = self._socket_tables.get(ident)
         if entry is not None and entry[0] is paths:
             self._socket_tables.move_to_end(ident)
-            return entry[1]
+            return entry[1], entry[2]
         image = execution.table().to_bytes()
         key = hash_bytes(image)
         queue.add_resource(key, image, "table")
-        self._socket_tables[ident] = (paths, key)
+        self._socket_tables[ident] = (paths, key, image)
         while len(self._socket_tables) > self._SOCKET_TABLE_CAP:
-            _, (_, old_key) = self._socket_tables.popitem(last=False)
+            _, (_, old_key, _) = self._socket_tables.popitem(last=False)
             queue.discard_resource(old_key)
-        return key
+        return key, image
 
-    def _socket_context_key(
-        self,
-        queue,
-        targets: tuple[Interval, ...],
-        options: AnalysisOptions,
-        specs: tuple[AnalyzerSpec, ...],
-    ) -> str:
+    def _socket_context_key(self, queue, context: tuple) -> str:
         """Register one query shape's pickled context with the queue (cached)."""
         from ..service.protocol import hash_bytes
 
-        cache_key = (targets, options, specs)
-        key = self._socket_contexts.get(cache_key)
+        key = self._socket_contexts.get(context)
         if key is not None:
-            self._socket_contexts.move_to_end(cache_key)
+            self._socket_contexts.move_to_end(context)
             return key
-        payload = pickle.dumps(cache_key, protocol=pickle.HIGHEST_PROTOCOL)
+        payload = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
         key = hash_bytes(payload)
         queue.add_resource(key, payload, "context")
-        self._socket_contexts[cache_key] = key
+        self._socket_contexts[context] = key
         while len(self._socket_contexts) > self._SOCKET_CONTEXT_CAP:
             _, old_key = self._socket_contexts.popitem(last=False)
             queue.discard_resource(old_key)
         return key
 
     # ------------------------------------------------------------------
-    # Degradation ladder (socket -> local process pool -> serial)
+    # Submit, collect, and the degradation ladder
     # ------------------------------------------------------------------
+    def _submit(
+        self,
+        job: TableJob,
+        pool,
+        queue,
+        options: AnalysisOptions,
+        deadline: Optional[float] = None,
+        table_key: Optional[str] = None,
+    ) -> concurrent.futures.Future:
+        """Start ``job`` on the socket ``queue``, on ``pool``, or inline.
+
+        Every future resolves to ``(job.index, contributions)``.  A socket
+        job carries its table as an image (``table_key`` is that image's
+        queue resource) and its context as a tuple, so the degradation
+        ladder can re-run the very same job locally.
+        """
+        if queue is not None:
+            return queue.submit_chunk(
+                index=job.index,
+                table=table_key,
+                start=job.start,
+                stop=job.stop,
+                context=self._socket_context_key(queue, job.context),
+                timeout=options.job_timeout,
+                retries=options.job_retries,
+                indices=job.indices,
+                deadline=deadline,
+            )
+        if pool is None:
+            return _run_inline(job)
+        return pool.submit(run_table_job, job)
+
+    def _wait_any(self, futures, queue) -> set:
+        """Block until one of ``futures`` finishes.
+
+        A socket job's timeout is only armed once a worker picks it up, so
+        a queue that has lost every worker would otherwise pend forever:
+        the wait polls, grants a workerless queue ``io_timeout`` seconds of
+        grace (workers may be mid-reconnect) and then raises ``WorkerLost``
+        so the caller can take the degradation ladder.
+        """
+        workerless_since: Optional[float] = None
+        while True:
+            done, _ = concurrent.futures.wait(
+                futures,
+                timeout=_SOCKET_POLL if queue is not None else None,
+                return_when=concurrent.futures.FIRST_COMPLETED,
+            )
+            if done:
+                return done
+            if queue.worker_count() > 0:
+                workerless_since = None
+                continue
+            now = time.monotonic()
+            if workerless_since is None:
+                workerless_since = now
+            elif now - workerless_since >= self.io_timeout:
+                raise _worker_lost(queue)(
+                    f"work queue has had no connected workers for "
+                    f"{self.io_timeout:.1f}s"
+                )
+
+    def _collect(self, pending: list, queue) -> list[tuple[int, list[PathContribution]]]:
+        """Gather ``(job, future)`` pairs into results sorted by job index.
+
+        When the socket tier runs out of attempts or workers, the rest of
+        the pending jobs are salvaged (:meth:`_salvage`) and the loop stops.
+        """
+        lost = _worker_lost(queue)
+        results: list[tuple[int, list[PathContribution]]] = []
+        for position, (_, future) in enumerate(pending):
+            try:
+                self._wait_any((future,), queue)
+                results.append(future.result())  # re-raises worker exceptions
+            except lost as error:
+                results.extend(self._salvage(pending[position:], str(error)))
+                break
+        results.sort(key=lambda item: item[0])
+        return results
+
+    def _salvage(self, pending: Sequence, reason: str) -> list[tuple[int, list[PathContribution]]]:
+        """Keep the socket results that landed; re-run the other jobs locally."""
+        results, leftovers = [], []
+        for job, future in pending:
+            future.cancel()
+            if future.done() and not future.cancelled() and future.exception() is None:
+                results.append(future.result())
+            else:
+                leftovers.append(job)
+        return results + self._run_locally(leftovers, reason)
+
     def _ensure_fallback_pool(self) -> Optional[concurrent.futures.ProcessPoolExecutor]:
         """The ladder's local process pool (lazily created, best-effort)."""
         if self._closed:
@@ -892,150 +817,77 @@ class ParallelAnalysisExecutor:
                 return None
         return self._fallback_pool
 
-    def _complete_payloads_locally(
-        self, payloads: Sequence[ChunkPayload], reason: str
+    def _run_locally(
+        self, jobs: Sequence[TableJob], reason: str
     ) -> list[tuple[int, list[PathContribution]]]:
-        """Run chunks the socket backend failed on a local backend.
+        """The degradation ladder: run socket jobs the queue failed, locally.
 
-        The degradation ladder: first the lazily-created local process pool,
-        and when that is broken too, the serial in-process loop.  Every rung
-        runs the identical chunk body (:func:`analyze_chunk`), and the
-        caller merges the returned ``(index, contributions)`` pairs through
-        the same canonical-order reduction as undisturbed results — so a
+        First the lazily-created local process pool, and when that is broken
+        too, the serial in-process loop.  Both rungs run the same inline-image
+        jobs through :func:`run_table_job`, and the caller merges the results
+        through the same canonical-order reduction as undisturbed ones — so a
         degraded query's bounds are **bit-identical** to a fault-free run.
         """
-        if not payloads:
+        if not jobs:
             return []
         warnings.warn(
             f"socket backend degraded ({reason}); re-dispatching "
-            f"{len(payloads)} chunk(s) on the local process pool "
+            f"{len(jobs)} chunk(s) on the local process pool "
             "(falling back to serial if that fails too) — bounds are "
             "unaffected, only latency",
             RuntimeWarning,
             stacklevel=3,
         )
-        self.degraded_chunks += len(payloads)
+        self.degraded_chunks += len(jobs)
         pool = self._ensure_fallback_pool()
         if pool is not None:
             try:
-                futures = [pool.submit(analyze_chunk, payload) for payload in payloads]
+                futures = [pool.submit(run_table_job, job) for job in jobs]
                 results = [future.result() for future in futures]
                 self.degraded_to = self.degraded_to or "process"
                 return results
             except Exception:  # noqa: BLE001 - broken pool: take the last rung
                 pass
         self.degraded_to = "serial"
-        return [analyze_chunk(payload) for payload in payloads]
+        return [run_table_job(job) for job in jobs]
 
-    def _socket_future_result(self, queue, future):
-        """Wait on one socket-job future, policing a workerless queue.
-
-        A socket job's timeout is only armed once a worker picks it up, so
-        a queue that has lost every worker would otherwise pend forever.
-        The poll loop grants a workerless queue ``io_timeout`` seconds of
-        grace (workers may be mid-reconnect) and then raises ``WorkerLost``
-        so the caller can take the degradation ladder.
-        """
-        from ..service.protocol import WorkerLost
-
-        workerless_since: Optional[float] = None
-        while True:
-            try:
-                return future.result(timeout=0.25)
-            except concurrent.futures.TimeoutError:
-                if queue.worker_count() > 0:
-                    workerless_since = None
-                    continue
-                now = time.monotonic()
-                if workerless_since is None:
-                    workerless_since = now
-                elif now - workerless_since >= self.io_timeout:
-                    future.cancel()
-                    raise WorkerLost(
-                        f"work queue has had no connected workers for "
-                        f"{self.io_timeout:.1f}s"
-                    ) from None
-
-    def _analyze_socket(
+    # ------------------------------------------------------------------
+    # Batch and refinement
+    # ------------------------------------------------------------------
+    def _run_jobs(
         self,
         execution: SymbolicExecutionResult,
-        target_tuple: tuple[Interval, ...],
-        options: AnalysisOptions,
-        specs: tuple[AnalyzerSpec, ...],
-        chunks: list[range],
-    ) -> list[PathContribution]:
-        """Batch dispatch over the TCP work queue.
+        targets: tuple[Interval, ...],
+        work: Sequence[tuple[int, int, Optional[tuple[int, ...]], AnalysisOptions]],
+        kind: str,
+    ) -> list[tuple[int, list[PathContribution]]]:
+        """One table job per ``(start, stop, indices, options)`` of ``work``.
 
-        The distributed analogue of the arena branch in :meth:`analyze`:
-        the table image and the query context are content-addressed
-        resources registered once, every chunk travels as a tiny index
-        range, and the futures merge through the same canonical-order
-        reduction — socket bounds are bit-identical to serial bounds.
-
-        When the queue exhausts a job's retries or loses every worker, the
-        unfinished chunks ride the degradation ladder
-        (:meth:`_complete_payloads_locally`); already-collected socket
-        results are kept, and the merge stays canonical, so the recovered
-        bounds match the undisturbed run bit for bit.
+        The producer behind batch and refinement queries: the table is
+        carried once per call in the form ``kind`` needs, each job gets its
+        options' context, and the results come back sorted by job index.
+        ``kind="serial"`` runs the jobs inline on any executor.
         """
-        from ..service.protocol import WorkerLost
+        pool = self._ensure_pool() if kind in ("thread", "process") else None
+        queue = self._ensure_queue() if kind == "socket" else None
+        table_key = None
+        if queue is not None:
+            table_key, table = self._socket_table(execution, queue)
+        elif kind == "process":
+            segment = self._arena_for(execution)
+            table = segment.name if segment is not None else execution.table().to_bytes()
+        else:
+            table = execution.table()
+        pending = []
+        for index, (start, stop, indices, options) in enumerate(work):
+            context = (targets, options, analyzer_specs(options.analyzer_names))
+            if kind == "process":
+                context = self._process_context(context)
+            job = TableJob(index, table, context, start, stop, indices)
+            future = self._submit(job, pool, queue, options, _deadline(options), table_key)
+            pending.append((job, future))
+        return self._collect(pending, queue)
 
-        queue = self._ensure_queue()
-        table_key = self._socket_table_key(execution, queue)
-        context_key = self._socket_context_key(queue, target_tuple, options, specs)
-        deadline = (
-            time.monotonic() + options.time_budget
-            if options.time_budget is not None
-            else None
-        )
-        futures = [
-            queue.submit_chunk(
-                index=chunk_index,
-                table=table_key,
-                start=chunk.start,
-                stop=chunk.stop,
-                context=context_key,
-                timeout=options.job_timeout,
-                retries=options.job_retries,
-                deadline=deadline,
-            )
-            for chunk_index, chunk in enumerate(chunks)
-        ]
-        paths = execution.paths
-
-        def payload_for(chunk_index: int) -> ChunkPayload:
-            chunk = chunks[chunk_index]
-            return ChunkPayload(
-                index=chunk_index,
-                paths=tuple(paths[chunk.start : chunk.stop]),
-                targets=target_tuple,
-                options=options,
-                specs=specs,
-            )
-
-        results: list[tuple[int, list[PathContribution]]] = []
-        for chunk_index, future in enumerate(futures):
-            try:
-                results.append(self._socket_future_result(queue, future))
-            except WorkerLost as error:
-                # The socket tier is out of attempts or out of workers:
-                # salvage whatever later chunks already finished, hand the
-                # rest down the ladder.
-                leftovers = [payload_for(chunk_index)]
-                for later_index in range(chunk_index + 1, len(futures)):
-                    later = futures[later_index]
-                    later.cancel()
-                    if later.done() and not later.cancelled() and later.exception() is None:
-                        results.append(later.result())
-                    else:
-                        leftovers.append(payload_for(later_index))
-                results.extend(self._complete_payloads_locally(leftovers, str(error)))
-                break
-        return _gathered(results)
-
-    # ------------------------------------------------------------------
-    # Analysis
-    # ------------------------------------------------------------------
     def analyze(
         self,
         execution: SymbolicExecutionResult,
@@ -1071,111 +923,22 @@ class ParallelAnalysisExecutor:
         if self._closed:
             raise RuntimeError("ParallelAnalysisExecutor is closed")
         options = options or AnalysisOptions()
-        target_tuple = tuple(targets)
         paths = execution.paths
         # chunk_size is a per-call knob: the caller's options win, the
         # executor's own value is only a default.
         chunk_size = options.chunk_size if options.chunk_size is not None else self.chunk_size
         chunks = partition_paths(paths, self.workers, chunk_size)
-        # Custom analyzers must be resolvable by name inside remote workers
-        # (process pool or socket queue); fail fast in the parent when a
-        # name is simply unknown.
-        remote = self.kind in ("process", "socket")
-        specs = analyzer_specs(options.analyzer_names) if remote else ()
-        if not remote:
-            resolve_analyzers(options)
         self.chunks_dispatched += len(chunks)
         self.paths_analyzed += len(paths)
-
         # Empty or single-chunk work always runs inline: it is bit-identical
-        # (same per-chunk loop) and avoids forking a pool (or binding a work
-        # queue) for trivial path sets — e.g. one-path models under a
-        # process-wide REPRO_ANALYSIS_WORKERS default.
-        if self.kind == "socket" and len(chunks) > 1:
-            return self._analyze_socket(execution, target_tuple, options, specs, chunks)
-        pooled = len(chunks) > 1 and self.kind != "serial"
-        pool = self._ensure_pool() if pooled else None
-        pooled = pool is not None
+        # (same job) and avoids forking a pool (or binding a work queue) for
+        # trivial path sets — e.g. one-path models under a process-wide
+        # REPRO_ANALYSIS_WORKERS default.
+        kind = self.kind if len(chunks) > 1 else "serial"
+        work = [(chunk.start, chunk.stop, None, options) for chunk in chunks]
+        results = self._run_jobs(execution, tuple(targets), work, kind)
+        return [record for _, records in results for record in records]
 
-        if pooled and self.kind == "process" and options.effective_transport == "arena":
-            segment = self._arena_for(execution)
-            context = (
-                self._context_for(target_tuple, options, specs)
-                if segment is not None
-                else None
-            )
-            if segment is not None and context is not None:
-                # Zero-copy dispatch: the arena segment is written (or cache
-                # hit) once per path set and the query context once per query
-                # shape; each chunk ships as a tiny index range into the
-                # arena's path table.
-                refs = [
-                    ArenaChunkRef(
-                        index=chunk_index,
-                        segment=segment.name,
-                        nbytes=segment.nbytes,
-                        start=chunk.start,
-                        stop=chunk.stop,
-                        context=context.name,
-                    )
-                    for chunk_index, chunk in enumerate(chunks)
-                ]
-                futures = [pool.submit(analyze_arena_chunk, ref) for ref in refs]
-                results = [future.result() for future in futures]
-                return _gathered(results)
-
-        # In-process columnar fast path: serial/thread backends (and inline
-        # single-chunk runs on any backend) analyse the compiled program's
-        # shared PathTable — the identical columnar sweep the process
-        # workers run over their shared-memory attachment, including its
-        # per-table memo reuse across chunks and queries.  Nothing is
-        # interned, pickled or published.
-        if options.columnar and (pool is None or self.kind == "thread"):
-            table = execution.table()
-            analyzers = resolve_analyzers(options)
-
-            def run_table_chunk(chunk_index: int, chunk: range):
-                return chunk_index, _analyze_table_range(
-                    table, chunk.start, chunk.stop, target_tuple, options, analyzers,
-                    paths=paths,
-                )
-
-            if pool is None:
-                results = [run_table_chunk(i, chunk) for i, chunk in enumerate(chunks)]
-            else:
-                futures = [pool.submit(run_table_chunk, i, chunk) for i, chunk in enumerate(chunks)]
-                results = [future.result() for future in futures]
-            return _gathered(results)
-
-        # Pickle transport (and the remaining in-process routes).  Interning
-        # only pays for itself when chunks are actually pickled to a process
-        # pool; serial/thread backends and inline runs pass direct
-        # references, so they skip the memo walk entirely.
-        memo: Optional[dict] = {} if pooled and self.kind == "process" else None
-        payloads = [
-            ChunkPayload(
-                index=chunk_index,
-                paths=(
-                    intern_paths(paths[chunk.start : chunk.stop], memo)
-                    if memo is not None
-                    else tuple(paths[chunk.start : chunk.stop])
-                ),
-                targets=target_tuple,
-                options=options,
-                specs=specs,
-            )
-            for chunk_index, chunk in enumerate(chunks)
-        ]
-        if not pooled:
-            results = [analyze_chunk(payload) for payload in payloads]
-        else:
-            futures = [pool.submit(analyze_chunk, payload) for payload in payloads]
-            results = [future.result() for future in futures]
-        return _gathered(results)
-
-    # ------------------------------------------------------------------
-    # Refinement dispatch
-    # ------------------------------------------------------------------
     def analyze_refinement_jobs(
         self,
         execution: SymbolicExecutionResult,
@@ -1187,11 +950,10 @@ class ParallelAnalysisExecutor:
         The refinement scheduler's dispatch primitive: every job is a
         ``(indices, options)`` pair — a scattered worst-gap subset of
         ``execution``'s path table plus the scaled split budgets of its
-        refinement level.  Jobs ride the executor's regular chunk machinery
-        (arena refs / pickled payloads / socket index jobs, depending on
-        backend and transport), and the per-path records come back in job
-        order with each job's records following its index order — so the
-        scheduler's merge is deterministic on every backend.
+        refinement level.  Each becomes a table job with an index list, and
+        the per-path records come back in job order with each job's records
+        following its index order — so the scheduler's merge is
+        deterministic on every backend.
 
         Returns one contribution list per job.
         """
@@ -1199,133 +961,37 @@ class ParallelAnalysisExecutor:
             raise RuntimeError("ParallelAnalysisExecutor is closed")
         if not jobs:
             return []
-        target_tuple = tuple(targets)
-        paths = execution.paths
         self.chunks_dispatched += len(jobs)
         self.paths_analyzed += sum(len(indices) for indices, _ in jobs)
-
-        if self.kind == "socket":
-            from ..service.protocol import WorkerLost
-
-            queue = self._ensure_queue()
-            table_key = self._socket_table_key(execution, queue)
-            futures = []
-            for job_index, (indices, options) in enumerate(jobs):
-                specs = analyzer_specs(options.analyzer_names)
-                context_key = self._socket_context_key(queue, target_tuple, options, specs)
-                deadline = (
-                    time.monotonic() + options.time_budget
-                    if options.time_budget is not None
-                    else None
-                )
-                futures.append(
-                    queue.submit_chunk(
-                        index=job_index,
-                        table=table_key,
-                        start=0,
-                        stop=0,
-                        context=context_key,
-                        timeout=options.job_timeout,
-                        retries=options.job_retries,
-                        indices=indices,
-                        deadline=deadline,
-                    )
-                )
-
-            def job_payload(job_index: int) -> ChunkPayload:
-                indices, options = jobs[job_index]
-                return ChunkPayload(
-                    index=job_index,
-                    paths=tuple(paths[i] for i in indices),
-                    targets=target_tuple,
-                    options=options,
-                    specs=analyzer_specs(options.analyzer_names),
-                )
-
-            results: list[tuple[int, list[PathContribution]]] = []
-            for job_index, future in enumerate(futures):
-                try:
-                    results.append(self._socket_future_result(queue, future))
-                except WorkerLost as error:
-                    leftovers = [job_payload(job_index)]
-                    for later_index in range(job_index + 1, len(futures)):
-                        later = futures[later_index]
-                        later.cancel()
-                        if later.done() and not later.cancelled() and later.exception() is None:
-                            results.append(later.result())
-                        else:
-                            leftovers.append(job_payload(later_index))
-                    results.extend(self._complete_payloads_locally(leftovers, str(error)))
-                    break
-            results.sort(key=lambda item: item[0])
-            return [contributions for _, contributions in results]
-
-        pool = self._ensure_pool() if self.kind in ("thread", "process") else None
-
-        if (
-            pool is not None
-            and self.kind == "process"
-            and jobs[0][1].effective_transport == "arena"
-        ):
-            segment = self._arena_for(execution)
-            if segment is not None:
-                refs = []
-                for job_index, (indices, options) in enumerate(jobs):
-                    specs = analyzer_specs(options.analyzer_names)
-                    context = self._context_for(target_tuple, options, specs)
-                    if context is None:
-                        refs = None
-                        break
-                    refs.append(
-                        ArenaChunkRef(
-                            index=job_index,
-                            segment=segment.name,
-                            nbytes=segment.nbytes,
-                            start=0,
-                            stop=0,
-                            context=context.name,
-                            indices=tuple(indices),
-                        )
-                    )
-                if refs is not None:
-                    futures = [pool.submit(analyze_arena_chunk, ref) for ref in refs]
-                    return [future.result()[1] for future in futures]
-
-        if pool is not None and self.kind == "process":
-            # Pickle fallback: the selected paths travel as an interned
-            # object graph per job (one fresh memo each — jobs are small).
-            payloads = [
-                ChunkPayload(
-                    index=job_index,
-                    paths=intern_paths(tuple(paths[i] for i in indices), {}),
-                    targets=target_tuple,
-                    options=options,
-                    specs=analyzer_specs(options.analyzer_names),
-                )
-                for job_index, (indices, options) in enumerate(jobs)
-            ]
-            futures = [pool.submit(analyze_chunk, payload) for payload in payloads]
-            return [future.result()[1] for future in futures]
-
-        # In-process backends run the shared table slice body directly over
-        # the compiled program's own table (honouring options.columnar).
-        table = execution.table()
-
-        def run_job(indices: tuple[int, ...], options: AnalysisOptions):
-            analyzers = resolve_analyzers(options)
-            return analyze_table_slice(
-                table, 0, 0, target_tuple, options, analyzers,
-                paths=paths, indices=indices,
-            )
-
-        if pool is None:
-            return [run_job(tuple(indices), options) for indices, options in jobs]
-        futures = [pool.submit(run_job, tuple(indices), options) for indices, options in jobs]
-        return [future.result() for future in futures]
+        work = [(0, 0, tuple(indices), options) for indices, options in jobs]
+        results = self._run_jobs(execution, tuple(targets), work, self.kind)
+        return [records for _, records in results]
 
     # ------------------------------------------------------------------
     # Streaming analysis
     # ------------------------------------------------------------------
+    def _stream_job(self, index: int, chunk_paths: tuple, context: tuple):
+        """The table job of one streamed chunk, plus its cleanup (or None).
+
+        A process pool gets a short-lived per-chunk segment (the full path
+        set is unknown while the stream is live), unlinked by the cleanup;
+        the socket tier and failed publishes get the chunk's table image.
+        In-process backends get the chunk's ``PathTable``, built without
+        the interning walk: nothing is serialised, so sharing equal
+        sub-expressions would only cost time.
+        """
+        count = len(chunk_paths)
+        if self.kind in ("serial", "thread"):
+            table = PathTable.from_paths(chunk_paths, intern=False)
+            return TableJob(index, table, context, 0, count), None
+        if self.kind == "process":
+            context = self._process_context(context)
+            segment = None if self._arena_degraded else create_arena_segment(chunk_paths)
+            if segment is not None:
+                return TableJob(index, segment.name, context, 0, count), segment.unlink
+            self._arena_degraded = True
+        return TableJob(index, encode_paths(chunk_paths), context, 0, count), None
+
     def analyze_stream(
         self,
         paths: Iterable[SymbolicPath],
@@ -1339,13 +1005,13 @@ class ParallelAnalysisExecutor:
 
         ``paths`` is consumed incrementally (typically the generator of
         :meth:`repro.symbolic.SymbolicExecutor.iter_paths`): paths are
-        buffered into fixed-size chunks and dispatched as soon as a chunk
-        fills, so workers analyse the first chunks while exploration is still
-        enumerating the rest.  The buffer is bounded — at most
-        ``workers × options.prefetch`` chunks are in flight; when the bound
-        is hit, chunk production blocks until a worker finishes.  Peak parent
-        memory is therefore O(chunk size × prefetch × workers) paths instead
-        of the whole path set.
+        buffered into fixed-size chunks and each chunk is submitted as a
+        table job as soon as it fills, so workers analyse the first chunks
+        while exploration is still enumerating the rest.  The buffer is
+        bounded — at most ``workers × options.prefetch`` jobs are in flight;
+        when the bound is hit, chunk production blocks until a worker
+        finishes.  Peak parent memory is therefore O(chunk size × prefetch ×
+        workers) paths instead of the whole path set.
 
         Per-chunk results are reassembled in chunk order and folded in
         canonical path order, so streamed bounds are **bit-identical** to a
@@ -1366,11 +1032,10 @@ class ParallelAnalysisExecutor:
         (contribution records are a few floats per path, so retaining them
         does not undo the bounded path buffer).
 
-        Under the ``"socket"`` backend each chunk is encoded as its own
-        small path-table image, registered with the work queue under its
-        content hash, dispatched as an index-range job, and discarded the
-        moment its result lands — the TCP analogue of the per-chunk arena
-        segments below.
+        Under the ``"socket"`` backend each chunk's table image is
+        registered with the work queue under its content hash and discarded
+        the moment its result lands — the TCP analogue of the per-chunk
+        segments.
         """
         if self._closed:
             raise RuntimeError("ParallelAnalysisExecutor is closed")
@@ -1380,52 +1045,23 @@ class ParallelAnalysisExecutor:
         if chunk_size is None:
             chunk_size = _STREAM_CHUNK_SIZE
         max_inflight = self.workers * options.prefetch
-
-        remote = self.kind in ("process", "socket")
-        specs = analyzer_specs(options.analyzer_names) if remote else ()
-        if not remote:
-            resolve_analyzers(options)
+        context = (target_tuple, options, analyzer_specs(options.analyzer_names))
 
         start = time.perf_counter()
         self.peak_path_buffer = 0
         pool = self._ensure_pool()
         queue = self._ensure_queue() if self.kind == "socket" else None
-        queue_context: Optional[str] = None
-        if queue is not None:
-            queue_context = self._socket_context_key(queue, target_tuple, options, specs)
-        # Streamed arena dispatch publishes one short-lived segment per chunk
-        # (the full path set is unknown while the stream is live); a segment
-        # is unlinked the moment its chunk's result is collected, and the
-        # ``finally`` below sweeps whatever is outstanding when the stream
-        # dies mid-way (e.g. a PathExplosionError).
-        use_arena = (
-            pool is not None
-            and self.kind == "process"
-            and options.effective_transport == "arena"
-            and shared_memory_available()
-            and not self._arena_degraded
-        )
-        stream_segments: dict[concurrent.futures.Future, ArenaSegment] = {}
-        #: Socket streaming: per-chunk table resources retired on collection
-        #: (the work-queue analogue of the per-chunk arena segments).
-        stream_resources: dict[concurrent.futures.Future, str] = {}
-        #: Socket streaming: the local re-dispatch payload of every in-flight
-        #: chunk, so a chunk whose socket job is lost rides the degradation
-        #: ladder instead of failing the query.  Bounded by ``max_inflight``.
-        stream_chunk_payloads: dict[concurrent.futures.Future, ChunkPayload] = {}
-        #: Absolute deadline derived from ``options.time_budget`` (the whole
-        #: stream shares it, like a batch query's chunks do).
-        stream_deadline = (
-            time.monotonic() + options.time_budget
-            if options.time_budget is not None
-            else None
-        )
+        lost = _worker_lost(queue)
+        #: The whole stream shares one deadline, like a batch query's jobs.
+        deadline = _deadline(options)
         #: Flipped once the ladder fires: later chunks skip the dead socket
         #: tier and go straight to the local backend.
         socket_dead = False
-        workerless_since: Optional[float] = None
         results: list[tuple[int, list[PathContribution]]] = []
-        inflight: dict[concurrent.futures.Future, int] = {}  # future -> path count
+        inflight: dict[concurrent.futures.Future, TableJob] = {}
+        #: Per-chunk cleanups (segment unlink, queue resource discard), run
+        #: when the chunk's result is collected or the stream dies.
+        cleanups: dict[concurrent.futures.Future, Callable[[], None]] = {}
         buffer: list[SymbolicPath] = []
         progress_pending = progress is not None
         #: Completion timestamps recorded by done-callbacks (which fire the
@@ -1433,17 +1069,13 @@ class ParallelAnalysisExecutor:
         #: collecting a result later would overstate time-to-first-bound when
         #: the in-flight cap is never reached.
         done_at: list[float] = []
-        first_result_seconds: Optional[float] = None
         path_count = 0
         chunk_index = 0
 
         def note_buffer() -> None:
-            resident = len(buffer) + sum(inflight.values())
+            resident = len(buffer) + sum(job.stop - job.start for job in inflight.values())
             if resident > self.peak_path_buffer:
                 self.peak_path_buffer = resident
-
-        def note_done(_future: concurrent.futures.Future) -> None:
-            done_at.append(time.perf_counter())
 
         def fire_progress() -> None:
             """Invoke the anytime first-bound hook once, on the first result."""
@@ -1452,191 +1084,79 @@ class ParallelAnalysisExecutor:
                 return
             progress_pending = False
             ordered = sorted(results, key=lambda item: item[0])
-            partial: list[PathContribution] = []
-            for _, chunk_contributions in ordered:
-                partial.extend(chunk_contributions)
+            partial = [record for _, records in ordered for record in records]
             progress(reduce_contributions(partial, target_tuple, None), len(partial))
+
+        def release(future: concurrent.futures.Future) -> None:
+            cleanup = cleanups.pop(future, None)
+            if cleanup is not None:
+                cleanup()
 
         def collect(future: concurrent.futures.Future) -> None:
             nonlocal socket_dead
-            from ..service.protocol import WorkerLost
-
-            inflight.pop(future)
-            segment = stream_segments.pop(future, None)
-            resource = stream_resources.pop(future, None)
-            payload = stream_chunk_payloads.pop(future, None)
+            job = inflight.pop(future)
             try:
                 results.append(future.result())  # re-raises worker exceptions
-            except WorkerLost as error:
+            except lost as error:
                 # Socket job out of attempts: this chunk takes the ladder;
                 # the stream keeps flowing and the merge stays canonical.
-                if payload is None:
-                    raise
                 socket_dead = queue.worker_count() == 0
-                results.extend(self._complete_payloads_locally([payload], str(error)))
+                results.extend(self._salvage([(job, future)], str(error)))
             finally:
-                if segment is not None:
-                    segment.unlink()
-                if resource is not None:
-                    queue.discard_resource(resource)
+                release(future)
             fire_progress()
 
         def wait_some() -> None:
-            """Collect at least one in-flight future (ladder on a dead queue).
-
-            Pool futures always complete eventually, but socket futures on a
-            workerless queue would pend forever (their timeouts arm at
-            dispatch) — so the socket wait polls, grants a workerless queue
-            ``io_timeout`` of reconnect grace, and then pulls every stranded
-            chunk down the degradation ladder.
-            """
-            nonlocal socket_dead, workerless_since
-            while inflight:
-                done, _ = concurrent.futures.wait(
-                    tuple(inflight),
-                    timeout=0.25 if queue is not None else None,
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                if done:
-                    workerless_since = None
-                    for finished in done:
-                        collect(finished)
-                    return
-                if queue is None:
-                    continue
-                if queue.worker_count() > 0:
-                    workerless_since = None
-                    continue
-                now = time.monotonic()
-                if workerless_since is None:
-                    workerless_since = now
-                    continue
-                if now - workerless_since < self.io_timeout:
-                    continue
-                # Every worker is gone and none came back: strand-collect
-                # the whole in-flight set locally.
+            """Collect at least one in-flight job (ladder on a dead queue)."""
+            nonlocal socket_dead
+            try:
+                done = self._wait_any(tuple(inflight), queue)
+            except lost as error:
+                # Every worker is gone and none came back: salvage the whole
+                # in-flight set locally.
                 socket_dead = True
-                stranded = list(inflight)
-                payloads: list[ChunkPayload] = []
-                for future in stranded:
-                    inflight.pop(future)
-                    key = stream_resources.pop(future, None)
-                    if key is not None:
-                        queue.discard_resource(key)
-                    payload = stream_chunk_payloads.pop(future, None)
-                    future.cancel()
-                    if future.done() and not future.cancelled() and future.exception() is None:
-                        results.append(future.result())
-                    elif payload is not None:
-                        payloads.append(payload)
-                results.extend(self._complete_payloads_locally(
-                    payloads,
-                    f"work queue has had no connected workers for {self.io_timeout:.1f}s",
+                stranded = list(inflight.items())
+                inflight.clear()
+                for future, _ in stranded:
+                    release(future)
+                results.extend(self._salvage(
+                    [(job, future) for future, job in stranded], str(error)
                 ))
                 fire_progress()
                 return
+            for finished in done:
+                collect(finished)
 
         def dispatch() -> None:
-            nonlocal chunk_index, first_result_seconds, use_arena
+            nonlocal chunk_index
             chunk_paths = tuple(buffer)
             index = chunk_index
             chunk_index += 1
             self.chunks_dispatched += 1
             buffer.clear()
-            if pool is None and queue is None:
-                # Serial kind: the identical chunked pipeline without a pool —
-                # the buffer stays bounded by one chunk, and nothing is
-                # pickled, so the paths travel as direct references.
-                payload = ChunkPayload(
-                    index=index, paths=chunk_paths, targets=target_tuple,
-                    options=options, specs=specs,
-                )
-                self.peak_path_buffer = max(self.peak_path_buffer, len(chunk_paths))
-                results.append(analyze_chunk(payload))
-                if first_result_seconds is None:
-                    first_result_seconds = time.perf_counter() - start
+            job, cleanup = self._stream_job(index, chunk_paths, context)
+            if socket_dead:
+                # The ladder already fired: skip the dead socket tier.
+                results.extend(self._run_locally([job], "socket backend previously lost"))
                 fire_progress()
                 return
-
+            table_key = None
             if queue is not None:
-                payload = ChunkPayload(
-                    index=index, paths=chunk_paths, targets=target_tuple,
-                    options=options, specs=specs,
-                )
-                if socket_dead:
-                    # The ladder already fired: skip the dead socket tier.
-                    results.extend(self._complete_payloads_locally(
-                        [payload], "socket backend previously lost"
-                    ))
-                    fire_progress()
-                    return
                 from ..service.protocol import hash_bytes
 
-                image = encode_paths(chunk_paths)
-                key = hash_bytes(image)
-                queue.add_resource(key, image, "table")
-                future = queue.submit_chunk(
-                    index=index,
-                    table=key,
-                    start=0,
-                    stop=len(chunk_paths),
-                    context=queue_context,
-                    timeout=options.job_timeout,
-                    retries=options.job_retries,
-                    deadline=stream_deadline,
-                )
-                stream_resources[future] = key
-                stream_chunk_payloads[future] = payload
-                inflight[future] = len(chunk_paths)
-                future.add_done_callback(note_done)
-                note_buffer()
-                while len(inflight) >= max_inflight:
-                    wait_some()
-                return
-
-            segment: Optional[ArenaSegment] = None
-            context: Optional[ContextSegment] = None
-            if use_arena:
-                context = self._context_for(target_tuple, options, specs)
-                segment = create_arena_segment(chunk_paths) if context is not None else None
-                if segment is None:
-                    use_arena = False  # degrade once, stay degraded
-                    self._arena_degraded = True
-            if segment is not None:
-                future = pool.submit(
-                    analyze_arena_chunk,
-                    ArenaChunkRef(
-                        index=index,
-                        segment=segment.name,
-                        nbytes=segment.nbytes,
-                        start=0,
-                        stop=len(chunk_paths),
-                        context=context.name,
-                    ),
-                )
-                stream_segments[future] = segment
-            else:
-                # Pickled chunk: intern against a fresh memo per chunk —
-                # pickle's own memoisation is per-payload, so cross-chunk
-                # sharing would not shrink payloads further, it would only
-                # retain every unique expression of the whole stream in the
-                # parent for the query's lifetime.  The thread backend passes
-                # direct references and skips the memo walk.
-                payload = ChunkPayload(
-                    index=index,
-                    paths=(
-                        intern_paths(chunk_paths, {})
-                        if self.kind == "process"
-                        else chunk_paths
-                    ),
-                    targets=target_tuple,
-                    options=options,
-                    specs=specs,
-                )
-                future = pool.submit(analyze_chunk, payload)
-            inflight[future] = len(chunk_paths)
-            future.add_done_callback(note_done)
+                table_key = hash_bytes(job.table)
+                queue.add_resource(table_key, job.table, "table")
+                cleanup = lambda: queue.discard_resource(table_key)  # noqa: E731
+            future = self._submit(job, pool, queue, options, deadline, table_key)
+            inflight[future] = job
+            if cleanup is not None:
+                cleanups[future] = cleanup
+            future.add_done_callback(lambda _: done_at.append(time.perf_counter()))
             note_buffer()
+            if pool is None and queue is None:
+                # Serial kind: collect at once, so the buffer stays bounded
+                # by one chunk.
+                collect(future)
             # Bounded buffer: block until a slot frees up.
             while len(inflight) >= max_inflight:
                 wait_some()
@@ -1662,32 +1182,24 @@ class ParallelAnalysisExecutor:
                 wait_some()
         finally:
             # On a mid-stream error, drop references to outstanding futures
-            # and unlink their arena segments (attached workers keep their
-            # mappings until they evict them; the kernel reclaims the memory
-            # with the last detach).  The pool itself stays usable for
-            # subsequent queries.
+            # and unlink their segments / discard their queue resources
+            # (attached workers keep their mappings until they evict them;
+            # the kernel reclaims the memory with the last detach).  The
+            # pool itself stays usable for subsequent queries.
             inflight.clear()
-            stream_chunk_payloads.clear()
-            while stream_segments:
-                _, leftover = stream_segments.popitem()
-                leftover.unlink()
-            while stream_resources:
-                _, leftover_key = stream_resources.popitem()
-                queue.discard_resource(leftover_key)
+            while cleanups:
+                _, cleanup = cleanups.popitem()
+                cleanup()
 
-        if done_at and first_result_seconds is None:
-            first_result_seconds = min(done_at) - start
         self.paths_analyzed += path_count
         results.sort(key=lambda item: item[0])
-        contributions: list[PathContribution] = []
-        for _, chunk_contributions in results:
-            contributions.extend(chunk_contributions)
+        contributions = [record for _, records in results for record in records]
         if contribution_sink is not None:
             contribution_sink.extend(contributions)
         if report is not None:
             report.path_count += path_count
             report.truncated_paths += sum(int(c.truncated) for c in contributions)
-            if first_result_seconds is not None:
-                report.first_result_seconds = first_result_seconds
+            if done_at:
+                report.first_result_seconds = min(done_at) - start
             report.peak_path_buffer = max(report.peak_path_buffer, self.peak_path_buffer)
         return reduce_contributions(contributions, target_tuple, report)

@@ -16,7 +16,7 @@ the split budget into an *anytime* resource instead:
 3. **Refine.**  Each round pops a fixed-size batch of worst-gap paths and
    re-analyses them at the next *refinement level* — split budgets scaled by
    ``2**level`` (capped, see :func:`level_options`) — dispatched as explicit
-   index-list chunk jobs over the regular executor backends
+   index-list table jobs over the regular executor backends
    (:meth:`~repro.analysis.parallel.ParallelAnalysisExecutor.analyze_refinement_jobs`),
    so refinement rides serial, thread, process and socket dispatch alike.
 4. **Clamp.**  A refined record is intersected with the path's previous
@@ -33,8 +33,8 @@ Rounds stop on whichever budget binds first: ``refine_max_rounds`` (the
 deterministic default), ``refine_time_budget`` (wall-clock, checked between
 rounds), ``refine_width_target`` (every target narrow enough), or heap
 exhaustion (every path retired).  For a fixed round count the refined
-bounds are bit-identical across backends, transports and the columnar
-knob — round membership is a pure function of the seed records.
+bounds are bit-identical across backends — round membership is a pure
+function of the seed records.
 
 A path retires when its gap reaches zero, when a refined sweep no longer
 moves its record (the capped budgets have saturated), or — for box-analysed

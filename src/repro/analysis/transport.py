@@ -1,32 +1,30 @@
-"""Shared-memory payload transport for the process bound engine.
+"""How path tables reach process workers: shared-memory segments and table jobs.
 
-The parallel engine's ``"arena"`` transport moves symbolic-path chunks to
-process workers without pickling expression trees: the parent packs a path
-set once into a flat arena image (:mod:`repro.symbolic.arena`), writes it
-into one ``multiprocessing.shared_memory`` segment, and every chunk then
-travels as an :class:`ArenaChunkRef` — segment name plus an index range —
-a few hundred bytes regardless of chunk size.  Workers attach the segment
-on first sight, cache the attachment (and the decoded-node memo that comes
-with it) across chunks and queries, and decode only the paths of the chunk
-at hand.
+Every backend of the parallel engine analyses :class:`TableJob` units — a
+path table, a query context and an index range (or an explicit index
+list).  This module owns what a job's table and context can be, and the
+lifecycle of the shared-memory segments behind them:
 
-This module owns both sides of that lifecycle:
+* **parent** — :func:`publish_arena_image` writes a
+  :class:`~repro.symbolic.arena.PathTable` byte image into one
+  ``multiprocessing.shared_memory`` segment (:func:`create_arena_segment`
+  encodes paths first); :func:`create_context_segment` publishes one
+  query's ``(targets, options, specs)``.  :class:`ArenaSegment` pins the
+  path tuple it encodes (so the id-keyed executor cache can never alias)
+  and unlinks idempotently.  Unlinking while workers are still attached is
+  safe on POSIX: the segment persists until the last attachment closes.
+* **worker** — :func:`job_table` turns a job's table into a ``PathTable``:
+  a segment name attaches through a small per-process LRU
+  (:func:`attach_arena`; the attachment and its decoded-node memo survive
+  across jobs and queries), a byte image is viewed in place.  Attachments
+  are unregistered from the ``multiprocessing`` resource tracker (attaching
+  registers them again on CPython ≤ 3.12, which would otherwise produce
+  spurious leak warnings — the *parent* remains the tracked owner).
 
-* **parent** — :func:`create_arena_segment` encodes and publishes a
-  segment; :class:`ArenaSegment` pins the path tuple it encodes (so the
-  id-keyed executor cache can never alias) and unlinks idempotently.
-  Unlinking while workers are still attached is safe on POSIX: the segment
-  persists until the last attachment closes.
-* **worker** — :func:`attach_arena` maintains a small LRU of attached
-  arenas per worker process.  Attachments are unregistered from the
-  ``multiprocessing`` resource tracker (attaching registers them again on
-  CPython ≤ 3.12, which would otherwise produce spurious leak warnings —
-  the *parent* remains the tracked owner of every segment).
-
-When ``multiprocessing.shared_memory`` is unavailable (or segment creation
-fails at runtime, e.g. an exhausted ``/dev/shm``), the engine degrades to
-the pickle transport with a one-time warning — the knob never changes
-results, only how bytes move.
+When ``multiprocessing.shared_memory`` is unavailable, or publishing fails
+at runtime (e.g. an exhausted ``/dev/shm``), the engine warns once and its
+jobs carry the table image and the context tuple inline — the same bytes
+the socket tier ships.  Only how bytes move changes, never the bounds.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ import warnings
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 from .. import faults as _faults
 from ..intervals import Interval
@@ -50,13 +48,14 @@ except ImportError:  # pragma: no cover
     _shared_memory = None  # type: ignore[assignment]
 
 __all__ = [
-    "ArenaChunkRef",
     "ArenaSegment",
     "ContextSegment",
+    "TableJob",
     "attach_arena",
     "attach_context",
     "create_arena_segment",
     "create_context_segment",
+    "job_table",
     "publish_arena_image",
     "register_worker_reset",
     "release_worker_arenas",
@@ -82,34 +81,33 @@ def _warn_unavailable(reason: str) -> None:
     if not _unavailable_warned:
         _unavailable_warned = True
         warnings.warn(
-            f"arena payload transport unavailable ({reason}); "
-            "falling back to pickled chunk payloads",
+            f"shared-memory path tables unavailable ({reason}); "
+            "table jobs carry the table image inline",
             RuntimeWarning,
             stacklevel=3,
         )
 
 
 @dataclass(frozen=True)
-class ArenaChunkRef:
-    """One worker's unit of work under the arena transport.
+class TableJob:
+    """One unit of analysis work, on every backend.
 
-    A ref pickles to ~150 bytes regardless of chunk size: the paths live in
-    the arena segment and the query context (targets, options, analyzer
-    specs — identical for every chunk of a query) lives in its own tiny
-    shared context segment, so neither is re-serialised per chunk.
+    ``table`` is a shared-memory segment name (``str``), a path-table byte
+    image (``bytes``) or, in-process, the :class:`PathTable` itself;
+    ``context`` is a context-segment name or the ``(targets, options,
+    specs)`` tuple.  With segment names a job pickles to ~150 bytes
+    regardless of its size.
 
     ``indices`` (optional) replaces the contiguous ``[start, stop)`` range
-    with an explicit path-index list — the refinement scheduler's unit of
-    work, where each round re-analyses a scattered worst-gap subset of the
-    table rather than a contiguous slice.
+    with an explicit path-index list — the refinement scheduler's scattered
+    worst-gap subsets.  ``index`` orders the job's results in the merge.
     """
 
     index: int
-    segment: str
-    nbytes: int
-    start: int
-    stop: int
-    context: str  # name of the query's ContextSegment
+    table: Union[str, bytes, PathTable]
+    context: Union[str, tuple]
+    start: int = 0
+    stop: int = 0
     indices: Optional[Tuple[int, ...]] = None
 
 
@@ -178,8 +176,8 @@ def _publish(image: bytes):
     """Write a byte image into a fresh shared-memory segment (or ``None``)."""
     action = _faults.decide("transport.publish")
     if action is not None and action.kind == "fail":
-        # Injected shared-memory exhaustion: callers take the documented
-        # pickle degradation exactly as they would on a real ENOSPC.
+        # Injected shared-memory exhaustion: callers fall back to inline
+        # table images exactly as they would on a real ENOSPC.
         _warn_unavailable("injected shared-memory publish failure")
         return None
     if _shared_memory is None:
@@ -194,19 +192,17 @@ def _publish(image: bytes):
     return shm
 
 
-def create_arena_segment(
-    paths: Sequence[SymbolicPath], intern: bool = True
-) -> Optional[ArenaSegment]:
+def create_arena_segment(paths: Sequence[SymbolicPath]) -> Optional[ArenaSegment]:
     """Encode ``paths`` and publish the image as a shared-memory segment.
 
     Returns ``None`` (after a one-time warning) when shared memory is
-    unavailable or segment creation fails — callers fall back to pickled
-    payloads, which are slower but always possible.
+    unavailable or segment creation fails — callers then ship the image
+    inline, which is slower but always possible.
     """
     if _shared_memory is None:
         _warn_unavailable("multiprocessing.shared_memory is not importable")
         return None
-    return publish_arena_image(encode_paths(paths, intern=intern), paths)
+    return publish_arena_image(encode_paths(paths), paths)
 
 
 def publish_arena_image(
@@ -232,8 +228,8 @@ class ContextSegment(_SegmentHandle):
     """Parent-side handle of one published query-context segment.
 
     The context — ``(targets, options, analyzer specs)`` — is identical for
-    every chunk of a query, so it is pickled **once**, published as a tiny
-    segment, and referenced by name from every :class:`ArenaChunkRef`.
+    every job of a query, so it is pickled **once**, published as a tiny
+    segment, and referenced by name from every :class:`TableJob`.
     Executors cache context segments keyed by the context value itself, so a
     repeated query re-uses the published context just like it re-uses the
     arena.
@@ -299,6 +295,15 @@ def attach_arena(name: str) -> PathTable:
         old_arena.release()
         old_shm.close()
     return arena
+
+
+def job_table(table: Union[str, bytes, PathTable]) -> PathTable:
+    """The :class:`PathTable` a :class:`TableJob` names (see its ``table``)."""
+    if isinstance(table, str):
+        return attach_arena(table)
+    if isinstance(table, bytes):
+        return PathTable.from_buffer(table, keep_alive=table)
+    return table
 
 
 #: Per-process cache of unpickled query contexts, keyed by segment name.

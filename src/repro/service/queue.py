@@ -8,10 +8,10 @@ TCP; each connection gets a dedicated dispatcher thread that pulls jobs
 off the queue, ships whatever resources the worker does not hold yet, and
 waits for the result.
 
-The design mirrors the shared-memory arena transport one layer out:
+The design mirrors the shared-memory transport one layer out:
 
-* a **chunk job** is the TCP analogue of an
-  :class:`~repro.analysis.transport.ArenaChunkRef` — a table key plus an
+* a **chunk job** is the TCP form of a
+  :class:`~repro.analysis.transport.TableJob` — a table key plus an
   ``[start, stop)`` index range plus a context key, a few hundred bytes
   regardless of chunk size;
 * **resources** are sent at most once per worker connection and cached

@@ -19,12 +19,10 @@ from .arena import (
     estimate_arena_bytes,
 )
 from .intern import (
-    PathInterner,
     fingerprint_term,
     intern_constraint,
     intern_expr,
     intern_path,
-    intern_paths,
 )
 from .linear import LinearForm, ScoreDecomposition, decompose_score, extract_linear
 from .paths import Relation, SymConstraint, SymbolicPath
@@ -71,12 +69,10 @@ __all__ = [
     "intern_constraint",
     "intern_expr",
     "intern_path",
-    "intern_paths",
     "ArenaFormatError",
     "PathArena",
     "PathTable",
     "PathTableBuilder",
-    "PathInterner",
     "encode_paths",
     "estimate_arena_bytes",
 ]

@@ -1,40 +1,32 @@
-"""Structural interning of symbolic expressions and path payloads.
+"""Structural interning of symbolic expressions, and program fingerprints.
 
 Symbolic paths produced by branching exploration frequently contain *equal
 but distinct* sub-expressions: symmetric branches rebuild the same guard and
 score values independently, so a 50k-path workload carries the same
-``add(α₀, α₁)``-shaped trees thousands of times.  ``pickle`` deduplicates by
-object *identity*, not by value — every duplicate is re-serialised in full
-when a chunk of paths is shipped to a process worker.
-
-Interning rewrites a batch of paths so that structurally equal expressions
-become the *same object*: duplicate subtrees then pickle as one definition
-plus back-references, which shrinks process-pool chunk payloads and the time
-spent serialising them.  Interning never changes values — all symbolic
-expression nodes are immutable frozen dataclasses, so sharing is safe — and
-it is a no-op on payloads that are already maximally shared.
+``add(α₀, α₁)``-shaped trees thousands of times.  Interning makes
+structurally equal expressions the *same object*, so the path-table builder
+(:class:`repro.symbolic.arena.PathTableBuilder`) stores each one as a single
+shared node.  Interning never changes values — all symbolic expression nodes
+are immutable frozen dataclasses, so sharing is safe.
 
 The memo is keyed by the expressions themselves (structural equality/hash of
-the frozen dataclasses), so one memo can be reused across every chunk of a
-query to amortise the walk.
+the frozen dataclasses), so one memo serves a whole path set.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Dict, Iterable, Optional
+from typing import Dict
 
 from .paths import SymConstraint, SymbolicPath
 from .value import SPrim, SymExpr
 
 __all__ = [
-    "PathInterner",
     "fingerprint_term",
     "intern_expr",
     "intern_constraint",
     "intern_path",
-    "intern_paths",
 ]
 
 
@@ -175,76 +167,3 @@ def intern_path(path: SymbolicPath, memo: Dict[object, object]) -> SymbolicPath:
         scores=scores,
         truncated=path.truncated,
     )
-
-
-def intern_paths(
-    paths: Iterable[SymbolicPath], memo: Optional[Dict[object, object]] = None
-) -> tuple[SymbolicPath, ...]:
-    """Intern a batch of paths against one (optionally shared) memo."""
-    if memo is None:
-        memo = {}
-    return tuple(intern_path(path, memo) for path in paths)
-
-
-class PathInterner:
-    """An incremental path collector interning against one shared memo.
-
-    This is the accumulator behind the streamed-query cache tee
-    (:meth:`repro.Model.bounds` with ``stream=True``).  Since the columnar
-    path-set core landed it is a thin veneer over
-    :class:`repro.symbolic.arena.PathTableBuilder`: paths are added one at a
-    time *as they are dispatched*, interned against a single memo so the
-    collected set carries full structural sharing, **and** the columnar
-    tables grow in the same pass — so when the tee completes, the collected
-    set is already a :class:`~repro.symbolic.arena.PathTable`
-    (:meth:`build_table`) and the dispatch image is a plain array
-    serialisation (:meth:`table_bytes`), with no further tree walks.
-    :meth:`approximate_arena_bytes` tracks how large the set is in the flat
-    encoding — which is both the cached representation's real footprint and
-    the number the tee's memory budget is enforced against.
-    """
-
-    def __init__(self) -> None:
-        from .arena import PathTableBuilder
-
-        self._builder = PathTableBuilder()
-
-    @property
-    def builder(self):
-        """The underlying :class:`~repro.symbolic.arena.PathTableBuilder`.
-
-        Consumers that want the columnar form hand this to
-        :meth:`repro.symbolic.SymbolicExecutionResult.attach_table_source`.
-        """
-        return self._builder
-
-    @property
-    def memo(self) -> Dict[object, object]:
-        return self._builder.memo
-
-    @property
-    def paths(self) -> list[SymbolicPath]:
-        return self._builder.paths
-
-    def add(self, path: SymbolicPath) -> SymbolicPath:
-        """Intern ``path``, append it to the collection and return it."""
-        return self._builder.append(path)
-
-    def __len__(self) -> int:
-        return len(self._builder)
-
-    def approximate_arena_bytes(self) -> int:
-        """Estimated encoded size of the collected paths so far (monotone)."""
-        return self._builder.nbytes_estimate
-
-    def build_table(self):
-        """Finalise the collection into an in-memory ``PathTable``."""
-        return self._builder.build()
-
-    def table_bytes(self) -> bytes:
-        """The collection's flat byte image (for shared-memory publication)."""
-        return self._builder.to_bytes()
-
-    def clear(self) -> None:
-        """Drop everything collected (the tee's budget-overflow action)."""
-        self._builder.clear()

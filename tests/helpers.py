@@ -1,4 +1,4 @@
-"""Shared model builders for the test suite.
+"""Shared model builders and oracles for the test suite.
 
 These used to live in ``tests/conftest.py``, but importing them via
 ``from conftest import ...`` is fragile: whichever ``conftest.py`` pytest
@@ -18,7 +18,60 @@ __all__ = [
     "pedestrian_walk_fixpoint",
     "geometric_program",
     "random_spcf_program",
+    "_analyze_paths_resolved",
 ]
+
+
+def _analyze_paths_resolved(paths, targets, options, analyzers):
+    """The materialised chunk loop: the oracle of the runtime's table loop.
+
+    Routes every ``SymbolicPath`` to the first applicable analyzer and hands
+    runs of consecutive same-analyzer paths to its ``analyze_batch`` (or
+    per-path ``analyze``).  :func:`repro.analysis.parallel.analyze_table_slice`
+    must return exactly these contribution records for the same paths.
+    """
+    from repro.analysis.engine import PathContribution, analyze_single_path
+    from repro.analysis.parallel import _batch_results
+
+    contributions = []
+    group = []
+    group_analyzer = None
+
+    def flush():
+        nonlocal group, group_analyzer
+        if not group:
+            return
+        results = _batch_results(
+            group_analyzer,
+            getattr(group_analyzer, "analyze_batch", None),
+            group,
+            targets,
+            options,
+        )
+        for path, result in zip(group, results):
+            contributions.append(
+                PathContribution(
+                    analyzer_name=group_analyzer.name,
+                    truncated=path.truncated,
+                    contributions=tuple(result),
+                )
+            )
+        group = []
+        group_analyzer = None
+
+    for path in paths:
+        for analyzer in analyzers:
+            if analyzer.applicable(path, options):
+                if analyzer is not group_analyzer:
+                    flush()
+                    group_analyzer = analyzer
+                group.append(path)
+                break
+        else:
+            flush()
+            contributions.append(analyze_single_path(path, analyzers, targets, options))
+    flush()
+    return contributions
 
 
 def simple_observe_model(observed: float = 1.1, std: float = 0.25):

@@ -5,12 +5,11 @@ Four layers of guarantees are pinned here:
 * **round-trip exactness** — arena encode/decode reproduces any path set
   exactly (property-based over random path shapes, plus real programs),
   including DAG sharing, interval constants and deep expressions;
-* **transport equivalence** — the ``"arena"`` process transport returns
-  bounds *bit-identical* to the ``"pickle"`` transport and to serial runs,
-  for every backend and chunk size;
+* **transport equivalence** — process pools over shared-memory path tables
+  return bounds *bit-identical* to serial runs, for every backend and chunk
+  size, and so do pools whose publishing fails (inline table images);
 * **lifecycle** — shared-memory segments are unlinked on pool close and on a
-  mid-stream :class:`~repro.symbolic.PathExplosionError`; in-process
-  backends never intern (nothing is pickled);
+  mid-stream :class:`~repro.symbolic.PathExplosionError`;
 * **cache tee** — a streamed query materialises its paths into the
   compiled-program cache under the memory budget (second query is a cache
   hit), and budget overflow degrades to uncached streaming.
@@ -35,7 +34,7 @@ from repro.symbolic import (
     ExecutionLimits,
     PathArena,
     PathExplosionError,
-    PathInterner,
+    PathTableBuilder,
     Relation,
     SConst,
     SPrim,
@@ -227,17 +226,6 @@ class TestArenaTransportEquivalence:
         with Model(model.term, options) as parallel_model:
             assert_bits_equal(serial, parallel_model.bounds(_TARGETS))
 
-    def test_arena_matches_pickle_transport(self, geometric_baseline):
-        model, _ = geometric_baseline
-        results = {}
-        for transport in ("pickle", "arena"):
-            options = model.options.with_updates(
-                workers=2, executor="process", chunk_size=2, payload_transport=transport
-            )
-            with Model(model.term, options) as parallel_model:
-                results[transport] = parallel_model.bounds(_TARGETS)
-        assert_bits_equal(results["pickle"], results["arena"])
-
     def test_in_process_backends_ignore_transport(self, geometric_baseline):
         model, serial = geometric_baseline
         for kind in ("serial", "thread"):
@@ -306,8 +294,8 @@ class TestSegmentLifecycle:
         created = []
         real_create = parallel_module.create_arena_segment
 
-        def recording_create(paths, intern=True):
-            segment = real_create(paths, intern=intern)
+        def recording_create(paths):
+            segment = real_create(paths)
             if segment is not None:
                 created.append(segment)
             return segment
@@ -330,8 +318,8 @@ class TestSegmentLifecycle:
         created = []
         real_create = parallel_module.create_arena_segment
 
-        def recording_create(paths, intern=True):
-            segment = real_create(paths, intern=intern)
+        def recording_create(paths):
+            segment = real_create(paths)
             if segment is not None:
                 created.append(segment)
             return segment
@@ -349,38 +337,51 @@ class TestSegmentLifecycle:
         for segment in created:
             assert _attach_raises(segment.name)
 
-    def test_failed_segment_creation_degrades_once(self, monkeypatch, geometric_baseline):
+    def _assert_degrades_once(self, monkeypatch, model, expected, **updates):
         from repro.analysis import parallel as parallel_module
 
-        model, serial = geometric_baseline
         calls = []
 
         def failing_publish(image, paths):
             calls.append(len(paths))
             return None  # e.g. exhausted /dev/shm
 
-        def failing_create(paths, intern=True):
+        def failing_create(paths):
             calls.append(len(paths))
             return None
 
-        # Batch dispatch publishes the compiled table's bytes; both the
-        # image and the encode entry points must degrade identically.
+        # Batch and refinement publish the compiled table's bytes, streams
+        # encode each chunk; every entry point must degrade identically.
         monkeypatch.setattr(parallel_module, "publish_arena_image", failing_publish)
         monkeypatch.setattr(parallel_module, "create_arena_segment", failing_create)
         options = model.options.with_updates(
-            workers=2, executor="process", chunk_size=2, payload_transport="arena"
+            workers=2, executor="process", chunk_size=2, payload_transport="arena", **updates
         )
         with Model(model.term, options) as parallel_model:
-            assert_bits_equal(serial, parallel_model.bounds(_TARGETS))  # pickle fallback
-            assert_bits_equal(serial, parallel_model.bounds(_TARGETS))
+            # Jobs carry the table image and the query context inline.
+            assert_bits_equal(expected, parallel_model.bounds(_TARGETS))
+            assert_bits_equal(expected, parallel_model.bounds(_TARGETS))
         # The first failure flips the executor to degraded: the second query
         # must not re-encode (and re-fail) the arena image.
         assert len(calls) == 1
 
+    def test_failed_segment_creation_degrades_once(self, monkeypatch, geometric_baseline):
+        model, serial = geometric_baseline
+        self._assert_degrades_once(monkeypatch, model, serial)
+
+    def test_failed_segment_creation_degrades_once_refined(self, monkeypatch, geometric_baseline):
+        model, _ = geometric_baseline
+        refine = dict(refine="gap", refine_max_rounds=2)
+        expected = model.bounds(_TARGETS, model.options.with_updates(**refine))
+        self._assert_degrades_once(monkeypatch, model, expected, **refine)
+
+    def test_failed_segment_creation_degrades_once_streamed(self, monkeypatch, geometric_baseline):
+        model, serial = geometric_baseline
+        self._assert_degrades_once(monkeypatch, model, serial, stream=True)
+
     def test_executor_close_is_idempotent_with_arenas(self):
         executor = ParallelAnalysisExecutor(workers=2, kind="process")
-        paths = symbolic_paths(simple_observe_model()).paths
-        assert executor.prime_arena(paths)
+        assert executor.prime_arena(symbolic_paths(simple_observe_model()))
         names = executor.arena_segment_names()
         executor.close()
         executor.close()
@@ -393,45 +394,57 @@ class TestSegmentLifecycle:
 # ----------------------------------------------------------------------
 
 
+def _forbid_interning(monkeypatch, message: str) -> None:
+    """Fail on any structural-interning walk of the path-table builder."""
+    from repro.symbolic import arena as arena_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(message)
+
+    monkeypatch.setattr(arena_module, "intern_path", forbidden)
+
+
 class TestInternSkip:
     @pytest.mark.parametrize("kind", ["serial", "thread"])
     def test_in_process_batch_never_interns(self, monkeypatch, kind):
-        from repro.analysis import parallel as parallel_module
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("intern_paths called for an in-process backend")
-
-        monkeypatch.setattr(parallel_module, "intern_paths", forbidden)
         options = AnalysisOptions(
-            max_fixpoint_depth=5, score_splits=8, workers=2, executor=kind, chunk_size=2
+            max_fixpoint_depth=9, score_splits=8, workers=2, executor=kind, chunk_size=2
         )
-        model = Model(simple_observe_model(), options)
+        model = Model(geometric_program(), options)
+        model.compile()  # compiling interns once; dispatch must not
+        _forbid_interning(monkeypatch, "interning during in-process dispatch")
         model.bounds(_TARGETS)
         model.close()
 
     def test_serial_stream_never_interns(self, monkeypatch):
-        from repro.analysis import parallel as parallel_module
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("intern_paths called for serial streaming")
-
-        monkeypatch.setattr(parallel_module, "intern_paths", forbidden)
+        _forbid_interning(monkeypatch, "interning during serial streaming")
         options = AnalysisOptions(
             max_fixpoint_depth=5, score_splits=8, workers=1, executor="serial",
             chunk_size=2, stream=True, stream_cache_budget=None,
         )
         Model(simple_observe_model(), options).bounds(_TARGETS)
 
+    @pytest.mark.parametrize("kind", ["serial", "thread"])
+    def test_in_process_executor_stream_never_interns(self, monkeypatch, kind, geometric_baseline):
+        from repro.analysis import analyze_path_stream
+        from repro.symbolic import stream_symbolic_paths
+
+        model, serial = geometric_baseline
+        options = model.options.with_updates(chunk_size=2, stream=True)
+        _forbid_interning(monkeypatch, "interning during in-process streaming")
+        with ParallelAnalysisExecutor(workers=2, kind=kind) as executor:
+            bounds = analyze_path_stream(
+                stream_symbolic_paths(model.term, options.execution_limits()),
+                _TARGETS, options, executor=executor,
+            )
+        assert_bits_equal(serial, bounds)
+
     def test_single_chunk_process_run_never_interns(self, monkeypatch):
-        from repro.analysis import parallel as parallel_module
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("intern_paths called for an inline single-chunk run")
-
-        monkeypatch.setattr(parallel_module, "intern_paths", forbidden)
         # One path -> one chunk -> inline run even under the process backend.
         options = AnalysisOptions(workers=2, executor="process")
         model = Model(b.mul(3.0, b.sample()), options)
+        model.compile()
+        _forbid_interning(monkeypatch, "interning during an inline single-chunk run")
         model.bounds([Interval(0.0, 1.0)])
         model.close()
 
@@ -518,19 +531,26 @@ class TestStreamCacheTee:
 
 
 class TestTransportKnobs:
-    def test_default_transport_is_arena(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ANALYSIS_TRANSPORT", raising=False)
-        assert AnalysisOptions().effective_transport == "arena"
+    def test_default_transport_is_arena(self):
+        assert AnalysisOptions().payload_transport is None
+        assert AnalysisOptions(payload_transport="arena").payload_transport == "arena"
 
     def test_env_default(self, monkeypatch):
+        # The environment no longer selects a transport: arena is the only one.
         monkeypatch.setenv("REPRO_ANALYSIS_TRANSPORT", "pickle")
-        assert AnalysisOptions().effective_transport == "pickle"
-        monkeypatch.setenv("REPRO_ANALYSIS_TRANSPORT", "")
-        assert AnalysisOptions().effective_transport == "arena"
+        assert AnalysisOptions().payload_transport is None
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(ValueError, match="payload_transport"):
             AnalysisOptions(payload_transport="carrier-pigeon")
+
+    def test_pickle_transport_rejected(self):
+        with pytest.raises(ValueError, match="payload_transport"):
+            AnalysisOptions(payload_transport="pickle")
+
+    def test_columnar_knob_removed(self):
+        with pytest.raises(TypeError, match="columnar"):
+            AnalysisOptions(columnar=False)
 
     @pytest.mark.parametrize("budget", [-1, True, 1.5])
     def test_bad_budget_rejected(self, budget):
@@ -543,13 +563,13 @@ class TestTransportKnobs:
         assert AnalysisOptions().stream_cache_enabled
 
     def test_interner_tracks_arena_footprint(self):
-        interner = PathInterner()
+        builder = PathTableBuilder()
         paths = symbolic_paths(geometric_program(), ExecutionLimits(max_fixpoint_depth=6)).paths
         sizes = []
         for path in paths:
-            interner.add(path)
-            sizes.append(interner.approximate_arena_bytes())
+            builder.append(path)
+            sizes.append(builder.nbytes_estimate)
         assert sizes == sorted(sizes)  # monotone in paths added
-        assert len(interner) == len(paths)
-        interner.clear()
-        assert len(interner) == 0
+        assert len(builder) == len(paths)
+        builder.clear()
+        assert len(builder) == 0

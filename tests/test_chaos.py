@@ -24,7 +24,7 @@ Covered fault scenarios (all seeded, all deterministic):
      (socket → process/serial), batch bounds bit-identical
 9    heartbeats suppressed → wedged worker reaped in ~3 beats,   worker
      not the 30 s job timeout
-10   shared-memory publish failure → pickle transport,           transport
+10   shared-memory publish failure → inline table images,        transport
      bit-identical
 11   mid-stream path explosion injected → typed error surfaces   transport
 12   server query fault → typed FAULT frame, connection usable   server
@@ -444,7 +444,7 @@ class TestWorkerChaos:
 
 @pytest.mark.slow
 class TestTransportChaos:
-    def test_publish_failure_degrades_to_pickle_bit_identical(self, serial_bounds):
+    def test_publish_failure_degrades_to_inline_table_images_bit_identical(self, serial_bounds):
         model = Model(parse(BRANCHY_SRC))
         try:
             options = AnalysisOptions(executor="process", workers=2, chunk_size=1)

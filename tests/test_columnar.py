@@ -9,13 +9,15 @@ Four layers of guarantees are pinned here:
   without re-walking;
 * **fast-path bit-equality** — ``analyze_table`` of the box and linear
   analyzers returns exactly the floats of ``analyze`` / ``analyze_batch``
-  over the decoded paths (property-based over random path shapes plus real
-  programs, across chunk slices);
+  over the decoded paths, and the runtime chunk loop returns exactly the
+  records of the materialised oracle loop in ``tests/helpers.py``
+  (property-based over random path shapes plus real programs, across chunk
+  slices);
 * **routing** — the columnar chunk loop feeds table slices to analyzers
   that implement ``analyze_table`` and transparently materialises
   ``SymbolicPath`` objects for analyzers that do not;
-* **end-to-end equivalence** — ``columnar=True`` and ``columnar=False``
-  bounds are bit-identical across backends, transports and chunk sizes.
+* **end-to-end equivalence** — every backend's bounds are bit-identical to
+  the materialised oracle's, across chunk sizes and streaming.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ from repro.analysis.linear_analyzer import (
     linear_analysis_applicable,
     linear_table_applicable,
 )
-from repro.analysis.parallel import _analyze_paths_resolved, _analyze_table_range
+from repro.analysis.engine import reduce_contributions
+from repro.analysis.parallel import analyze_table_slice
+from repro.analysis.registry import resolve_analyzers
 from repro.distributions import Bernoulli, Beta, Exponential, Normal, Uniform
 from repro.intervals import Interval
 from repro.lang import builder as b
@@ -54,7 +58,12 @@ from repro.symbolic import (
     symbolic_paths,
 )
 
-from helpers import geometric_program, pedestrian_walk_fixpoint, simple_observe_model
+from helpers import (
+    _analyze_paths_resolved,
+    geometric_program,
+    pedestrian_walk_fixpoint,
+    simple_observe_model,
+)
 
 _TARGETS = (Interval(0.0, 1.0), Interval(0.5, 2.0), Interval.reals())
 
@@ -279,7 +288,7 @@ class TestColumnarBitEquality:
         for start in range(0, len(paths), chunk_size):
             stop = min(start + chunk_size, len(paths))
             columnar = _outcome(
-                lambda: _analyze_table_range(
+                lambda: analyze_table_slice(
                     table, start, stop, _TARGETS, _FAST_OPTIONS, analyzers
                 )
             )
@@ -299,7 +308,7 @@ class TestColumnarBitEquality:
         table = execution.table()
         analyzers = (LinearPathAnalyzer(), BoxPathAnalyzer())
         options = AnalysisOptions(max_fixpoint_depth=depth, score_splits=8)
-        columnar = _analyze_table_range(
+        columnar = analyze_table_slice(
             table, 0, len(execution.paths), _TARGETS, options, analyzers
         )
         materialised = _analyze_paths_resolved(
@@ -448,7 +457,7 @@ class TestColumnarRouting:
         ).paths
         table = PathTable.from_paths(paths)
         RecordingAnalyzer.seen = []
-        contributions = _analyze_table_range(
+        contributions = analyze_table_slice(
             table, 0, len(paths), _TARGETS, _FAST_OPTIONS, (RecordingAnalyzer(),)
         )
         assert len(contributions) == len(paths)
@@ -461,7 +470,7 @@ class TestColumnarRouting:
         ).paths
         table = PathTable.from_paths(paths)
         TableOnlyAnalyzer.tables = []
-        contributions = _analyze_table_range(
+        contributions = analyze_table_slice(
             table, 0, len(paths), _TARGETS, _FAST_OPTIONS, (TableOnlyAnalyzer(),)
         )
         assert len(contributions) == len(paths)
@@ -475,7 +484,7 @@ class TestColumnarRouting:
             RecordingAnalyzer.seen = []
             options = AnalysisOptions(
                 max_fixpoint_depth=6, workers=2, executor="thread",
-                chunk_size=2, analyzers=("recording",), columnar=True,
+                chunk_size=2, analyzers=("recording",),
             )
             with Model(geometric_program(), options) as model:
                 bounds = model.bounds(list(_TARGETS))
@@ -490,44 +499,43 @@ class TestColumnarRouting:
             constraints=(), scores=(), truncated=True,
         )
         table = PathTable.from_paths((path,))
-        (contribution,) = _analyze_table_range(
+        (contribution,) = analyze_table_slice(
             table, 0, 1, _TARGETS, _FAST_OPTIONS, (BoxPathAnalyzer(),)
         )
         assert contribution.truncated
 
 
 # ----------------------------------------------------------------------
-# End-to-end equivalence (columnar knob never moves a bound)
+# End-to-end equivalence (no backend moves a bound off the oracle's)
 # ----------------------------------------------------------------------
 
 
 class TestColumnarEndToEnd:
     @pytest.fixture(scope="class")
     def reference(self):
-        options = AnalysisOptions(
-            max_fixpoint_depth=9, workers=1, executor="serial", columnar=False
-        )
+        """Bounds of the materialised oracle loop over the whole path set."""
+        options = AnalysisOptions(max_fixpoint_depth=9, workers=1, executor="serial")
         model = Model(geometric_program(), options)
-        return model, model.bounds(list(_TARGETS))
+        paths = model.compile().execution.paths
+        records = _analyze_paths_resolved(
+            paths, _TARGETS, options, resolve_analyzers(options)
+        )
+        return model, reduce_contributions(records, _TARGETS)
 
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     @pytest.mark.parametrize("chunk_size", [None, 2])
     def test_columnar_matches_materialised(self, reference, executor, chunk_size):
         model, expected = reference
-        for columnar in (True, False):
-            options = model.options.with_updates(
-                workers=2, executor=executor, chunk_size=chunk_size, columnar=columnar
-            )
-            with Model(model.term, options) as candidate:
-                assert_bits_equal(expected, candidate.bounds(list(_TARGETS)))
+        options = model.options.with_updates(
+            workers=2, executor=executor, chunk_size=chunk_size
+        )
+        with Model(model.term, options) as candidate:
+            assert_bits_equal(expected, candidate.bounds(list(_TARGETS)))
 
     def test_columnar_env_knob(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ANALYSIS_COLUMNAR", raising=False)
-        assert AnalysisOptions().columnar
+        # The columnar loop is the only one: the old env switch is inert.
         monkeypatch.setenv("REPRO_ANALYSIS_COLUMNAR", "0")
-        assert not AnalysisOptions().columnar
-        monkeypatch.setenv("REPRO_ANALYSIS_COLUMNAR", "1")
-        assert AnalysisOptions().columnar
+        assert not hasattr(AnalysisOptions(), "columnar")
 
     def test_grid_cache_is_safe_under_thread_contention(self):
         """Regression: concurrent grid-LRU eviction must never raise.
@@ -580,7 +588,7 @@ class TestColumnarEndToEnd:
     def test_streamed_columnar_matches(self, reference):
         model, expected = reference
         options = model.options.with_updates(
-            workers=2, executor="process", chunk_size=2, stream=True, columnar=True
+            workers=2, executor="process", chunk_size=2, stream=True
         )
         with Model(model.term, options) as candidate:
             assert_bits_equal(expected, candidate.bounds(list(_TARGETS)))

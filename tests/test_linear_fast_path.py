@@ -354,11 +354,11 @@ class TestExecutorsAgree:
 class TestSerialTableRoute:
     """The default serial loop shares one geometry cache per compiled program."""
 
-    # Explicit workers/executor/refine/columnar: the same route under any
+    # Explicit workers/executor/refine: the same route under any
     # REPRO_ANALYSIS_* environment.
     OPTIONS = AnalysisOptions(
         max_fixpoint_depth=4, score_splits=8, workers=1, executor="serial",
-        refine="off", columnar=True,
+        refine="off",
     )
 
     @pytest.fixture
@@ -632,7 +632,7 @@ class TestBoundsInvariance:
     @pytest.mark.parametrize("chunk_size", [2, 8])
     @pytest.mark.parametrize(
         "executor,transport",
-        [("serial", None), ("thread", None), ("process", "arena"), ("process", "pickle")],
+        [("serial", None), ("thread", None), ("process", "arena")],
     )
     def test_chunking_backend_transport(self, chunk_size, executor, transport):
         options = AnalysisOptions(

@@ -33,7 +33,7 @@ from repro.analysis import (
     register_analyzer,
     unregister_analyzer,
 )
-from repro.analysis.parallel import ChunkPayload, analyze_chunk
+from repro.analysis.parallel import TableJob, run_table_job
 from repro.intervals import Interval
 from repro.lang import builder as b
 from repro.symbolic import ExecutionLimits, PathExplosionError, symbolic_paths
@@ -206,6 +206,21 @@ class TestParallelOptionValidation:
     def test_rejects_bad_executor_names(self, executor):
         with pytest.raises(ValueError):
             AnalysisOptions(executor=executor)
+
+    @pytest.mark.parametrize("field", [
+        "io_timeout", "job_timeout", "time_budget", "refine_time_budget",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_timeouts(self, field, value):
+        # socket.settimeout raises on NaN and inf, and a NaN grace period
+        # never expires: both used to hang or crash socket queries.
+        with pytest.raises(ValueError, match=field):
+            AnalysisOptions(**{field: value})
+
+    def test_rejects_nan_width_target(self):
+        with pytest.raises(ValueError, match="refine_width_target"):
+            AnalysisOptions(refine_width_target=float("nan"))
+        assert AnalysisOptions(refine_width_target=float("inf")).refine_width_target == float("inf")
 
     def test_executor_derived_from_workers(self):
         assert AnalysisOptions(workers=1, executor=None).effective_executor == "serial"
@@ -402,19 +417,21 @@ class TestRegistrySerializationSafety:
         finally:
             register_analyzer("box", BoxPathAnalyzer, replace=True)
 
-    def test_chunk_payloads_are_picklable(self):
+    def test_table_jobs_are_picklable(self):
         execution = symbolic_paths(simple_observe_model(), ExecutionLimits())
-        payload = ChunkPayload(
+        options = AnalysisOptions()
+        job = TableJob(
             index=0,
-            paths=execution.paths,
-            targets=(Interval(0.0, 1.0),),
-            options=AnalysisOptions(),
-            specs=analyzer_specs(("linear", "box")),
+            table=execution.table().to_bytes(),
+            context=((Interval(0.0, 1.0),), options, analyzer_specs(("linear", "box"))),
+            start=0,
+            stop=len(execution.paths),
         )
-        clone = pickle.loads(pickle.dumps(payload))
-        index, contributions = analyze_chunk(clone)
+        clone = pickle.loads(pickle.dumps(job))
+        index, contributions = run_table_job(clone)
         assert index == 0
         assert len(contributions) == len(execution.paths)
+        assert contributions == run_table_job(job)[1]
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,8 @@ guarantee is soundness, so the net pins three families of properties:
   uniform seed bound, and the seed bound is bit-identical to a
   ``refine="off"`` run of the same options;
 * **Opt-out identity** — ``refine="off"`` queries reproduce the pinned
-  golden bounds bit-for-bit across executor backends, payload transports
-  and the columnar knob, so shipping the scheduler cannot move a single
-  float for anyone who does not turn it on.
+  golden bounds bit-for-bit across executor backends, so shipping the
+  scheduler cannot move a single float for anyone who does not turn it on.
 """
 
 from __future__ import annotations
@@ -393,17 +392,15 @@ class TestEngineIntegration:
 _GOLDEN_RTOL = 1e-9  # mirrors test_golden_regression (qhull/numpy ulp drift)
 
 _BACKEND_LEGS = [
-    pytest.param("serial", None, True, id="serial-columnar"),
-    pytest.param("serial", None, False, id="serial-materialised"),
-    pytest.param("thread", None, True, id="thread-columnar"),
-    pytest.param("process", "arena", True, id="process-arena", marks=pytest.mark.slow),
-    pytest.param("process", "pickle", True, id="process-pickle", marks=pytest.mark.slow),
-    pytest.param("socket", None, True, id="socket-columnar", marks=pytest.mark.slow),
+    pytest.param("serial", None, id="serial-columnar"),
+    pytest.param("thread", None, id="thread-columnar"),
+    pytest.param("process", "arena", id="process-arena", marks=pytest.mark.slow),
+    pytest.param("socket", None, id="socket-columnar", marks=pytest.mark.slow),
 ]
 
 
-@pytest.mark.parametrize("executor, transport, columnar", _BACKEND_LEGS)
-def test_refine_off_matches_golden_on_every_backend(executor, transport, columnar, monkeypatch):
+@pytest.mark.parametrize("executor, transport", _BACKEND_LEGS)
+def test_refine_off_matches_golden_on_every_backend(executor, transport, monkeypatch):
     path = GOLDEN_DIR / "geometric_depth6.json"
     if not path.exists():
         pytest.skip("golden file not generated yet")
@@ -417,7 +414,6 @@ def test_refine_off_matches_golden_on_every_backend(executor, transport, columna
         executor=executor,
         workers=1 if executor == "serial" else 2,
         payload_transport=transport,
-        columnar=columnar,
     )
     targets = [Interval(-0.5, 0.5), Interval(0.5, 1.5), Interval(1.5, 2.5)]
     with Model(geometric_program(0.5), options) as model:
@@ -431,7 +427,6 @@ def test_refine_off_matches_golden_on_every_backend(executor, transport, columna
 @pytest.mark.parametrize("executor, transport", [
     ("thread", None),
     ("process", "arena"),
-    ("process", "pickle"),
     ("socket", None),
 ])
 def test_refined_bounds_bit_identical_across_backends(executor, transport):

@@ -408,6 +408,17 @@ class TestBoundsServer:
                     client.bounds(BRANCHY_SRC, [(0.0, 1.0)], options={"bogus_knob": 1})
                 assert client.ping()
 
+    def test_bad_option_values_get_error_frames(self):
+        # JSON accepts NaN; a tenant must not be able to hang the socket tier
+        # with it.  The removed columnar knob is an unknown option now.
+        with serve_in_background() as handle:
+            with ServiceClient(handle.endpoint) as client:
+                with pytest.raises(ServiceError, match="io_timeout"):
+                    client.bounds(BRANCHY_SRC, [(0.0, 1.0)], options={"io_timeout": math.nan})
+                with pytest.raises(ServiceError, match="unknown analysis options"):
+                    client.bounds(BRANCHY_SRC, [(0.0, 1.0)], options={"columnar": False})
+                assert client.ping()
+
     def test_cache_info_counters_track_stream_tee(self):
         model = Model(simple_observe_model())
         try:

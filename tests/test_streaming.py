@@ -36,7 +36,7 @@ from repro.symbolic import (
     PathExplosionError,
     StreamStats,
     SymbolicExecutor,
-    intern_paths,
+    intern_path,
     stream_symbolic_paths,
     symbolic_paths,
 )
@@ -301,35 +301,20 @@ class TestPeakPathBuffer:
 
 
 # ----------------------------------------------------------------------
-# Expression interning (process-pool payload dedup)
+# Expression interning (shared path-table nodes)
 # ----------------------------------------------------------------------
 
 
 class TestInterning:
     def test_interning_preserves_structure_and_dedupes(self):
         execution = symbolic_paths(pedestrian_model(), ExecutionLimits(max_fixpoint_depth=6))
-        interned = intern_paths(execution.paths)
+        memo = {}
+        interned = tuple(intern_path(path, memo) for path in execution.paths)
         assert interned == execution.paths
         # Structurally equal results across paths collapse to one object.
         identities = {id(path.result) for path in interned}
         values = {path.result for path in interned}
         assert len(identities) == len(values)
-
-    def test_interned_payloads_pickle_smaller(self):
-        import pickle
-
-        limits = ExecutionLimits(max_fixpoint_depth=7)
-        # Streamed paths are yielded raw (un-interned); interning dedupes them.
-        raw = tuple(stream_symbolic_paths(pedestrian_model(), limits))
-        plain = pickle.dumps(raw)
-        interned = pickle.dumps(intern_paths(raw))
-        assert len(interned) < len(plain)
-        # Batch execution collects through the PathTableBuilder, so its paths
-        # are already maximally shared — re-interning cannot shrink them.
-        execution = symbolic_paths(pedestrian_model(), limits)
-        batch = pickle.dumps(execution.paths)
-        assert len(pickle.dumps(intern_paths(execution.paths))) == len(batch)
-        assert len(batch) < len(plain)
 
     def test_streaming_executor_exposes_peak_buffer_counter(self):
         execution = symbolic_paths(geometric_program(0.5), ExecutionLimits(max_fixpoint_depth=6))
