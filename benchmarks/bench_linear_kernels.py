@@ -67,7 +67,8 @@ def _make_polytopes(rng, count: int, dimension: int) -> list[Polytope]:
 
 
 def _linprog_bound(polytope: Polytope, row) -> Interval | None:
-    """``Polytope.bound_linear`` as the pre-kernel fallback computes it."""
+    """``Polytope.bound_linear`` as the ``linprog`` fallback computes it
+    (presolve off, like the kernel)."""
     coefficients = np.asarray(row, dtype=float)
     values = []
     for sign in (1.0, -1.0):
@@ -77,6 +78,7 @@ def _linprog_bound(polytope: Polytope, row) -> Interval | None:
             b_ub=polytope.b,
             bounds=[(None, None)] * polytope.dimension,
             method="highs",
+            options={"presolve": False},
         )
         if result.status == 2 or not result.success:
             return None

@@ -17,7 +17,7 @@ Separate polytopes ``𝔓_lb`` / ``𝔓_ub`` realise the universal / existential
 reading of constraints containing interval constants (introduced by
 ``approxFix``).
 
-Three engineering refinements keep the geometry computations cheap without
+Several engineering refinements keep the geometry computations cheap without
 affecting soundness:
 
 * **variable elimination** — a sample variable that occurs only in
@@ -36,7 +36,12 @@ affecting soundness:
   radius ``≤ 1e-9``, the rule :meth:`~repro.polytope.Polytope.volume_bounds`
   applies to every cell) integrates to 0 at once: each combination cell lies
   inside its base, so every cell volume would be 0 too, and the atom LPs and
-  cell volumes are skipped; and
+  cell volumes are skipped;
+* **inherited interior points** — a combination cell is its base cut by an
+  atom chunk's slab, so its volume starts Qhull from a point derived from
+  the base's Chebyshev centre and the atom sweep's own argmin/argmax
+  (:meth:`~repro.polytope.Polytope.interior_point`) instead of a Chebyshev
+  LP of its own; and
 * **batched LP kernels** — each polytope's constraint system is prepared
   once on the low-overhead HiGHS kernel (:mod:`repro.polytope.highs`) and
   all atom objectives sweep it in one batch (:class:`~repro.polytope.batch.
@@ -49,6 +54,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -260,33 +267,91 @@ def _remap(form: LinearForm, index_map: Dict[int, int]) -> LinearForm:
 #: polytope's H-representation (:meth:`Polytope.cache_key`).
 _GeometryKey = tuple[bytes, bytes]
 
+#: Entries kept per :class:`GeometryCache` store (least recently used
+#: evicted).  A long-lived ``Model`` keeps its table's cache across queries;
+#: the cap keeps that memory flat while holding a cold depth-4 pedestrian
+#: query's working set several times over.
+_GEOMETRY_CACHE_ENTRIES = 4096
+
+_MISSING = object()
+
+
+class _BoundedStore(OrderedDict):
+    """One :class:`GeometryCache` store: an LRU map capped at
+    :data:`_GEOMETRY_CACHE_ENTRIES`.
+
+    :meth:`lookup` and :meth:`remember` hold a lock, so engine threads
+    sharing the cache can look up and evict concurrently without an
+    ``OrderedDict`` reordering error.  The values are computed outside it.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        # A lock cannot be pickled (a table's scratch memo travels with a
+        # pickled execution); the copy starts with a fresh one.
+        return type(self), (), None, None, iter(list(self.items()))
+
+    def lookup(self, key):
+        """The value under ``key`` (marked recently used), else ``_MISSING``."""
+        with self._lock:
+            value = self.get(key, _MISSING)
+            if value is not _MISSING:
+                self.move_to_end(key)
+            return value
+
+    def remember(self, key, value):
+        """Store ``value`` under ``key``, evicting past the cap; returns it."""
+        with self._lock:
+            self[key] = value
+            self.move_to_end(key)
+            while len(self) > _GEOMETRY_CACHE_ENTRIES:
+                self.popitem(last=False)
+        return value
+
 
 class GeometryCache:
     """Memoises geometry computations keyed on exact H-representation bytes.
 
-    Four stores share one keying discipline — the raw float64 bytes of the
+    Its stores share one keying discipline — the raw float64 bytes of the
     polytope's ``(A, b)``, never rounded (an earlier revision rounded the key
     to 12 decimals, which can collide *distinct* polytopes and hand one the
     other's volume):
 
     * ``volumes`` — :meth:`Polytope.volume_bounds` results,
-    * ``full_dimension`` — :meth:`Polytope.is_full_dimensional` results: one
-      Chebyshev solve per polytope settles whether it is empty or flat
-      (volume 0, for it and for every cell inside it),
+    * ``full_dimension`` — :meth:`Polytope.is_full_dimensional` results:
+      whether a polytope is empty or flat (volume 0, for it and for every
+      cell inside it),
+    * ``centers`` — :meth:`Polytope.chebyshev_center` results, so the
+      flatness check of a polytope, its volume and the interior points its
+      cells inherit from it share one Chebyshev LP,
+    * ``extremes`` — :meth:`Polytope.extreme_points` results (keyed
+      additionally on the direction's bytes); the atom sweep fills them
+      for free, for both signs of every atom row,
     * ``atom_bounds`` — batched atom LP sweeps (keyed additionally on the
       dense objective bytes), and
     * ``programs`` — compiled score-template programs (keyed on the template
       tuple's identity; entries keep the templates alive so a recycled
       ``id()`` can never alias).
 
-    **Sharing invariant**: every cached computation is a deterministic pure
-    function of its key, so a hit returns the identical float64s a fresh
-    computation would.  That makes one cache safe to share across the paths
-    of a chunk, across chunks, and across queries — bounds never depend on
-    which path populated an entry, hence not on chunk boundaries either
-    (pinned by ``tests/test_linear_fast_path.py``).  Concurrent use from the
-    thread backend is benign for the same reason: racing writers insert
-    identical values.
+    **Purity rule**: every cached computation is a deterministic pure
+    function of its key, computed the same way with or without a cache, so
+    a hit returns the identical float64s a fresh computation would.  In
+    particular a cell's inherited interior point
+    (:meth:`Polytope.interior_point`) depends on the cell's own bytes only,
+    never on which polytope or atom chunk produced it.  That makes one cache
+    safe to share across the paths of a chunk, across chunks, and across
+    queries — bounds never depend on which path populated an entry, hence
+    not on chunk boundaries either (pinned by
+    ``tests/test_linear_fast_path.py``).
+
+    **Bounded stores**: each store keeps its :data:`_GEOMETRY_CACHE_ENTRIES`
+    most recently used entries.  By the purity rule an eviction only costs
+    a recomputation of the same floats.  Concurrent use from the thread
+    backend is safe: racing writers insert identical values, and each
+    store's lookups and evictions are serialised by its lock.
 
     ``volume_hits`` / ``volume_misses`` (and the aggregate ``hits`` /
     ``misses``) feed the perf benchmarks; they have no semantic role.
@@ -295,6 +360,8 @@ class GeometryCache:
     __slots__ = (
         "volumes",
         "full_dimension",
+        "centers",
+        "extremes",
         "atom_bounds",
         "programs",
         "volume_hits",
@@ -304,27 +371,29 @@ class GeometryCache:
     )
 
     def __init__(self) -> None:
-        self.volumes: Dict[_GeometryKey, Interval] = {}
-        self.full_dimension: Dict[_GeometryKey, bool] = {}
-        self.atom_bounds: Dict[tuple[_GeometryKey, bytes], tuple] = {}
-        self.programs: Dict[int, tuple] = {}
+        self.volumes = _BoundedStore()
+        self.full_dimension = _BoundedStore()
+        self.centers = _BoundedStore()
+        self.extremes = _BoundedStore()
+        self.atom_bounds = _BoundedStore()
+        self.programs = _BoundedStore()
         self.volume_hits = 0
         self.volume_misses = 0
         self.hits = 0
         self.misses = 0
 
+    def _memo(self, store: _BoundedStore, key, compute):
+        """``store``'s value under ``key``, computed by ``compute()`` on a miss."""
+        value = store.lookup(key)
+        if value is _MISSING:
+            self.misses += 1
+            return store.remember(key, compute())
+        self.hits += 1
+        return value
+
     def volume(self, polytope: Polytope) -> Interval:
         """Volume bounds of ``polytope`` (:meth:`Polytope.volume_bounds`), memoised."""
-        key = polytope.cache_key()
-        value = self.volumes.get(key)
-        if value is None:
-            self.misses += 1
-            self.volume_misses += 1
-            value = self.volumes[key] = polytope.volume_bounds()
-        else:
-            self.hits += 1
-            self.volume_hits += 1
-        return value
+        return self.volume_restricted(polytope, polytope.cache_key(), (), ())
 
     def volume_restricted(
         self,
@@ -342,15 +411,14 @@ class GeometryCache:
         H-representation's bytes).  On a hit the restricted polytope is never
         materialised, which is what the combination loop buys here.
         """
-        value = self.volumes.get(key)
-        if value is None:
+        value = self.volumes.lookup(key)
+        if value is _MISSING:
             self.misses += 1
             self.volume_misses += 1
             restricted = base.add_constraints(rows, rhs) if len(rows) else base
-            value = self.volumes[key] = restricted.volume_bounds()
-        else:
-            self.hits += 1
-            self.volume_hits += 1
+            return self.volumes.remember(key, restricted.volume_bounds(self))
+        self.hits += 1
+        self.volume_hits += 1
         return value
 
     def full_dimensional(self, polytope: Polytope) -> bool:
@@ -360,14 +428,26 @@ class GeometryCache:
         of ``polytope`` has :meth:`Polytope.volume_bounds` exactly 0.  A
         failed LP reads as ``True``, so a solver error never zeroes a bound.
         """
-        key = polytope.cache_key()
-        value = self.full_dimension.get(key)
-        if value is None:
-            self.misses += 1
-            value = self.full_dimension[key] = polytope.is_full_dimensional()
-        else:
-            self.hits += 1
-        return value
+        return self._memo(
+            self.full_dimension, polytope.cache_key(),
+            lambda: polytope.is_full_dimensional(self),
+        )
+
+    def chebyshev(self, polytope: Polytope):
+        """:meth:`Polytope.chebyshev_center` of ``polytope``, memoised.
+
+        A failed LP raises :class:`~repro.polytope.polytope.LPFailure` and
+        is not stored.
+        """
+        return self._memo(self.centers, polytope.cache_key(), polytope.chebyshev_center)
+
+    def extreme_points(self, polytope: Polytope, direction: np.ndarray):
+        """:meth:`Polytope.extreme_points` of ``polytope`` along ``direction``,
+        memoised (failures raise and are not stored)."""
+        return self._memo(
+            self.extremes, (polytope.cache_key(), direction.tobytes()),
+            lambda: polytope.extreme_points(direction),
+        )
 
     def bound_atom_rows(
         self, polytope: Polytope, dense_rows: Sequence[Sequence[float]], rows_key: bytes
@@ -380,31 +460,37 @@ class GeometryCache:
         gets its wider range over the polytope's axis box instead, so a
         solver error never zeroes a bound.
         """
-        key = (polytope.cache_key(), rows_key)
-        value = self.atom_bounds.get(key)
-        if value is None:
-            self.misses += 1
-            value = self.atom_bounds[key] = tuple(
-                BatchPolytope(polytope).bound_rows(dense_rows)
-            )
-        else:
-            self.hits += 1
-        return value
+        def sweep() -> tuple:
+            points: dict = {}
+            bounds = tuple(BatchPolytope(polytope).bound_rows(dense_rows, points))
+            # The sweep's argmin/argmax are the extreme points along each row
+            # — and, swapped, along its negation (the LP pair is the same).
+            for index, (low_point, high_point) in points.items():
+                row = np.asarray(dense_rows[index], dtype=float)
+                self.extremes.remember(
+                    (polytope.cache_key(), row.tobytes()), (low_point, high_point)
+                )
+                self.extremes.remember(
+                    (polytope.cache_key(), (-row).tobytes()), (high_point, low_point)
+                )
+            return bounds
+
+        return self._memo(self.atom_bounds, (polytope.cache_key(), rows_key), sweep)
 
     def template_program(self, templates):
         """Compiled evaluation program of the score templates (``None`` when
         a template cannot be expressed as a program — the factor sweep then
         walks the expression trees as before)."""
         key = id(templates)
-        entry = self.programs.get(key)
-        if entry is None or entry[0] is not templates:
+        entry = self.programs.lookup(key)
+        if entry is _MISSING or entry[0] is not templates:
             try:
                 program = compile_expr_roots(
                     [decomposition.template for decomposition in templates]
                 )
             except ScalarFallback:
                 program = None
-            entry = self.programs[key] = (templates, program)
+            entry = self.programs.remember(key, (templates, program))
         return entry[1]
 
     def stats(self) -> Dict[str, int]:
@@ -416,6 +502,8 @@ class GeometryCache:
             "volume_misses": self.volume_misses,
             "unique_volumes": len(self.volumes),
             "unique_full_dimension": len(self.full_dimension),
+            "unique_centers": len(self.centers),
+            "unique_extremes": len(self.extremes),
             "unique_atom_sweeps": len(self.atom_bounds),
         }
 
@@ -880,7 +968,8 @@ def _table_cache(table) -> dict:
     The ``geometry`` entry is the attachment's shared :class:`GeometryCache`:
     its exact-bytes keying (see the class docstring) is what makes volumes,
     feasibility checks and atom LP sweeps reusable across paths, chunks and
-    queries without bounds depending on chunk boundaries.  The scratch memo
+    queries without bounds depending on chunk boundaries, and its LRU-capped
+    stores keep a long-lived attachment's memory flat.  The scratch memo
     travels with the attachment under every transport (arena segments reuse
     the worker's table object, so the memo warms up across chunks there
     too).

@@ -13,7 +13,14 @@ form — :class:`BatchPolytope` goes through the exact same per-polytope
 prepared model and result mapping, it just amortises the setup across the
 batch — except that a failed LP widens to a sound range instead of ``None``.
 When the kernel binding is unavailable every solve degrades to the
-``linprog`` fallback inside :meth:`Polytope._optimise` automatically.
+``linprog`` fallback inside :meth:`Polytope._optimise` automatically (with
+presolve off, like the kernel).
+
+The sweep's LPs also yield an argmin and an argmax per form — the points
+:meth:`Polytope.extreme_points` returns for that row.  A slab cell cut from
+the polytope along an atom row inherits its interior point from them
+(:meth:`Polytope.interior_point`), so collecting them here saves the
+cell its own Chebyshev LP at no extra solve.
 """
 
 from __future__ import annotations
@@ -37,7 +44,9 @@ class BatchPolytope:
         self.polytope = polytope
 
     def bound_rows(
-        self, rows: Sequence[Sequence[float]]
+        self,
+        rows: Sequence[Sequence[float]],
+        points: Optional[dict] = None,
     ) -> list[Optional[Interval]]:
         """``[polytope.bound_linear(row) for row in rows]``, batched.
 
@@ -47,18 +56,26 @@ class BatchPolytope:
         empty polytope bounds nothing).  Unlike ``bound_linear``, a failed
         LP is not read as emptiness: that row's entry widens to its range
         over the polytope's axis box (:meth:`Polytope.axis_box_range`).
+
+        ``points``, when given, receives ``index → (argmin, argmax)`` for
+        every row whose LP pair succeeded (the polytope's
+        :meth:`~Polytope.extreme_points` along that row).
         """
         polytope = self.polytope
         results: list[Optional[Interval]] = []
         infeasible = False
-        for row in rows:
+        for index, row in enumerate(rows):
             if infeasible:
                 results.append(None)
                 continue
             try:
-                bound = polytope._linear_range(row)
+                extremes = polytope._linear_extremes(row)
             except LPFailure:
                 bound = polytope.axis_box_range(row)
+            else:
+                bound = None if extremes is None else extremes[0]
+                if extremes is not None and points is not None:
+                    points[index] = extremes[1:]
             if bound is None:
                 infeasible = True
             results.append(bound)

@@ -10,9 +10,12 @@ centres), so that overhead dominates the whole linear route.
 This module drives the *same* vendored HiGHS binding that scipy ships
 (``scipy.optimize._highspy``) directly:
 
-* one ``_Highs`` solver instance per thread, with scipy's exact option set
-  passed once (``presolve`` on, dual simplex, no logging) instead of being
-  re-validated per call;
+* one ``_Highs`` solver instance per thread, with scipy's option set passed
+  once (dual simplex, no logging) instead of being re-validated per call —
+  except that presolve is off: on LPs of ~16 rows × 6 columns it costs
+  about as much as the solve it simplifies, and turning it off moves no
+  status and no optimum beyond 1e-12 relative (pinned by
+  ``tests/test_linear_fast_path.py``);
 * a :class:`PreparedLP` per constraint system ``A x ≤ b``: the CSC structure
   is built once (directly with numpy, see :func:`csc_arrays`) and many
   objectives — or, for a shared constraint matrix, many right-hand sides —
@@ -22,7 +25,9 @@ This module drives the *same* vendored HiGHS binding that scipy ships
 **Bit-identity contract**: every solve replaces the full model via
 ``passModel`` — exactly the cold-start path ``linprog`` takes — so the
 returned objective values are bit-identical to ``linprog(c, A_ub=a, b_ub=b,
-bounds=..., method="highs")``.  (Warm-starting via ``changeColsCost`` without
+bounds=..., method="highs", options={"presolve": False})``; every ``linprog``
+fallback in :mod:`repro.polytope` passes that option, so hosts without the
+binding compute the same floats.  (Warm-starting via ``changeColsCost`` without
 re-passing the model is measurably *not* bit-identical and is deliberately
 not used.)  The contract is pinned by ``tests/test_linear_fast_path.py``.
 
@@ -76,9 +81,10 @@ def _highs_instance():
     highs = getattr(_STATE, "highs", None)
     if highs is None:
         options = _core.HighsOptions()
-        # scipy's exact option set for linprog(method="highs") defaults —
-        # matching it option-for-option is part of the bit-identity contract.
-        options.presolve = "on"
+        # scipy's option set for linprog(method="highs", options={"presolve":
+        # False}) — matching it option-for-option is part of the
+        # bit-identity contract.
+        options.presolve = "off"
         options.highs_debug_level = _core.HighsDebugLevel.kHighsDebugLevelNone
         options.log_to_console = False
         options.output_flag = False

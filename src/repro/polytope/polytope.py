@@ -23,13 +23,31 @@ volume exactly 0 (:meth:`Polytope.is_full_dimensional`).  Every subset of
 such a polytope is flat too, which lets the linear analyzer settle a whole
 family of cells from their common base.
 
+**Inherited interior points.**  Qhull's halfspace intersection needs a
+point strictly inside the polytope, and the flatness rule needs a radius.
+Most polytopes the linear analyzer measures are *cells*: a parent polytope
+cut by a slab ``lo ≤ d·x ≤ hi`` (the trailing rows that are ``±``-equal to
+the last row).  Such a cell takes its point from its parent instead of its
+own Chebyshev LP (:meth:`Polytope.interior_point`): the point on the path
+argmin → Chebyshev centre → argmax of ``d`` over the parent at the slab's
+middle value, certified by its distance ``ρ`` to every row of the cell.  A
+ball of radius ``ρ`` fits inside the cell, so ``ρ`` bounds the Chebyshev
+radius from below and the flatness verdict cannot change; when ``ρ ≤``
+:data:`INHERITED_RADIUS` the cell solves its own Chebyshev LP as before.
+The point is a pure function of the cell's own ``(A, b)``: the parent's
+centre and extreme points are themselves LPs on the parent's rows, which a
+geometry cache (any object with ``chebyshev(polytope)`` and
+``extreme_points(polytope, direction)``, e.g. the linear analyzer's
+``GeometryCache``) may memoise but never changes.
+
 All LPs run on the low-overhead HiGHS kernel (:mod:`repro.polytope.highs`)
-when its binding is available: each polytope lazily prepares its constraint
-system once and solves every objective (atom bounds, feasibility) against
-it, and the Chebyshev LP ``[A | ‖aᵢ‖]`` is prepared once per constraint
-matrix ``A`` (per thread) and re-solved for each right-hand side ``b``.  The
-kernel is bit-identical to ``scipy.optimize.linprog`` by construction, and
-``linprog`` remains the automatic fallback.
+when its binding is available, with presolve off: each polytope lazily
+prepares its constraint system once and solves every objective (atom
+bounds, feasibility) against it, and the Chebyshev LP ``[A | ‖aᵢ‖]`` is
+prepared once per constraint matrix ``A`` (per thread) and re-solved for
+each right-hand side ``b``.  The kernel is bit-identical to
+``scipy.optimize.linprog(..., options={"presolve": False})`` by
+construction, and that ``linprog`` call remains the automatic fallback.
 
 An LP that fails — neither an optimum nor a proof of infeasibility — is not
 read as emptiness: :class:`LPFailure` reaches the volume code, which widens
@@ -55,11 +73,25 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 from ..intervals import Interval
 from . import highs as _highs
 
-__all__ = ["FLATNESS_RADIUS", "LPFailure", "Polytope", "PolytopeError"]
+__all__ = [
+    "FLATNESS_RADIUS",
+    "INHERITED_RADIUS",
+    "LPFailure",
+    "Polytope",
+    "PolytopeError",
+]
 
 #: Chebyshev radius at or below which a polytope counts as lower-dimensional
 #: (volume exactly 0).
 FLATNESS_RADIUS = 1e-9
+
+#: Certified radius an inherited interior point needs to replace the cell's
+#: own Chebyshev LP — well above :data:`FLATNESS_RADIUS`, so Qhull gets a
+#: point clearly inside and the flatness verdict is settled by it.
+INHERITED_RADIUS = 1e-7
+
+#: ``linprog`` options of every fallback LP: the kernel's option set.
+_LINPROG_OPTIONS = {"presolve": False}
 
 #: Chebyshev LP skeletons kept per thread (least recently used evicted).
 _CHEBYSHEV_SKELETONS = 64
@@ -201,8 +233,20 @@ class Polytope:
 
     def _linear_range(self, coefficients: Sequence[float], constant: float = 0.0) -> Optional[Interval]:
         """:meth:`bound_linear`, raising :class:`LPFailure` when an LP fails."""
+        extremes = self._linear_extremes(coefficients, constant)
+        return None if extremes is None else extremes[0]
+
+    def _linear_extremes(
+        self, coefficients: Sequence[float], constant: float = 0.0
+    ) -> Optional[tuple[Interval, np.ndarray, np.ndarray]]:
+        """Range of ``c·x + constant`` with an argmin and an argmax of ``c·x``.
+
+        ``None`` if the polytope is empty; raises :class:`LPFailure` when an
+        LP fails.
+        """
         if self.dimension == 0:
-            return None if self.is_empty() else Interval.point(constant)
+            origin = np.zeros(0)
+            return None if self.is_empty() else (Interval.point(constant), origin, origin)
         coefficients = np.asarray(coefficients, dtype=float)
         lower = self._optimise(coefficients, minimise=True)
         if lower is None:
@@ -210,10 +254,28 @@ class Polytope:
         upper = self._optimise(coefficients, minimise=False)
         if upper is None:
             return None
-        lo, hi = lower + constant, upper + constant
+        lo, hi = lower[0] + constant, upper[0] + constant
         if lo > hi:
             lo, hi = hi, lo
-        return Interval(lo, hi)
+        return Interval(lo, hi), lower[1], upper[1]
+
+    def extreme_points(self, direction: Sequence[float]) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """A minimiser and a maximiser of ``direction · x`` (``None`` if empty).
+
+        Raises :class:`LPFailure` when an LP fails (an unbounded direction
+        included).  The points are those of the LP pair
+        :meth:`bound_linear` solves for ``direction``, so an atom sweep that
+        already bounded ``d`` has them too
+        (:meth:`~repro.polytope.batch.BatchPolytope.bound_rows`).
+        """
+        direction = np.asarray(direction, dtype=float)
+        low = self._solve(1.0 * direction)
+        if low is None:
+            return None
+        high = self._solve(-1.0 * direction)
+        if high is None:
+            return None
+        return low[1], high[1]
 
     def prepared_lp(self) -> Optional["_highs.PreparedLP"]:
         """The polytope's constraint system, loaded into the HiGHS kernel once.
@@ -231,32 +293,46 @@ class Polytope:
             object.__setattr__(self, "_prepared_lp", prepared)
         return prepared
 
-    def _optimise(self, coefficients: np.ndarray, minimise: bool) -> Optional[float]:
-        """The optimum of ``coefficients · x`` (``None`` if infeasible).
+    def _optimise(
+        self, coefficients: np.ndarray, minimise: bool
+    ) -> Optional[tuple[float, np.ndarray]]:
+        """The optimum of ``coefficients · x`` and a point attaining it
+        (``None`` if infeasible).
 
         Raises :class:`LPFailure` when the solver fails.
         """
         sign = 1.0 if minimise else -1.0
+        solution = self._solve(sign * coefficients)
+        if solution is None:
+            return None
+        return float(sign * solution[0]), solution[1]
+
+    def _solve(self, cost: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
+        """Minimum of ``cost · x`` and a minimiser (``None`` if infeasible).
+
+        Raises :class:`LPFailure` when the solver fails.
+        """
         prepared = self.prepared_lp()
         if prepared is not None:
-            status, fun, _ = prepared.solve(sign * coefficients)
+            status, fun, x = prepared.solve(cost)
             if status == _highs.INFEASIBLE:
                 return None
             if status != _highs.OPTIMAL:
                 raise LPFailure("linear objective LP failed")
-            return float(sign * fun)
+            return fun, np.asarray(x, dtype=float)
         result = linprog(
-            sign * coefficients,
+            cost,
             A_ub=self.a,
             b_ub=self.b,
             bounds=[(None, None)] * self.dimension,
             method="highs",
+            options=_LINPROG_OPTIONS,
         )
         if result.status == 2:  # infeasible
             return None
         if not result.success:
             raise LPFailure(result.message)
-        return float(sign * result.fun)
+        return result.fun, np.asarray(result.x, dtype=float)
 
     def is_empty(self) -> bool:
         """Feasibility check via LP."""
@@ -274,6 +350,7 @@ class Polytope:
             b_ub=self.b,
             bounds=[(None, None)] * self.dimension,
             method="highs",
+            options=_LINPROG_OPTIONS,
         )
         return result.status == 2
 
@@ -304,6 +381,7 @@ class Polytope:
                 b_ub=self.b,
                 bounds=[(None, None)] * self.dimension + [(0.0, None)],
                 method="highs",
+                options=_LINPROG_OPTIONS,
             )
             if result.status == 2:  # infeasible
                 return None
@@ -314,18 +392,103 @@ class Polytope:
         radius = float(x[-1])
         return center, radius
 
-    def is_full_dimensional(self) -> bool:
+    def _chebyshev(self, cache=None) -> Optional[tuple[np.ndarray, float]]:
+        """:meth:`chebyshev_center`, through ``cache.chebyshev`` when given."""
+        return self.chebyshev_center() if cache is None else cache.chebyshev(self)
+
+    def is_full_dimensional(self, cache=None) -> bool:
         """Whether the inscribed ball's radius exceeds :data:`FLATNESS_RADIUS`.
 
         ``False`` means :meth:`volume_bounds` is exactly ``[0, 0]`` — for this
         polytope and for every subset of it.  A failed Chebyshev LP proves
         nothing, so it counts as full-dimensional (nothing gets skipped).
+        ``cache`` optionally memoises the Chebyshev LP (see the module
+        docstring).
         """
         try:
-            center_radius = self.chebyshev_center()
+            center_radius = self._chebyshev(cache)
         except LPFailure:
             return True
         return center_radius is not None and center_radius[1] > FLATNESS_RADIUS
+
+    def interior_point(self, cache=None) -> Optional[tuple[np.ndarray, float]]:
+        """A point inside the polytope and a radius ``ρ`` of a ball around it
+        that fits inside (``None`` if empty).
+
+        The inherited point (:meth:`_inherited_point`) when one is certified
+        with ``ρ >`` :data:`INHERITED_RADIUS`, otherwise the Chebyshev centre
+        and radius.  A pure function of ``(A, b)``: ``cache`` (see the module
+        docstring) only memoises the LPs involved.  Raises
+        :class:`LPFailure` when the Chebyshev LP fails.
+        """
+        inherited = self._inherited_point(cache)
+        if inherited is not None:
+            return inherited
+        return self._chebyshev(cache)
+
+    def _inherited_point(self, cache=None) -> Optional[tuple[np.ndarray, float]]:
+        """The interior point a slab cell inherits from its parent, or ``None``.
+
+        The cell's trailing rows ``±``-equal to its last row ``d`` must bound
+        ``d·x`` from both sides (``lo ≤ d·x ≤ hi``); the rows before them
+        form the parent.  From the parent's Chebyshev centre ``q`` and its
+        extreme points along ``d`` (never an inherited point: one level
+        only), the candidate is the point of the path argmin → ``q`` →
+        argmax where ``d·x`` is the middle of ``[lo, hi]`` (clipped to the
+        parent's range).  It is kept when its distance ``ρ`` to every row of
+        the cell exceeds :data:`INHERITED_RADIUS`.  Any LP failure, an empty
+        parent or an unbounded direction just means ``None``.
+        """
+        a, b = self.a, self.b
+        direction = a[-1]
+        if self.dimension == 0 or not direction.any():
+            return None
+        upper = (a == direction).all(axis=1)
+        parallel = upper | (a == -direction).all(axis=1)
+        if parallel.all():
+            return None
+        split = len(a) - int(np.argmin(parallel[::-1]))
+        upper = upper[split:]
+        if upper.all() or not upper.any():
+            return None  # a one-sided cut is no slab
+        hi = float(b[split:][upper].min())
+        lo = float(-b[split:][~upper].max())
+
+        parent = Polytope(a[:split], b[:split])
+        try:
+            center_radius = parent._chebyshev(cache)
+            if center_radius is None:
+                return None
+            extremes = (
+                parent.extreme_points(direction) if cache is None
+                else cache.extreme_points(parent, direction)
+            )
+        except LPFailure:
+            return None
+        if extremes is None:
+            return None
+        center = center_radius[0]
+        low_point, high_point = extremes
+        low, middle, high = direction @ low_point, direction @ center, direction @ high_point
+        lo, hi = max(lo, low), min(hi, high)
+        if not lo < hi:
+            return None
+        value = 0.5 * (lo + hi)
+        if value <= middle:
+            start, end = low_point, center
+            share = (value - low) / (middle - low) if middle > low else 1.0
+        else:
+            start, end = center, high_point
+            share = (value - middle) / (high - middle)
+        point = start + share * (end - start)
+
+        norms = np.sqrt((a * a).sum(axis=1))
+        if not (norms > 0.0).all():
+            return None
+        radius = float(((b - a @ point) / norms).min())
+        if radius > INHERITED_RADIUS:
+            return point, radius
+        return None
 
     # ------------------------------------------------------------------
     # Volume
@@ -363,7 +526,7 @@ class Polytope:
         except (QhullError, ValueError):
             return None
 
-    def volume_bounds(self) -> Interval:
+    def volume_bounds(self, cache=None) -> Interval:
         """Bounds on the Lebesgue volume.
 
         In the regular case the result is a point interval: Qhull's volume
@@ -375,11 +538,14 @@ class Polytope:
         ``[0, volume of the bounding box]``; when an LP fails it is
         ``[0, volume of the axis-aligned rows' box]``.  Both keep every
         downstream bound sound, just less precise.
+
+        Qhull starts from :meth:`interior_point`; ``cache`` memoises its LPs
+        without changing the result.
         """
         if self.dimension == 0:
             return Interval.point(0.0) if self.is_empty() else Interval.point(1.0)
         try:
-            center_radius = self.chebyshev_center()
+            center_radius = self.interior_point(cache)
         except LPFailure:
             return Interval(0.0, self._axis_box_volume())
         if center_radius is None:

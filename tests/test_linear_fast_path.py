@@ -26,14 +26,17 @@ floats cannot move.  This suite makes each claim a property:
   exact-bytes keying (a hit returns the identical float64s a fresh
   computation would, so partitioning cannot matter);
 * the default serial loop shares one geometry cache across a compiled
-  program's paths and repeated queries, and a failed atom-range LP widens
-  the bound instead of zeroing it.
+  program's paths and repeated queries, solves each Chebyshev LP once, and
+  a failed atom-range LP widens the bound instead of zeroing it;
+* the geometry cache's stores stay under their LRU cap, concurrently too,
+  without moving a bound.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -41,6 +44,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import AnalysisOptions, Model, analyze_path_linear, histogram_buckets
+from repro.analysis import linear_analyzer
 from repro.analysis.linear_analyzer import (
     _NEGLIGIBLE_WEIGHT,
     GeometryCache,
@@ -366,9 +370,9 @@ class TestSerialTableRoute:
         calls = []
         volume_bounds = Polytope.volume_bounds
 
-        def counted(self):
+        def counted(self, *args):
             calls.append(self)
-            return volume_bounds(self)
+            return volume_bounds(self, *args)
 
         monkeypatch.setattr(Polytope, "volume_bounds", counted)
         return calls
@@ -391,6 +395,21 @@ class TestSerialTableRoute:
         volume_calls.clear()
         assert model.histogram(0.0, 3.0, 6) == first
         assert not volume_calls
+
+    def test_each_chebyshev_lp_is_solved_once(self, monkeypatch):
+        # A path polytope's flatness check and its volume (or its cells'
+        # inherited points) share one memoised Chebyshev LP per key.
+        keys = []
+        chebyshev_center = Polytope.chebyshev_center
+
+        def counted(self):
+            keys.append(self.cache_key())
+            return chebyshev_center(self)
+
+        monkeypatch.setattr(Polytope, "chebyshev_center", counted)
+        Model(pedestrian_program(), self.OPTIONS).histogram(0.0, 3.0, 6)
+        assert keys
+        assert len(keys) == len(set(keys))
 
     def test_concurrent_queries_share_the_table_safely(self):
         # Engine threads may run serial queries on one Model at once, all
@@ -439,12 +458,14 @@ class TestPreparedKernelMatchesLinprog:
         bound = polytope.bound_linear(objective)
         values = []
         for sign in (1.0, -1.0):
+            # The kernel runs without presolve; so does its linprog twin.
             result = linprog(
                 sign * objective,
                 A_ub=polytope.a,
                 b_ub=polytope.b,
                 bounds=[(None, None)] * dimension,
                 method="highs",
+                options={"presolve": False},
             )
             values.append(None if result.status == 2 or not result.success else float(sign * result.fun))
         if values[0] is None or values[1] is None:
@@ -453,6 +474,34 @@ class TestPreparedKernelMatchesLinprog:
             lo, hi = sorted(values)
             assert bound is not None
             assert (bound.lo, bound.hi) == (lo, hi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_presolve_off_agrees_with_default_linprog(self, seed):
+        # Turning presolve off moves no status and no optimum beyond 1e-12
+        # relative against linprog's defaults (presolve on), on random
+        # bounded, empty and degenerate polytopes.
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(seed)
+        dimension = int(rng.integers(1, 7))
+        rows = int(rng.integers(0, 12))
+        box = Polytope.from_box([Interval(0.0, 1.0)] * dimension)
+        a = rng.normal(size=(rows, dimension))
+        a[rng.random(a.shape) < 0.3] = 0.0
+        b = a @ rng.random(dimension) + rng.normal(scale=0.5, size=rows)
+        polytope = box.add_constraints(a, b) if rows else box
+        objective = rng.normal(size=dimension)
+        prepared = polytope.prepared_lp()
+        for cost in (objective, -objective):
+            status, fun, _ = prepared.solve(cost)
+            result = linprog(
+                cost, A_ub=polytope.a, b_ub=polytope.b,
+                bounds=[(None, None)] * dimension, method="highs",
+            )
+            assert status == result.status
+            if status == highs.OPTIMAL:
+                assert fun == pytest.approx(result.fun, rel=1e-12, abs=1e-12)
 
 
 # -- density liftings ---------------------------------------------------
@@ -626,6 +675,72 @@ class TestGeometryCacheSharing:
         # very same Interval object it stored.
         assert cache.volume(box) is cache.volumes[box.cache_key()]
         assert cache.stats()["volume_hits"] == 1
+
+
+class TestBoundedGeometryCache:
+    """The table-scoped cache keeps each store under its LRU cap."""
+
+    TARGETS = list(histogram_buckets(0.0, 3.0, 6)) + [Interval.reals()]
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_small_cap_moves_no_bound(self, executor, monkeypatch):
+        options = TestSerialTableRoute.OPTIONS.with_updates(
+            executor=executor, workers=1 if executor == "serial" else 2, chunk_size=4,
+        )
+        with Model(pedestrian_program(), options) as model:
+            expected = model.bounds(self.TARGETS)
+        monkeypatch.setattr(linear_analyzer, "_GEOMETRY_CACHE_ENTRIES", 8)
+        sizes = []
+        remember = linear_analyzer._BoundedStore.remember
+
+        def watched(self, key, value):
+            stored = remember(self, key, value)
+            sizes.append(len(self))
+            return stored
+
+        monkeypatch.setattr(linear_analyzer._BoundedStore, "remember", watched)
+        with Model(pedestrian_program(), options) as model:
+            # A repeat runs on the evicted cache: recomputed entries are the
+            # same floats.
+            assert model.bounds(self.TARGETS) == expected
+            assert model.bounds(self.TARGETS) == expected
+        assert sizes and max(sizes) <= 8
+
+    def test_pickled_execution_keeps_its_cache(self):
+        # A compiled execution pickles with its table's scratch memo, the
+        # stores' locks included.
+        model = Model(pedestrian_program(), TestSerialTableRoute.OPTIONS)
+        model.bounds(self.TARGETS)
+        execution = model.compile().execution
+        clone = pickle.loads(pickle.dumps(execution))
+        geometry = clone.table().scratch["linear-analyzer"]["geometry"]
+        original = execution.table().scratch["linear-analyzer"]["geometry"]
+        assert geometry.volumes == original.volumes
+        geometry.volumes.remember(b"key", Interval.point(0.0))
+        assert geometry.volumes.lookup(b"key") == Interval.point(0.0)
+
+    def test_concurrent_eviction_raises_nothing(self, monkeypatch):
+        monkeypatch.setattr(linear_analyzer, "_GEOMETRY_CACHE_ENTRIES", 8)
+        store = linear_analyzer._BoundedStore()
+
+        def hammer(offset):
+            for index in range(4000):
+                key = (offset * 7 + index) % 40
+                value = store.lookup(key)
+                if value is linear_analyzer._MISSING:
+                    store.remember(key, -key)
+                else:
+                    assert value == -key
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=4) as pool:
+                for future in [pool.submit(hammer, offset) for offset in range(4)]:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(store) == 8
 
 
 class TestBoundsInvariance:

@@ -240,3 +240,80 @@ class TestLPFailure:
         assert strip.axis_box_range([1.0, -0.0]) == Interval(-math.inf, 1.0)
         empty = unit_cube(2).add_constraints([[1.0, 0.0]], [-1.0])
         assert empty.axis_box_range([1.0, 1.0]) is None
+
+
+def _slab_cell(parent: Polytope, direction, lo: float, hi: float) -> Polytope:
+    """``parent ∩ {lo ≤ d·x ≤ hi}`` with the rows the linear analyzer emits."""
+    direction = np.asarray(direction, dtype=float)
+    return parent.add_constraints([direction, -direction], [hi, -lo])
+
+
+class TestInheritedInteriorPoint:
+    """Slab cells take a certified interior point from their parent."""
+
+    def test_thin_slab_is_still_flat(self):
+        # Width 1e-10: far below INHERITED_RADIUS, so the cell solves its own
+        # Chebyshev LP and the flatness rule settles it as before.
+        cell = _slab_cell(unit_cube(2), [1.0, 0.0], 0.5, 0.5 + 1e-10)
+        assert cell._inherited_point() is None
+        assert cell.volume_bounds() == Interval(0.0, 0.0)
+        cache = GeometryCache()
+        assert cell.volume_bounds(cache) == Interval(0.0, 0.0)
+        assert not cache.full_dimensional(cell)
+
+    def test_one_sided_cut_inherits_nothing(self):
+        assert unit_cube(2).add_constraints([[1.0, 2.0]], [1.0])._inherited_point() is None
+        # Every row parallel to the last: no parent rows are left.
+        segment = Polytope(np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
+        assert segment._inherited_point() is None
+
+    def test_cell_inherits_a_point_without_its_own_lp(self, monkeypatch):
+        cell = _slab_cell(unit_cube(2), [1.0, 2.0], 0.375, 0.75)
+        inherited = cell._inherited_point()
+        assert inherited is not None
+        calls = []
+        chebyshev_center = Polytope.chebyshev_center
+
+        def counted(self):
+            calls.append(self.cache_key())
+            return chebyshev_center(self)
+
+        monkeypatch.setattr(Polytope, "chebyshev_center", counted)
+        cache = GeometryCache()
+        cell.volume_bounds(cache)
+        # Only the parent's centre was solved, never the cell's.
+        assert calls == [unit_cube(2).cache_key()]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dimension=st.integers(min_value=2, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_certified_and_pure(self, dimension, seed):
+        rng = np.random.default_rng(seed)
+        parent = unit_cube(dimension).add_constraints(
+            [rng.normal(size=dimension)], [float(rng.uniform(0.2, 1.5))]
+        )
+        direction = rng.normal(size=dimension)
+        span = parent.bound_linear(direction)
+        if span is None:
+            return
+        lo, hi = sorted(rng.uniform(span.lo - 0.1, span.hi + 0.1, size=2))
+        cell = _slab_cell(parent, direction, float(lo), float(hi))
+        inherited = cell._inherited_point()
+        if inherited is not None:
+            point, radius = inherited
+            slack = (cell.b - cell.a @ point) / np.linalg.norm(cell.a, axis=1)
+            assert radius == pytest.approx(slack.min(), rel=1e-12)
+            assert radius > polytope_module.INHERITED_RADIUS
+            # A ball of radius ρ fits inside, so ρ bounds the Chebyshev
+            # radius from below (up to the LP's tolerance).
+            assert radius <= cell.chebyshev_center()[1] * (1.0 + 1e-7) + 1e-9
+        # Purity: the volume is the same float with a cold cache, or with one
+        # warmed by the parent's atom sweep along ``d``.
+        fresh = cell.volume_bounds()
+        assert cell.volume_bounds(GeometryCache()) == fresh
+        warm = GeometryCache()
+        warm.bound_atom_rows(parent, [list(direction)], direction.tobytes())
+        assert cell.volume_bounds(warm) == fresh
+        assert (fresh.hi > 0.0) == cell.is_full_dimensional()
