@@ -215,6 +215,7 @@ def analyze_execution(
     report: Optional[AnalysisReport] = None,
     executor: Optional["ParallelAnalysisExecutor"] = None,
     progress=None,
+    checkpoint=None,
 ) -> list[DenotationBounds]:
     """Bounds on ``⟦P⟧(U)`` for every target, from a prior symbolic execution.
 
@@ -242,7 +243,9 @@ def analyze_execution(
     budgets, and ``progress(bounds, paths_done)`` (optional) is invoked after
     every round with monotonically narrowing sound bounds.  ``progress`` is
     only consulted in refinement mode — the plain batch sweep has no
-    intermediate sound bounds to report.
+    intermediate sound bounds to report.  So is ``checkpoint`` (optional), a
+    :class:`~repro.analysis.refine.RefinementCheckpoint` that keeps the
+    rounds durable (see :func:`~repro.analysis.refine.refine_execution`).
     """
     options = options or AnalysisOptions()
     report = report if report is not None else AnalysisReport()
@@ -263,6 +266,7 @@ def analyze_execution(
         bounds = refine_execution(
             execution, targets, options,
             report=report, executor=pool, progress=progress,
+            checkpoint=checkpoint,
         )
         report.seconds += time.perf_counter() - start
         return bounds

@@ -131,17 +131,20 @@ class CompiledProgram:
         report: Optional[AnalysisReport] = None,
         executor: Optional["ParallelAnalysisExecutor"] = None,
         progress=None,
+        checkpoint=None,
     ) -> list[DenotationBounds]:
         """Denotation bounds for ``targets`` from the cached path set.
 
         ``executor`` (optional) is a running
         :class:`~repro.analysis.parallel.ParallelAnalysisExecutor` whose pool
-        is reused instead of spinning one up per query.  ``progress``
-        (optional) is the per-round anytime hook of refinement mode (see
+        is reused instead of spinning one up per query.  ``progress`` and
+        ``checkpoint`` (optional) are the per-round anytime and durability
+        hooks of refinement mode (see
         :func:`repro.analysis.engine.analyze_execution`).
         """
         return analyze_execution(
-            self.execution, targets, options, report, executor=executor, progress=progress
+            self.execution, targets, options, report,
+            executor=executor, progress=progress, checkpoint=checkpoint,
         )
 
 
@@ -268,9 +271,8 @@ class Model:
         """The pooled executor serving ``options`` (``None`` for serial runs).
 
         Public face of the lazy pool cache for callers that drive analysis
-        components directly (the service tier's durable refinement path);
-        pools are shared with regular :meth:`bounds` queries and shut down
-        by :meth:`close` as usual.
+        components directly; pools are shared with regular :meth:`bounds`
+        queries and shut down by :meth:`close` as usual.
         """
         return self._executor_for(self._resolve(options))
 
@@ -397,6 +399,7 @@ class Model:
         options: Optional[AnalysisOptions] = None,
         report: Optional[AnalysisReport] = None,
         progress=None,
+        checkpoint=None,
     ) -> list[DenotationBounds]:
         """Guaranteed bounds on ``⟦P⟧(U)`` for every target ``U`` in ``targets``.
 
@@ -424,10 +427,16 @@ class Model:
         refinement round with monotonically narrowing *sound* bounds —
         including on batch and cache-hit queries, whose refinement rounds
         are their anytime signal.
+
+        ``checkpoint`` (optional) is a
+        :class:`~repro.analysis.refine.RefinementCheckpoint`: refinement
+        rounds are saved through it and, after a crash, resumed from it
+        (the bounds service's durable store).  It is unused without
+        ``options.refine="gap"``.
         """
         options = self._resolve(options)
         if options.stream and options.execution_limits() not in self._compiled:
-            return self._bounds_streamed(targets, options, report, progress)
+            return self._bounds_streamed(targets, options, report, progress, checkpoint)
         compilations_before = self._compile_count
         compiled = self.compile(options)
         if report is not None:
@@ -438,6 +447,7 @@ class Model:
         return compiled.analyze(
             targets, options, report,
             executor=self._executor_for(options), progress=progress,
+            checkpoint=checkpoint,
         )
 
     def _bounds_streamed(
@@ -446,6 +456,7 @@ class Model:
         options: AnalysisOptions,
         report: Optional[AnalysisReport],
         progress=None,
+        checkpoint=None,
     ) -> list[DenotationBounds]:
         """One streamed query, with the cache tee wrapped around the stream.
 
@@ -545,7 +556,7 @@ class Model:
             bounds = refine_execution(
                 execution, targets, options,
                 report=report, executor=executor, progress=progress,
-                seed_contributions=sink,
+                seed_contributions=sink, checkpoint=checkpoint,
             )
             if report is not None:
                 report.seconds += time.perf_counter() - refine_start

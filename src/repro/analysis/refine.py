@@ -64,7 +64,12 @@ from .engine import (
 )
 from .registry import resolve_analyzers
 
-__all__ = ["RefinementScheduler", "level_options", "refine_execution"]
+__all__ = [
+    "RefinementCheckpoint",
+    "RefinementScheduler",
+    "level_options",
+    "refine_execution",
+]
 
 #: How many worst-gap paths one refinement round re-analyses.  A fixed size
 #: (independent of the worker count) is what keeps round membership — and
@@ -540,7 +545,7 @@ class RefinementScheduler:
         self,
         progress: Optional[Callable[[list[DenotationBounds], int], None]] = None,
         report: Optional[AnalysisReport] = None,
-        round_hook: Optional[Callable[[list[DenotationBounds]], None]] = None,
+        round_hook: Optional[Callable[["RefinementScheduler"], None]] = None,
     ) -> list[DenotationBounds]:
         """Seed, then refine until a budget binds; returns the final bounds.
 
@@ -551,11 +556,12 @@ class RefinementScheduler:
         *between* rounds: a started round always completes, so the reported
         bounds are always a consistent full reduction.
 
-        ``round_hook`` (optional) fires after every completed round,
-        *before* ``progress`` — the durability layer checkpoints there, so
-        a round is stable on disk before its partial reaches a client.  A
-        scheduler restored with :meth:`from_bytes` continues counting
-        rounds where the checkpoint left off, against the same budgets.
+        ``round_hook(scheduler)`` (optional) fires after every completed
+        round, *before* ``progress`` — a :class:`RefinementCheckpoint`
+        saves the round there, so it is stable on disk before its partial
+        reaches a client.  A scheduler restored with :meth:`from_bytes`
+        continues counting rounds where the checkpoint left off, against
+        the same budgets.
         """
         start = time.perf_counter()
         deadline = (
@@ -577,7 +583,7 @@ class RefinementScheduler:
                 break
             bounds = result
             if round_hook is not None:
-                round_hook(list(bounds))
+                round_hook(self)
             if progress is not None:
                 progress(list(bounds), len(self.contributions))
         if report is not None:
@@ -585,6 +591,29 @@ class RefinementScheduler:
             report.refine_paths += self.paths_refined
             report.refine_seconds += time.perf_counter() - start
         return bounds
+
+
+class RefinementCheckpoint:
+    """Where one refined query keeps its rounds, so a crash resumes it.
+
+    Passed as ``checkpoint=`` beside ``progress`` from
+    :meth:`repro.Model.bounds` down to :func:`refine_execution`.  This base
+    class keeps nothing; the bounds server subclasses it over its state
+    store and journal.
+    """
+
+    def load(self) -> Optional[bytes]:
+        """:meth:`RefinementScheduler.to_bytes` state to resume from, or ``None``."""
+        return None
+
+    def resumed(self, scheduler: RefinementScheduler) -> None:
+        """A checkpoint was restored: ``scheduler.rounds_run`` rounds are done."""
+
+    def round_done(self, scheduler: RefinementScheduler) -> None:
+        """A round completed; called before ``progress`` reports it."""
+
+    def finished(self, scheduler: RefinementScheduler) -> None:
+        """The query's final bound is known; its checkpoint is no longer needed."""
 
 
 def refine_execution(
@@ -595,6 +624,7 @@ def refine_execution(
     executor=None,
     progress: Optional[Callable[[list[DenotationBounds], int], None]] = None,
     seed_contributions: Optional[Sequence[PathContribution]] = None,
+    checkpoint: Optional[RefinementCheckpoint] = None,
 ) -> list[DenotationBounds]:
     """Gap-directed bounds for one execution: the engine's ``refine="gap"`` body.
 
@@ -603,12 +633,37 @@ def refine_execution(
     attribution is skipped), otherwise runs the coarse sweep and attributes
     each path's final analyzer to ``report`` exactly once, mirroring the
     classic engine's accounting.
+
+    ``checkpoint`` (optional) makes the rounds durable.  A usable stored
+    state takes precedence over either seed: the restored scheduler
+    reports its bound through ``progress`` once, then continues with the
+    next round, so the final bounds are bit-identical to an uninterrupted
+    run.  A state that does not match this query is ignored.
     """
-    scheduler = RefinementScheduler(
-        execution, targets, options,
-        executor=executor, seed_contributions=seed_contributions,
+    scheduler = None
+    state = checkpoint.load() if checkpoint is not None else None
+    if state is not None:
+        try:
+            scheduler = RefinementScheduler.from_bytes(
+                state, execution, targets, options, executor=executor
+            )
+        except ValueError:  # stale or foreign checkpoint: seed afresh
+            pass
+    if scheduler is None:
+        scheduler = RefinementScheduler(
+            execution, targets, options,
+            executor=executor, seed_contributions=seed_contributions,
+        )
+    else:
+        checkpoint.resumed(scheduler)
+        if progress is not None:
+            progress(scheduler.bounds, len(scheduler.contributions))
+    bounds = scheduler.run(
+        progress=progress, report=report,
+        round_hook=checkpoint.round_done if checkpoint is not None else None,
     )
-    bounds = scheduler.run(progress=progress, report=report)
+    if checkpoint is not None:
+        checkpoint.finished(scheduler)
     if report is not None and seed_contributions is None:
         for contribution in scheduler.contributions:
             report.record_path(contribution.analyzer_name)

@@ -25,7 +25,8 @@ without moving a single bound:
   tolerant replay) behind both the work queue and the bounds front end.
 * :mod:`repro.service.store` — :class:`StateStore`, the content-addressed
   on-disk store of compiled-program images, whole-query results and
-  refinement checkpoints (``--state-dir``).
+  refinement checkpoints (``--state-dir``), and
+  :class:`~repro.service.store.NullStore`, the store of a server without one.
 
 Trust model: frames carry pickled analysis payloads between queue and
 workers, so the work-queue port must only be reachable by trusted hosts —

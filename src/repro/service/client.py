@@ -217,13 +217,15 @@ class ServiceClient:
         restarted, frame corrupted in flight) the client reconnects with
         exponential backoff — up to ``resume_retries`` attempts, starting
         at ``resume_backoff`` seconds — and re-sends the same request
-        together with how many partial frames it already received.  A
-        durable server (``--state-dir``) dedupes on its journal and result
-        store: finished work is served from disk, an interrupted
-        ``refine="gap"`` query resumes from its last checkpointed round,
-        and only the partials this client actually missed are replayed
-        (partial frames carry a ``seq`` number; duplicates are dropped
-        here).  Deadline and typed server errors are **not** retried.
+        together with the highest partial ``seq`` it already received.
+        Every server attaches the re-issue to the original query while it
+        is still running, answers it from the result cache once it has
+        finished, and sends only the partials this client actually missed
+        (duplicates are dropped here too).  A server with ``--state-dir``
+        also survives its own crash: finished work is served from disk
+        and an interrupted ``refine="gap"`` query resumes from its last
+        checkpointed round.  Deadline and typed server errors are **not**
+        retried.
         """
         request = {
             "type": "bounds",
@@ -263,7 +265,7 @@ class ServiceClient:
         attempts = 0
         while True:
             if query_id is not None:
-                request["partials_seen"] = max_seq if max_seq else len(partials)
+                request["partials_seen"] = max_seq
             try:
                 header = self._roundtrip(request, on_frame)
                 break

@@ -63,6 +63,7 @@ from .. import faults
 __all__ = [
     "Journal",
     "JournalReplay",
+    "NullJournal",
     "register_temp",
     "unregister_temp",
 ]
@@ -216,8 +217,11 @@ class Journal:
             self._pending_sync = 0
 
     def close(self, clean: bool = False) -> None:
-        """Close the journal; ``clean`` appends a synced shutdown marker."""
-        if clean:
+        """Close the journal; ``clean`` appends a synced shutdown marker.
+
+        Closing an already-closed journal does nothing.
+        """
+        if clean and not self.closed:
             self.append({"type": "clean"}, sync=True)
         with self._lock:
             if not self._file.closed:
@@ -300,3 +304,17 @@ class Journal:
             result.valid_size = offset
         result.dropped_bytes = total - result.valid_size
         return result
+
+
+class NullJournal:
+    """The journal of a process without a state directory: appends go nowhere.
+
+    Lets the work queue and the bounds server journal unconditionally; no
+    JSON encoding, file or fsync work runs.
+    """
+
+    def append(self, record: dict, blob: bytes = b"", sync: bool = False) -> None:
+        pass
+
+    def close(self, clean: bool = False) -> None:
+        pass

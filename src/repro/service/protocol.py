@@ -70,7 +70,9 @@ __all__ = [
     "WorkerLost",
     "bounds_from_wire",
     "bounds_to_wire",
+    "encode_frame",
     "error_from_frame",
+    "frame_decoder",
     "hash_bytes",
     "recv_exact",
     "recv_frame",
@@ -189,6 +191,58 @@ def error_from_frame(header: dict) -> ServiceError:
     return ServiceError(message)
 
 
+def encode_frame(header: dict, blob: bytes = b"") -> bytes:
+    """The v2 prefix, CRC32 and JSON header of one frame; ``blob`` follows as is."""
+    payload = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode()
+    crc = zlib.crc32(payload)
+    if blob:
+        crc = zlib.crc32(blob, crc)
+    return (
+        _FRAME.pack(len(payload) | _CRC_FLAG, len(blob))
+        + _FRAME_CRC.pack(crc & 0xFFFFFFFF)
+        + payload
+    )
+
+
+def frame_decoder(max_blob_bytes: int = _MAX_BLOB_BYTES):
+    """Decode one frame without doing IO: the codec every reader drives.
+
+    A generator that yields how many bytes it needs next, is sent exactly
+    that many, and returns ``(header, blob)`` — so the blocking socket
+    reader (:func:`recv_frame`) and the bounds server's asyncio reader share
+    one prefix, CRC and header layout.  Raises :class:`ProtocolError` on
+    out-of-range sizes (``max_blob_bytes`` caps the blob an untrusted peer
+    can make the reader buffer) or a header that is not a UTF-8 JSON
+    object, and :class:`FrameCorrupted` when a v2 frame fails its CRC32.
+    """
+    header_len, blob_len = _FRAME.unpack((yield _FRAME.size))
+    expected_crc = None
+    if header_len & _CRC_FLAG:
+        header_len &= ~_CRC_FLAG
+        (expected_crc,) = _FRAME_CRC.unpack((yield _FRAME_CRC.size))
+    if header_len > _MAX_HEADER_BYTES or blob_len > max_blob_bytes:
+        raise ProtocolError(
+            f"frame sizes out of range (header {header_len}B, blob {blob_len}B)"
+        )
+    payload = yield header_len
+    blob = (yield blob_len) if blob_len else b""
+    if expected_crc is not None:
+        crc = zlib.crc32(payload)
+        if blob:
+            crc = zlib.crc32(blob, crc)
+        if (crc & 0xFFFFFFFF) != expected_crc:
+            raise FrameCorrupted(
+                f"frame CRC mismatch (header {header_len}B, blob {blob_len}B)"
+            )
+    try:
+        header = json.loads(payload.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ProtocolError(f"frame header is not valid JSON: {error}") from error
+    if not isinstance(header, dict):
+        raise ProtocolError(f"frame header must be a JSON object, got {type(header).__name__}")
+    return header, blob
+
+
 def send_frame(
     sock: socket.socket, header: dict, blob: bytes = b"", site: Optional[str] = None
 ) -> None:
@@ -203,15 +257,7 @@ def send_frame(
     ``corrupt`` (one payload byte is flipped after the CRC is computed,
     so the receiver raises :class:`FrameCorrupted`).
     """
-    payload = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode()
-    crc = zlib.crc32(payload)
-    if blob:
-        crc = zlib.crc32(blob, crc)
-    frame = (
-        _FRAME.pack(len(payload) | _CRC_FLAG, len(blob))
-        + _FRAME_CRC.pack(crc & 0xFFFFFFFF)
-        + payload
-    )
+    frame = encode_frame(header, blob)
     action = faults.decide(site) if site is not None else None
     if action is not None:
         plan = faults.active()
@@ -234,8 +280,8 @@ def send_frame(
             # CRC was computed: the frame arrives complete but damaged,
             # and the receiver's checksum catches it.
             data = bytearray(frame + blob)
-            index = _FRAME.size + _FRAME_CRC.size + max(0, len(payload) // 2)
-            data[index] ^= 0xFF
+            prefix = _FRAME.size + _FRAME_CRC.size
+            data[prefix + (len(frame) - prefix) // 2] ^= 0xFF
             sock.sendall(bytes(data))
             return
         if action.kind == "slowloris":
@@ -274,37 +320,16 @@ def recv_frame(sock: socket.socket) -> tuple[dict, bytes]:
     """Receive one frame, returning ``(header, blob)``.
 
     Raises :class:`ConnectionClosed` on EOF (including EOF exactly between
-    frames — the normal way a peer hangs up), :class:`ProtocolError` on
-    malformed prefixes or headers, and :class:`FrameCorrupted` when a v2
-    frame fails its CRC32 check.
+    frames — the normal way a peer hangs up), and otherwise whatever
+    :func:`frame_decoder` raises for a malformed or corrupted frame.
     """
-    prefix = recv_exact(sock, _FRAME.size)
-    header_len, blob_len = _FRAME.unpack(prefix)
-    expected_crc = None
-    if header_len & _CRC_FLAG:
-        header_len &= ~_CRC_FLAG
-        (expected_crc,) = _FRAME_CRC.unpack(recv_exact(sock, _FRAME_CRC.size))
-    if header_len > _MAX_HEADER_BYTES or blob_len > _MAX_BLOB_BYTES:
-        raise ProtocolError(
-            f"frame sizes out of range (header {header_len}B, blob {blob_len}B)"
-        )
-    payload = recv_exact(sock, header_len)
-    blob = recv_exact(sock, blob_len)
-    if expected_crc is not None:
-        crc = zlib.crc32(payload)
-        if blob:
-            crc = zlib.crc32(blob, crc)
-        if (crc & 0xFFFFFFFF) != expected_crc:
-            raise FrameCorrupted(
-                f"frame CRC mismatch (header {header_len}B, blob {blob_len}B)"
-            )
+    decoder = frame_decoder()
     try:
-        header = json.loads(payload.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise ProtocolError(f"frame header is not valid JSON: {error}") from error
-    if not isinstance(header, dict):
-        raise ProtocolError(f"frame header must be a JSON object, got {type(header).__name__}")
-    return header, blob
+        need = next(decoder)
+        while True:
+            need = decoder.send(recv_exact(sock, need))
+    except StopIteration as done:
+        return done.value
 
 
 def hash_bytes(payload: bytes) -> str:

@@ -72,7 +72,7 @@ from ..analysis.config import (
     DEFAULT_JOB_TIMEOUT,
     parse_endpoint,
 )
-from .journal import Journal, JournalReplay
+from .journal import Journal, JournalReplay, NullJournal
 from .protocol import (
     ConnectionClosed,
     DeadlineExceeded,
@@ -246,8 +246,9 @@ class WorkQueueServer:
         self._running = 0
         self._workers = 0
         # Durability (optional): replay an existing journal before opening
-        # it for append, so a restarted queue resumes its backlog.
-        self._journal: Optional[Journal] = None
+        # it for append, so a restarted queue resumes its backlog.  Without
+        # a journal path every append goes to a null journal.
+        self._journal = NullJournal()
         self.journal_records_replayed = 0
         self.jobs_recovered = 0
         self.journal_clean: Optional[bool] = None
@@ -303,7 +304,7 @@ class WorkQueueServer:
         with self._lock:
             known = key in self._resources
             self._resources.setdefault(key, (kind, payload))
-        if not known and self._journal is not None:
+        if not known:
             self._journal.append({"type": "resource", "key": key, "kind": kind}, blob=payload)
 
     def discard_resource(self, key: str) -> None:
@@ -379,17 +380,16 @@ class WorkQueueServer:
             for key in resources:
                 if key not in self._resources:
                     raise KeyError(f"unknown resource {key!r}; add_resource it first")
-            if self._journal is not None:
-                # Journal *before* the job becomes visible to dispatchers,
-                # so a completion record can never precede its enqueue.
-                self._journal.append({
-                    "type": "enqueue",
-                    "job_id": job.job_id,
-                    "spec": spec,
-                    "resources": list(resources),
-                    "timeout": job.timeout,
-                    "retries": job.retries,
-                })
+            # Journal *before* the job becomes visible to dispatchers, so a
+            # completion record can never precede its enqueue.
+            self._journal.append({
+                "type": "enqueue",
+                "job_id": job.job_id,
+                "spec": spec,
+                "resources": list(resources),
+                "timeout": job.timeout,
+                "retries": job.retries,
+            })
             self.jobs_submitted += 1
             self._pending.append(job)
             self._jobs_available.notify()
@@ -510,10 +510,9 @@ class WorkQueueServer:
         self._spawned.clear()
         for thread in self._threads:
             thread.join(timeout=5.0)
-        if self._journal is not None:
-            # The clean marker records that pending jobs were deliberately
-            # failed above — the next start must not resurrect them.
-            self._journal.close(clean=True)
+        # The clean marker records that pending jobs were deliberately
+        # failed above — the next start must not resurrect them.
+        self._journal.close(clean=True)
 
     def __enter__(self) -> "WorkQueueServer":
         return self
@@ -571,8 +570,7 @@ class WorkQueueServer:
             return
         if job.attempts >= job.retries + 1:
             self.jobs_failed += 1
-            if self._journal is not None:
-                self._journal.append({"type": "failed", "job_id": job.job_id})
+            self._journal.append({"type": "failed", "job_id": job.job_id})
             if job.last_error is not None:
                 job.fail(JobError(
                     f"job {job.job_id} failed on all {job.attempts} attempts; "
@@ -628,10 +626,9 @@ class WorkQueueServer:
                     with self._jobs_available:
                         self._running -= 1
                     continue
-                if self._journal is not None:
-                    self._journal.append(
-                        {"type": "dispatch", "job_id": job.job_id, "attempt": job.attempts}
-                    )
+                self._journal.append(
+                    {"type": "dispatch", "job_id": job.job_id, "attempt": job.attempts}
+                )
                 try:
                     self._send_job(conn, job, sent, cache_cap)
                     outcome = self._await_result(conn, job, heartbeat_interval)
@@ -651,7 +648,7 @@ class WorkQueueServer:
                     with self._jobs_available:
                         self._requeue(job, reason)
                     return
-                if outcome == "ok" and self._journal is not None:
+                if outcome == "ok":
                     # Synced: a completion must never be lost to the fsync
                     # batch window, or a restart would re-run delivered work.
                     self._journal.append(

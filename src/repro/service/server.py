@@ -18,7 +18,8 @@ via ``repr``, so they are **bit-identical** to a local serial run), the
 canonical program hash, and whether the compiled program came out of the
 shared cache.  With ``"stream": true`` the server additionally emits
 ``partial`` frames as soon as the engine's first path contributions land —
-the anytime bound, surfaced over the wire before exploration finishes.
+the anytime bound, surfaced over the wire before exploration finishes —
+and after every refinement round.
 
 Multi-tenancy happens in :class:`ProgramCache`: compiled programs (whole
 ``Model`` instances, with their compile caches and worker pools) are
@@ -34,21 +35,29 @@ options → final result frame): a repeated identical query skips the
 analyzers entirely and is answered in microseconds, which is what makes
 cache-hit latency ≪ cold latency for a long-lived service.
 
+Every bounds request takes one flow: validate, apply the deadline, parse,
+look the result up (memory LRU, then the store), attach to an identical
+in-flight query, take an engine slot, compute with :meth:`Model.bounds`,
+persist and journal the result, reply.  Partial frames carry a ``seq``
+number — 1 for the streamed first-paths preview, ``r + 1`` after
+refinement round ``r`` — so a client re-issuing a query with an
+idempotency ``query_id`` and the ``partials_seen`` it holds receives only
+the partials it missed.
+
+``--state-dir`` only picks the store.  With it, a write-ahead journal
+(:mod:`repro.service.journal`) and a content-addressed on-disk store
+(:mod:`repro.service.store`) keep compiled-program images, whole-query
+results and refinement checkpoints: a restarted server answers repeat
+queries without recompiling, rebuilds compiled programs from stored
+path-table images, and **resumes** a refined (``refine="gap"``) query
+from its last journaled round — with floats bit-identical to an
+uninterrupted run, because rounds are deterministic and checkpoints
+round-trip every double exactly.  Without it the same flow runs over a
+null store and journal that keep nothing.
+
 Blocking engine work runs on a thread pool; the asyncio side stays
 responsive, and partial-bound callbacks marshal onto the event loop via
 ``call_soon_threadsafe``.
-
-**Durability** (``--state-dir``): the server keeps a write-ahead journal
-(:mod:`repro.service.journal`) plus a content-addressed on-disk store
-(:mod:`repro.service.store`) of compiled-program images, whole-query
-results and refinement checkpoints.  A restarted server answers repeat
-queries from the persistent result store without recompiling, rebuilds
-compiled programs from stored path-table images, and **resumes** a
-refined (``refine="gap"``) query from its last journaled round — with
-floats bit-identical to an uninterrupted run, because rounds are
-deterministic and checkpoints round-trip every double exactly.  Clients
-re-issuing a query after a crash carry an idempotency ``query_id`` and a
-``partials_seen`` count, so only missed partial frames are replayed.
 """
 
 from __future__ import annotations
@@ -56,13 +65,11 @@ from __future__ import annotations
 import argparse
 import asyncio
 import dataclasses
-import itertools
+import json
 import os
 import signal
-import struct
 import threading
 import time
-import zlib
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
@@ -70,29 +77,28 @@ from typing import Optional
 from .. import faults
 from ..analysis.config import AnalysisOptions, parse_endpoint
 from ..analysis.engine import AnalysisReport
-from ..analysis.model import CompiledProgram, Model, program_hash
-from ..analysis.refine import RefinementScheduler
-from ..lang import ParseError, parse
-from ..symbolic.arena import PathTable
-from ..symbolic.execute import SymbolicExecutionResult
-from .journal import Journal
+from ..analysis.model import Model, program_hash
+from ..analysis.refine import RefinementCheckpoint
+from ..lang import ParseError, Term, parse
+from .journal import Journal, NullJournal
 from .protocol import (
     DeadlineExceeded,
-    FrameCorrupted,
     ProtocolError,
     ServerBusy,
     ServiceError,
     bounds_to_wire,
+    encode_frame,
+    frame_decoder,
     hash_bytes,
     targets_from_wire,
 )
-from .store import StateStore
+from .store import NullStore, StateStore
 
 __all__ = ["BoundsServer", "ProgramCache", "serve_in_background", "main"]
 
-_FRAME = struct.Struct("!IQ")
-_FRAME_CRC = struct.Struct("!I")
-_CRC_FLAG = 0x80000000
+#: Largest request blob the server buffers.  Requests carry no blob at all,
+#: so this only stops an untrusted client from making it read gigabytes.
+_MAX_REQUEST_BLOB_BYTES = 64 * 1024 * 1024
 
 #: AnalysisOptions fields clients may set per request.  Derived from the
 #: dataclass itself so new engine knobs become available without touching
@@ -120,36 +126,33 @@ class ProgramCache:
         self.hits = 0
         self.misses = 0
 
-    @staticmethod
-    def key_for(source: str, options: AnalysisOptions):
-        """``(term, key)`` for a source text — the lookup key, no side effects.
-
-        Used by the durability layer to consult the persistent result
-        store *before* deciding whether a model needs to exist at all (a
-        warm-restart repeat query must not count a program-cache miss).
-        """
-        term = parse(source)
-        return term, program_hash(term, options.execution_limits())
-
-    def contains(self, key: str) -> bool:
-        """Whether a program is cached, without touching LRU order or counters."""
-        with self._mutex:
-            return key in self._entries
-
     def entries(self) -> list[tuple[str, Model]]:
         """A snapshot of ``(key, model)`` pairs (shutdown-time persistence)."""
         with self._mutex:
             return [(key, model) for key, (model, _) in self._entries.items()]
 
-    def lookup(self, source: str, options: AnalysisOptions):
-        """``(model, lock, key, hit)`` for a program source text.
+    def touch(self, key: str) -> bool:
+        """Count a hit and refresh recency if ``key``'s program is cached.
+
+        What a result-cache hit calls: it reports whether the program is
+        warm without ever creating a ``Model``.
+        """
+        with self._mutex:
+            entry = self._entries.get(key)
+            if entry is None:
+                return False
+            self._entries.move_to_end(key)
+            self.hits += 1
+            entry[0].note_program_cache(hit=True)
+            return True
+
+    def lookup(self, term: Term, key: str):
+        """``(model, lock, hit)`` for a parsed program and its canonical hash.
 
         The key is the canonical program hash of the *parsed term* under
-        ``options``' execution limits — whitespace, comments and other
+        the query's execution limits — whitespace, comments and other
         spelling differences never cause a second compile.
         """
-        term = parse(source)
-        key = program_hash(term, options.execution_limits())
         with self._mutex:
             entry = self._entries.get(key)
             if entry is not None:
@@ -157,7 +160,7 @@ class ProgramCache:
                 self.hits += 1
                 model, lock = entry
                 model.note_program_cache(hit=True)
-                return model, lock, key, True
+                return model, lock, True
             self.misses += 1
             model = Model(term)
             model.note_program_cache(hit=False)
@@ -170,7 +173,7 @@ class ProgramCache:
         for old_model, old_lock in evicted:
             with old_lock:  # let an in-flight query on the evictee finish
                 old_model.close()
-        return model, lock, key, False
+        return model, lock, False
 
     def stats(self) -> dict:
         with self._mutex:
@@ -192,6 +195,64 @@ class ProgramCache:
         for model, lock in entries:
             with lock:
                 model.close()
+
+
+class _QueryCheckpoint(RefinementCheckpoint):
+    """One refined query's rounds, kept in the server's store and journal.
+
+    Also the source of partial ``seq`` numbers: :attr:`rounds` counts the
+    rounds done so far, restored ones included.
+    """
+
+    def __init__(
+        self, server: "BoundsServer", model: Model, options: AnalysisOptions,
+        key: str, stream: bool, partials_seen: int,
+    ) -> None:
+        self.server = server
+        self.model = model
+        self.options = options
+        self.key = key
+        self.stream = stream
+        self.partials_seen = partials_seen
+        self.rounds = 0
+        self.restored = 0
+
+    def load(self) -> Optional[bytes]:
+        return self.server.store.load_checkpoint(self.key)
+
+    def resumed(self, scheduler) -> None:
+        server = self.server
+        self.rounds = self.restored = scheduler.rounds_run
+        server._journal.append(
+            {"type": "resume", "query": self.key, "rounds": self.rounds}, sync=True
+        )
+        with server._durability_mutex:
+            server.rounds_resumed += self.rounds
+            if self.stream and self.partials_seen <= self.rounds:
+                # The restored bound goes out as ONE partial summarising
+                # every checkpointed round the client has not seen.
+                server.partials_replayed += 1
+
+    def round_done(self, scheduler) -> None:
+        server = self.server
+        self.rounds = scheduler.rounds_run
+        # The program image goes first, so a restart resumes this
+        # checkpoint without exploring the program again.
+        server.store.save_compiled(self.model.compiled_for(self.options))
+        server.store.save_checkpoint(self.key, scheduler)
+        with server._durability_mutex:
+            server.checkpoints_saved += int(server.store.persistent)
+        server._journal.append(
+            {"type": "round", "query": self.key, "round": self.rounds}, sync=True
+        )
+        action = faults.decide("server.crash")
+        if action is not None and action.kind == "die":
+            os._exit(1)
+
+    def finished(self, scheduler) -> None:
+        with self.server._durability_mutex:
+            self.server.rounds_recomputed += scheduler.rounds_run - self.restored
+        self.server.store.drop_checkpoint(self.key)
 
 
 class BoundsServer:
@@ -239,10 +300,8 @@ class BoundsServer:
         self._results_mutex = threading.Lock()
         self.result_hits = 0
         self.result_misses = 0
-        # Durability (optional, --state-dir): persistent program/result/
-        # checkpoint store plus a write-ahead journal of query progress.
-        self.store: Optional[StateStore] = None
-        self._journal: Optional[Journal] = None
+        # Durability: the program/result/checkpoint store and the journal
+        # of query progress — on disk with --state-dir, null otherwise.
         self.journal_records_replayed = 0
         self.journal_clean: Optional[bool] = None
         self.result_store_hits = 0
@@ -253,7 +312,9 @@ class BoundsServer:
         self.partials_replayed = 0
         self.partials_skipped = 0
         self._durability_mutex = threading.Lock()
-        if state_dir is not None:
+        if state_dir is None:
+            self.store, self._journal = NullStore(), NullJournal()
+        else:
             self.store = StateStore(state_dir)
             replay = Journal.replay(self.store.journal_path)
             self.journal_records_replayed = len(replay.records)
@@ -296,8 +357,7 @@ class BoundsServer:
             self._server = None
         self._pool.shutdown(wait=True)
         self.cache.close()
-        if self._journal is not None and not self._journal.closed:
-            self._journal.close()
+        self._journal.close()
 
     async def graceful_shutdown(self, grace: float = 30.0) -> None:
         """SIGTERM semantics: drain in-flight queries, snapshot, mark clean.
@@ -318,140 +378,51 @@ class BoundsServer:
             if active == 0:
                 break
             await asyncio.sleep(0.05)
-        if self.store is not None:
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(None, self._snapshot_programs)
-        if self._journal is not None and not self._journal.closed:
-            self._journal.close(clean=True)
+        loop = asyncio.get_running_loop()
+        await loop.run_in_executor(None, self._snapshot_programs)
+        self._journal.close(clean=True)
         self._pool.shutdown(wait=True)
         self.cache.close()
 
     def _snapshot_programs(self) -> None:
         """Persist every cached compilation the store is missing (shutdown)."""
-        if self.store is None:
-            return
         for _key, model in self.cache.entries():
             for compiled in list(model._compiled.values()):
-                self._persist_program(compiled)
+                self.store.save_compiled(compiled)
 
     # ------------------------------------------------------------------
-    # Durable program images
-    # ------------------------------------------------------------------
-    def _persist_program(self, compiled: CompiledProgram) -> None:
-        """Write a compiled program's path-table image to the state store.
-
-        Content-addressed by the canonical program hash, so re-persisting
-        is a no-op and textually different spellings share one image.
-        """
-        if self.store is None:
-            return
-        key = program_hash(compiled.term, compiled.limits)
-        if self.store.has_program(key):
-            return
-        execution = compiled.execution
-        self.store.save_program(
-            key,
-            execution.table().to_bytes(),
-            {
-                "truncated_paths": execution.truncated_paths,
-                "pruned_paths": execution.pruned_paths,
-                "compile_seconds": compiled.compile_seconds,
-            },
-        )
-
-    def _install_stored_program(
-        self, model: Model, options: AnalysisOptions
-    ) -> Optional[CompiledProgram]:
-        """Warm-restart path: rebuild a compiled program from its stored image.
-
-        Returns the installed :class:`CompiledProgram`, or ``None`` when the
-        store has no (usable) image — the caller compiles from scratch.  A
-        corrupt entry was already CRC-detected and dropped by the store.
-        """
-        if self.store is None:
-            return None
-        limits = options.execution_limits()
-        key = program_hash(model._term, limits)
-        loaded = self.store.load_program(key)
-        if loaded is None:
-            return None
-        meta, image = loaded
-        table = PathTable.from_buffer(image)
-        execution = SymbolicExecutionResult(
-            paths=tuple(table.decode_all()),
-            truncated_paths=int(meta.get("truncated_paths", 0)),
-            pruned_paths=int(meta.get("pruned_paths", 0)),
-        )
-        # The decoded table IS the columnar view — cache it on the result so
-        # analyzers and the arena transport reuse it instead of re-interning.
-        object.__setattr__(execution, "_table", table)
-        compiled = CompiledProgram(
-            term=model._term,
-            limits=limits,
-            execution=execution,
-            compile_seconds=float(meta.get("compile_seconds", 0.0)),
-        )
-        try:
-            model.install_compiled(compiled)
-        except ValueError:  # image from a different program: ignore it
-            return None
-        with self._durability_mutex:
-            self.program_store_hits += 1
-        return compiled
-
-    # ------------------------------------------------------------------
-    # Frame IO (asyncio streams)
+    # Frame IO (asyncio streams, the codec of repro.service.protocol)
     # ------------------------------------------------------------------
     @staticmethod
     async def _read_frame(reader: asyncio.StreamReader) -> tuple[dict, bytes]:
-        import json
-
-        prefix = await reader.readexactly(_FRAME.size)
-        header_len, blob_len = _FRAME.unpack(prefix)
-        expected_crc = None
-        if header_len & _CRC_FLAG:
-            header_len &= ~_CRC_FLAG
-            (expected_crc,) = _FRAME_CRC.unpack(
-                await reader.readexactly(_FRAME_CRC.size)
-            )
-        if header_len > 16 * 1024 * 1024 or blob_len > 64 * 1024 * 1024:
-            raise ProtocolError("frame sizes out of range")
-        payload = await reader.readexactly(header_len)
-        blob = await reader.readexactly(blob_len) if blob_len else b""
-        if expected_crc is not None:
-            crc = zlib.crc32(payload)
-            if blob:
-                crc = zlib.crc32(blob, crc)
-            if (crc & 0xFFFFFFFF) != expected_crc:
-                raise FrameCorrupted(
-                    f"frame CRC mismatch (header {header_len}B, blob {blob_len}B)"
-                )
-        header = json.loads(payload.decode())
-        if not isinstance(header, dict):
-            raise ProtocolError("frame header must be a JSON object")
-        return header, blob
+        decoder = frame_decoder(_MAX_REQUEST_BLOB_BYTES)
+        try:
+            need = next(decoder)
+            while True:
+                need = decoder.send(await reader.readexactly(need))
+        except StopIteration as done:
+            return done.value
 
     @staticmethod
-    async def _write_frame(
-        writer: asyncio.StreamWriter, header: dict, blob: bytes = b""
-    ) -> None:
-        import json
-
-        payload = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode()
-        crc = zlib.crc32(payload)
-        if blob:
-            crc = zlib.crc32(blob, crc)
-        writer.write(
-            _FRAME.pack(len(payload) | _CRC_FLAG, len(blob))
-            + _FRAME_CRC.pack(crc & 0xFFFFFFFF)
-            + payload
-            + blob
-        )
+    async def _write_frame(writer: asyncio.StreamWriter, header: dict) -> None:
+        writer.write(encode_frame(header))
         await writer.drain()
 
     # ------------------------------------------------------------------
     # Request handling
     # ------------------------------------------------------------------
+    @staticmethod
+    def _error_frame(error: Exception) -> dict:
+        frame = {"type": "error", "exc_type": type(error).__name__, "error": str(error)}
+        code = getattr(error, "code", None)
+        if code is None and isinstance(error, faults.FaultInjected):
+            code = "FAULT"
+        if code:
+            frame["code"] = code
+        if isinstance(error, ServerBusy):
+            frame["retry_after"] = error.retry_after
+        return frame
+
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -465,16 +436,8 @@ class BoundsServer:
                     # A corrupted or malformed request frame loses the frame
                     # boundary: reply with a typed error, then drop the
                     # connection (FrameCorrupted carries code=FAULT).
-                    frame = {
-                        "type": "error",
-                        "exc_type": type(error).__name__,
-                        "error": str(error),
-                    }
-                    code = getattr(error, "code", None)
-                    if code:
-                        frame["code"] = code
                     try:
-                        await self._write_frame(writer, frame)
+                        await self._write_frame(writer, self._error_frame(error))
                     except (ConnectionError, OSError):  # pragma: no cover
                         pass
                     return
@@ -492,19 +455,7 @@ class BoundsServer:
                     ProtocolError, ParseError, ServiceError, faults.FaultInjected,
                     ValueError, KeyError, TypeError,
                 ) as error:
-                    frame = {
-                        "type": "error",
-                        "exc_type": type(error).__name__,
-                        "error": str(error),
-                    }
-                    code = getattr(error, "code", None)
-                    if code is None and isinstance(error, faults.FaultInjected):
-                        code = "FAULT"
-                    if code:
-                        frame["code"] = code
-                    if isinstance(error, ServerBusy):
-                        frame["retry_after"] = error.retry_after
-                    await self._write_frame(writer, frame)
+                    await self._write_frame(writer, self._error_frame(error))
         finally:
             writer.close()
             try:
@@ -517,8 +468,6 @@ class BoundsServer:
     # ------------------------------------------------------------------
     @staticmethod
     def _result_key(program_key: str, header: dict) -> tuple:
-        import json
-
         return (
             program_key,
             json.dumps(header.get("targets"), sort_keys=True),
@@ -532,42 +481,34 @@ class BoundsServer:
     @staticmethod
     def _result_disk_key(result_key: tuple) -> str:
         """Content address of a whole-query result (state-store file name)."""
-        import json
-
         return hash_bytes(json.dumps(list(result_key)).encode())
 
-    def _result_lookup(self, result_key: tuple) -> Optional[dict]:
-        if not self._results_limit and self.store is None:
+    def _result_lookup(self, result_key: tuple, disk_key: str) -> Optional[dict]:
+        """The memory tier, then the store (whose hits refill the memory tier)."""
+        if self._results_limit:
+            with self._results_mutex:
+                cached = self._results.get(result_key)
+                if cached is not None:
+                    self._results.move_to_end(result_key)
+                    self.result_hits += 1
+                    return dict(cached)
+                self.result_misses += 1
+        stored = self.store.load_result(disk_key)
+        if stored is None:
             return None
-        with self._results_mutex:
-            cached = self._results.get(result_key)
-            if cached is not None:
-                self._results.move_to_end(result_key)
-                self.result_hits += 1
-                return dict(cached)
-            self.result_misses += 1
-        if self.store is not None:
-            # Disk tier: survives restarts.  A hit refills the memory tier
-            # (without re-writing the disk entry it just came from).
-            stored = self.store.load_result(self._result_disk_key(result_key))
-            if stored is not None:
-                with self._durability_mutex:
-                    self.result_store_hits += 1
-                self._result_store(result_key, stored, persist=False)
-                return dict(stored)
-        return None
+        with self._durability_mutex:
+            self.result_store_hits += 1
+        self._remember(result_key, stored)
+        return dict(stored)
 
-    def _result_store(
-        self, result_key: tuple, result: dict, persist: bool = True
-    ) -> None:
+    def _remember(self, result_key: tuple, result: dict) -> None:
+        """Insert a result into the memory tier (a no-op when it is disabled)."""
         if self._results_limit:
             with self._results_mutex:
                 self._results[result_key] = result
                 self._results.move_to_end(result_key)
                 while len(self._results) > self._results_limit:
                     self._results.popitem(last=False)
-        if persist and self.store is not None:
-            self.store.save_result(self._result_disk_key(result_key), result)
 
     def _result_stats(self) -> dict:
         with self._results_mutex:
@@ -603,8 +544,8 @@ class BoundsServer:
 
     def _durability_stats(self) -> dict:
         with self._durability_mutex:
-            stats = {
-                "enabled": self.store is not None,
+            return {
+                "enabled": self.store.persistent,
                 "journal_records_replayed": self.journal_records_replayed,
                 "journal_clean": self.journal_clean,
                 "result_store_hits": self.result_store_hits,
@@ -614,10 +555,8 @@ class BoundsServer:
                 "checkpoints_saved": self.checkpoints_saved,
                 "partials_replayed": self.partials_replayed,
                 "partials_skipped": self.partials_skipped,
+                "store": self.store.stats(),
             }
-        if self.store is not None:
-            stats["store"] = self.store.stats()
-        return stats
 
     def _stats_frame(self) -> dict:
         return {
@@ -645,7 +584,7 @@ class BoundsServer:
 
     @staticmethod
     def _consult_query_faults() -> None:
-        """The ``server.query`` fault site, shared by both query flows."""
+        """The ``server.query`` fault site, consulted once per engine query."""
         action = faults.decide("server.query")
         if action is not None:
             if action.kind == "fail":
@@ -674,7 +613,28 @@ class BoundsServer:
             raw = dict(raw, io_timeout=self._io_timeout)
         return AnalysisOptions(**raw)
 
+    async def _write_partial(
+        self, writer: asyncio.StreamWriter, item: tuple, partials_seen: int
+    ) -> None:
+        """Emit one seq-numbered partial frame, skipping already-seen seqs.
+
+        A resuming client reports the highest ``seq`` it already holds
+        (``partials_seen``); partials at or below it are suppressed, so a
+        reconnection replays only what was actually missed.
+        """
+        partial_bounds, paths_done, seq = item
+        if seq <= partials_seen:
+            with self._durability_mutex:
+                self.partials_skipped += 1
+            return
+        await self._write_frame(
+            writer,
+            {"type": "partial", "bounds": partial_bounds,
+             "paths_done": paths_done, "seq": seq},
+        )
+
     async def _handle_bounds(self, writer: asyncio.StreamWriter, header: dict) -> None:
+        """One bounds query, through the tiers in order (module docstring)."""
         source = header.get("program")
         if not isinstance(source, str) or not source.strip():
             raise ProtocolError("bounds request needs a non-empty 'program' string")
@@ -712,31 +672,21 @@ class BoundsServer:
                 )
             options = options.with_updates(**updates)
 
-        if self.store is not None:
-            # Durable flow: consult the persistent result store *before*
-            # touching the program cache, coalesce idempotent re-issues and
-            # checkpoint refinement rounds.
-            await self._handle_bounds_durable(
-                writer, header, source, targets, options,
-                want_stream, deadline_at, deadline_s,
-            )
-            return
-
-        loop = asyncio.get_running_loop()
-        partials: asyncio.Queue = asyncio.Queue()
-
-        def on_progress(partial_bounds, paths_done: int) -> None:
-            loop.call_soon_threadsafe(
-                partials.put_nowait, (bounds_to_wire(partial_bounds), paths_done)
-            )
-
-        model, lock, key, cache_hit = self.cache.lookup(source, options)
-
+        term = parse(source)
+        key = program_hash(term, options.execution_limits())
         result_key = self._result_key(key, header)
-        cached = self._result_lookup(result_key)
+        disk_key = self._result_disk_key(result_key)
+        cached = self._result_lookup(result_key, disk_key)
+        existing = self._inflight.get(result_key)
+        if cached is None and existing is not None:
+            # Idempotent re-issue: a client that lost its connection (but
+            # not the server) re-sends the same query — attach to the
+            # running computation instead of recomputing it.
+            await asyncio.shield(existing)
+            cached = self._result_lookup(result_key, disk_key)
         if cached is not None:
-            # Served straight from the result cache: same exact floats,
-            # no analyzer run, no partial frames (there is nothing to
+            # Served straight from a result tier: same exact floats, no
+            # analyzer run, no partial frames (there is nothing to
             # anticipate).  ``seconds`` reports *this* serve, not the
             # original compute.
             self.queries_served += 1
@@ -744,7 +694,7 @@ class BoundsServer:
                 writer,
                 dict(
                     cached,
-                    cache="hit" if cache_hit else "miss",
+                    cache="hit" if self.cache.touch(key) else "miss",
                     result_cache="hit",
                     seconds=0.0,
                     first_result_seconds=None,
@@ -756,17 +706,40 @@ class BoundsServer:
         # held until the engine thread finishes — even when a deadline makes
         # us abandon the reply early, the thread is still busy.
         self._acquire_slot()
+        model, lock, cache_hit = self.cache.lookup(term, key)
+        loop = asyncio.get_running_loop()
+        partials: asyncio.Queue = asyncio.Queue()
+        partials_seen = int(header.get("partials_seen") or 0)
+        checkpoint = _QueryCheckpoint(
+            self, model, options, disk_key, want_stream, partials_seen
+        )
+
+        def on_progress(partial_bounds, paths_done: int) -> None:
+            loop.call_soon_threadsafe(
+                partials.put_nowait,
+                (bounds_to_wire(partial_bounds), paths_done, checkpoint.rounds + 1),
+            )
 
         def run_query():
             self._consult_query_faults()
             report = AnalysisReport()
             with lock:
+                if model.compiled_for(options) is None:
+                    stored = self.store.load_compiled(term, options.execution_limits())
+                    if stored is not None:
+                        model.install_compiled(stored)
+                        with self._durability_mutex:
+                            self.program_store_hits += 1
                 bounds = model.bounds(
                     targets,
                     options=options,
                     report=report,
                     progress=on_progress if want_stream else None,
+                    checkpoint=checkpoint,
                 )
+                compiled = model.compiled_for(options)
+                if compiled is not None:
+                    self.store.save_compiled(compiled)
             return bounds, report
 
         query = loop.run_in_executor(self._pool, run_query)
@@ -778,187 +751,8 @@ class BoundsServer:
                 finished.exception()  # mark retrieved (abandoned queries)
 
         query.add_done_callback(release_slot)
-        waiter = asyncio.ensure_future(partials.get())
-        try:
-            while True:
-                wait_timeout = None
-                if deadline_at is not None:
-                    wait_timeout = max(0.0, deadline_at - time.monotonic())
-                done, _pending = await asyncio.wait(
-                    {query, waiter},
-                    timeout=wait_timeout,
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if not done:
-                    # Deadline expired with the engine still working: reply
-                    # now with a typed error and abandon the thread — the
-                    # propagated time budget makes its remaining socket jobs
-                    # fail fast rather than burn workers.
-                    raise DeadlineExceeded(
-                        f"query exceeded its {deadline_s}s deadline"
-                    )
-                if waiter in done:
-                    partial_bounds, paths_done = waiter.result()
-                    await self._write_frame(
-                        writer,
-                        {"type": "partial", "bounds": partial_bounds,
-                         "paths_done": paths_done},
-                    )
-                    waiter = asyncio.ensure_future(partials.get())
-                if query in done:
-                    break
-        finally:
-            waiter.cancel()
-        bounds, report = await query  # re-raises engine errors
-        # A partial that raced the final result is still worth delivering
-        # (clients treat partials as strictly-before-result).
-        while not partials.empty():
-            partial_bounds, paths_done = partials.get_nowait()
-            await self._write_frame(
-                writer,
-                {"type": "partial", "bounds": partial_bounds, "paths_done": paths_done},
-            )
-        self.queries_served += 1
-        result = {
-            "type": "result",
-            "bounds": bounds_to_wire(bounds),
-            "program_hash": key,
-            "cache": "hit" if cache_hit else "miss",
-            "paths": report.path_count,
-            "seconds": report.seconds,
-            "first_result_seconds": report.first_result_seconds,
-            "refine_rounds": report.refine_rounds,
-            "result_cache": "miss",
-        }
-        self._result_store(result_key, result)
-        await self._write_frame(writer, result)
-
-    # ------------------------------------------------------------------
-    # Durable request handling (--state-dir)
-    # ------------------------------------------------------------------
-    async def _write_partial(
-        self, writer: asyncio.StreamWriter, item: tuple, partials_seen: int
-    ) -> None:
-        """Emit one seq-numbered partial frame, skipping already-seen seqs.
-
-        A resuming client reports how many partials it already holds
-        (``partials_seen``); partials at or below that sequence number are
-        suppressed so reconnection replays only what was actually missed.
-        """
-        partial_bounds, paths_done, seq = item
-        if seq <= partials_seen:
-            with self._durability_mutex:
-                self.partials_skipped += 1
-            return
-        await self._write_frame(
-            writer,
-            {"type": "partial", "bounds": partial_bounds,
-             "paths_done": paths_done, "seq": seq},
-        )
-
-    async def _handle_bounds_durable(
-        self,
-        writer: asyncio.StreamWriter,
-        header: dict,
-        source: str,
-        targets,
-        options: AnalysisOptions,
-        want_stream: bool,
-        deadline_at: Optional[float],
-        deadline_s: Optional[float],
-    ) -> None:
-        """One bounds query against the durable tier.
-
-        Order of tiers: memory result cache → persistent result store →
-        coalesce with an identical in-flight query → compute (with the
-        program warm-loaded from its stored image when possible, and
-        ``refine="gap"`` rounds checkpointed so a crashed query resumes
-        from its last journaled round).
-        """
-        assert self.store is not None
-        loop = asyncio.get_running_loop()
-        _term, key = ProgramCache.key_for(source, options)
-        result_key = self._result_key(key, header)
-        partials_seen = int(header.get("partials_seen") or 0)
-
-        async def serve_cached(cached: dict) -> None:
-            self.queries_served += 1
-            await self._write_frame(
-                writer,
-                dict(
-                    cached,
-                    cache="hit" if self.cache.contains(key) else "miss",
-                    result_cache="hit",
-                    seconds=0.0,
-                    first_result_seconds=None,
-                ),
-            )
-
-        cached = self._result_lookup(result_key)
-        if cached is not None:
-            await serve_cached(cached)
-            return
-
-        # Idempotent re-issue: a client that lost its connection (but not
-        # the server) re-sends the same query — attach to the running
-        # computation instead of recomputing, then serve its stored result.
-        existing = self._inflight.get(result_key)
-        if existing is not None:
-            await asyncio.shield(existing)
-            cached = self._result_lookup(result_key)
-            if cached is not None:
-                await serve_cached(cached)
-                return
-
-        self._acquire_slot()
         inflight: asyncio.Future = loop.create_future()
         self._inflight[result_key] = inflight
-        partials: asyncio.Queue = asyncio.Queue()
-        disk_key = self._result_disk_key(result_key)
-
-        def emit(wire_bounds: list, paths_done: int, seq: int) -> None:
-            loop.call_soon_threadsafe(
-                partials.put_nowait, (wire_bounds, paths_done, seq)
-            )
-
-        model, lock, _key2, cache_hit = self.cache.lookup(source, options)
-
-        def run_query():
-            self._consult_query_faults()
-            report = AnalysisReport()
-            with lock:
-                if options.refine_enabled:
-                    bounds = self._run_refined_durable(
-                        model, targets, options, report,
-                        emit if want_stream else None, disk_key, partials_seen,
-                    )
-                else:
-                    if model.compiled_for(options) is None:
-                        self._install_stored_program(model, options)
-                    seq_counter = itertools.count(1)
-                    bounds = model.bounds(
-                        targets,
-                        options=options,
-                        report=report,
-                        progress=(
-                            (lambda b, n: emit(bounds_to_wire(b), n, next(seq_counter)))
-                            if want_stream else None
-                        ),
-                    )
-                    compiled = model.compiled_for(options)
-                    if compiled is not None:
-                        self._persist_program(compiled)
-            return bounds, report
-
-        query = loop.run_in_executor(self._pool, run_query)
-
-        def release_slot(finished: asyncio.Future) -> None:
-            with self._active_mutex:
-                self._active -= 1
-            if not finished.cancelled():
-                finished.exception()  # mark retrieved (abandoned queries)
-
-        query.add_done_callback(release_slot)
         try:
             waiter = asyncio.ensure_future(partials.get())
             try:
@@ -972,6 +766,10 @@ class BoundsServer:
                         return_when=asyncio.FIRST_COMPLETED,
                     )
                     if not done:
+                        # Deadline expired with the engine still working:
+                        # reply now with a typed error and abandon the
+                        # thread — the propagated time budget makes its
+                        # remaining socket jobs fail fast.
                         raise DeadlineExceeded(
                             f"query exceeded its {deadline_s}s deadline"
                         )
@@ -983,6 +781,8 @@ class BoundsServer:
             finally:
                 waiter.cancel()
             bounds, report = await query  # re-raises engine errors
+            # A partial that raced the final result is still worth
+            # delivering (clients treat partials as strictly-before-result).
             while not partials.empty():
                 await self._write_partial(writer, partials.get_nowait(), partials_seen)
             self.queries_served += 1
@@ -1000,9 +800,9 @@ class BoundsServer:
             # Persist + journal *before* the reply: a crash between the two
             # (the ``server.ack`` site) leaves a completed result the
             # restarted server serves straight from the store.
-            self._result_store(result_key, result)
-            if self._journal is not None:
-                self._journal.append({"type": "done", "query": disk_key}, sync=True)
+            self._remember(result_key, result)
+            self.store.save_result(disk_key, result)
+            self._journal.append({"type": "done", "query": disk_key}, sync=True)
             action = faults.decide("server.ack")
             if action is not None and action.kind == "die":
                 os._exit(1)
@@ -1011,99 +811,6 @@ class BoundsServer:
             self._inflight.pop(result_key, None)
             if not inflight.done():
                 inflight.set_result(True)
-
-    def _run_refined_durable(
-        self,
-        model: Model,
-        targets,
-        options: AnalysisOptions,
-        report: AnalysisReport,
-        emit,
-        disk_key: str,
-        partials_seen: int,
-    ):
-        """One checkpointed ``refine="gap"`` query (pool thread, model lock held).
-
-        Drives the :class:`RefinementScheduler` directly: after every
-        completed round the scheduler state is checkpointed to the store and
-        the round journaled (synced) *before* the partial reaches the
-        client, so a crashed server resumes from its last completed round —
-        bit-identically, because rounds are deterministic and checkpoints
-        round-trip every float exactly.  Per-round partials carry the round
-        number as their sequence, stable across restarts.
-        """
-        compiled = model.compiled_for(options)
-        if compiled is None:
-            compiled = self._install_stored_program(model, options)
-        if compiled is None:
-            compiled = model.compile(options)
-            report.seconds += compiled.compile_seconds
-            self._persist_program(compiled)
-        else:
-            report.compile_cache_hits += 1
-        executor = model.executor_for(options)
-        execution = compiled.execution
-
-        scheduler: Optional[RefinementScheduler] = None
-        resumed = 0
-        blob = self.store.load_checkpoint(disk_key)
-        if blob is not None:
-            try:
-                scheduler = RefinementScheduler.from_bytes(
-                    blob, execution, targets, options, executor=executor
-                )
-                resumed = scheduler.rounds_run
-            except ValueError:  # stale/foreign checkpoint: reseed
-                scheduler = None
-        if scheduler is None:
-            scheduler = RefinementScheduler(
-                execution, targets, options, executor=executor
-            )
-        if resumed:
-            with self._durability_mutex:
-                self.rounds_resumed += resumed
-            if self._journal is not None:
-                self._journal.append(
-                    {"type": "resume", "query": disk_key, "rounds": resumed},
-                    sync=True,
-                )
-            if emit is not None and partials_seen < resumed:
-                # Catch the client up with ONE partial summarising every
-                # checkpointed round it has not seen.
-                emit(
-                    bounds_to_wire(scheduler.bounds),
-                    len(scheduler.contributions),
-                    resumed,
-                )
-                with self._durability_mutex:
-                    self.partials_replayed += 1
-
-        def on_round(_bounds) -> None:
-            self.store.save_checkpoint(disk_key, scheduler.to_bytes())
-            with self._durability_mutex:
-                self.checkpoints_saved += 1
-            if self._journal is not None:
-                self._journal.append(
-                    {"type": "round", "query": disk_key,
-                     "round": scheduler.rounds_run},
-                    sync=True,
-                )
-            action = faults.decide("server.crash")
-            if action is not None and action.kind == "die":
-                os._exit(1)
-
-        progress = None
-        if emit is not None:
-            def progress(bounds, paths_done):
-                emit(bounds_to_wire(bounds), paths_done, scheduler.rounds_run)
-
-        bounds = scheduler.run(progress=progress, report=report, round_hook=on_round)
-        with self._durability_mutex:
-            self.rounds_recomputed += scheduler.rounds_run - resumed
-        for contribution in scheduler.contributions:
-            report.record_path(contribution.analyzer_name)
-        self.store.drop_checkpoint(disk_key)
-        return bounds
 
 
 class _BackgroundServer:

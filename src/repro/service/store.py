@@ -23,6 +23,10 @@ repeat queries at ~cache-hit latency:
 ``<state-dir>/server.wal``
     The server's write-ahead journal (:mod:`repro.service.journal`).
 
+A server without ``--state-dir`` runs the same request flow over a
+:class:`NullStore`: every load misses and every save is dropped before
+any serialisation happens.
+
 Every entry is a single file of ``u32 CRC32 | payload``: loads verify the
 checksum and **drop** (unlink) corrupt entries instead of serving them —
 a recomputation is always available, a wrong answer never is.  Writes go
@@ -45,7 +49,7 @@ from typing import Optional, Union
 
 from .journal import register_temp, unregister_temp
 
-__all__ = ["StateStore"]
+__all__ = ["NullStore", "StateStore"]
 
 _CRC = struct.Struct("!I")
 
@@ -67,6 +71,41 @@ def _atomic_write(path: Path, data: bytes) -> None:
             pass
 
 
+class NullStore:
+    """The store of a server without a state directory: loads miss, saves vanish.
+
+    Mirrors the :class:`StateStore` methods the server calls; nothing is
+    encoded, written or fsynced.  The memory result LRU stays the only
+    result tier.
+    """
+
+    persistent = False
+
+    def load_compiled(self, term, limits):
+        return None
+
+    def save_compiled(self, compiled) -> None:
+        pass
+
+    def load_result(self, key_hash: str) -> None:
+        return None
+
+    def save_result(self, key_hash: str, result: dict) -> None:
+        pass
+
+    def load_checkpoint(self, key_hash: str) -> None:
+        return None
+
+    def save_checkpoint(self, key_hash: str, state) -> None:
+        pass
+
+    def drop_checkpoint(self, key_hash: str) -> None:
+        pass
+
+    def stats(self) -> dict:
+        return {"saves": 0, "loads": 0, "corrupt_dropped": 0}
+
+
 class StateStore:
     """CRC-verified, LRU-pruned persistence for server caches.
 
@@ -75,6 +114,8 @@ class StateStore:
     entry was saved with; a mismatch unlinks the entry and returns
     ``None`` so the caller recomputes.
     """
+
+    persistent = True
 
     def __init__(
         self,
@@ -182,6 +223,56 @@ class StateStore:
     def has_program(self, key: str) -> bool:
         return (self.programs_dir / f"{key}.bin").exists()
 
+    def save_compiled(self, compiled) -> None:
+        """Persist a :class:`~repro.analysis.model.CompiledProgram`'s path table.
+
+        Content-addressed by the canonical program hash, so re-persisting is
+        a no-op and textually different spellings share one image.
+        """
+        key = compiled.program_hash
+        if self.has_program(key):
+            return
+        execution = compiled.execution
+        self.save_program(
+            key,
+            execution.table().to_bytes(),
+            {
+                "truncated_paths": execution.truncated_paths,
+                "pruned_paths": execution.pruned_paths,
+                "compile_seconds": compiled.compile_seconds,
+            },
+        )
+
+    def load_compiled(self, term, limits):
+        """Rebuild the compiled program of ``term`` under ``limits``, or ``None``.
+
+        ``None`` when no image is stored; a corrupt image was already
+        CRC-detected and dropped, so the caller compiles from scratch.
+        """
+        from ..analysis.model import CompiledProgram, program_hash
+        from ..symbolic.arena import PathTable
+        from ..symbolic.execute import SymbolicExecutionResult
+
+        loaded = self.load_program(program_hash(term, limits))
+        if loaded is None:
+            return None
+        meta, image = loaded
+        table = PathTable.from_buffer(image)
+        execution = SymbolicExecutionResult(
+            paths=tuple(table.decode_all()),
+            truncated_paths=int(meta.get("truncated_paths", 0)),
+            pruned_paths=int(meta.get("pruned_paths", 0)),
+        )
+        # The decoded table IS the columnar view: cache it on the result so
+        # analyzers and the arena transport reuse it instead of re-interning.
+        object.__setattr__(execution, "_table", table)
+        return CompiledProgram(
+            term=term,
+            limits=limits,
+            execution=execution,
+            compile_seconds=float(meta.get("compile_seconds", 0.0)),
+        )
+
     # -- results ----------------------------------------------------------
 
     def save_result(self, key_hash: str, result: dict) -> None:
@@ -204,7 +295,10 @@ class StateStore:
 
     # -- refinement checkpoints ------------------------------------------
 
-    def save_checkpoint(self, key_hash: str, state: bytes) -> None:
+    def save_checkpoint(self, key_hash: str, state) -> None:
+        """Persist checkpoint bytes, or a scheduler's :meth:`to_bytes` state."""
+        if not isinstance(state, bytes):
+            state = state.to_bytes()
         self._save(
             self.checkpoints_dir / f"{key_hash}.bin",
             state,

@@ -35,7 +35,7 @@ Covered fault scenarios (all seeded, all deterministic):
 
 The fast classes at the top (plan parsing, backoff, taxonomy) run in the
 tier-1 suite; network scenarios are ``slow``-marked like the rest of the
-service tests and run in the ``tests-chaos`` CI job with ``-m ""``.
+service tests and run in the ``tests-service`` CI job with ``-m ""``.
 """
 
 from __future__ import annotations

@@ -28,7 +28,7 @@ The scenarios mirror the operational story of ``--state-dir``:
 ==== ==========================================================  ==========
 
 Fast journal/store/checkpoint classes run in tier-1; the subprocess
-scenarios are ``slow``-marked and run in the ``tests-durability`` CI job.
+scenarios are ``slow``-marked and run in the ``tests-service`` CI job.
 """
 
 from __future__ import annotations

@@ -20,15 +20,17 @@ from __future__ import annotations
 import math
 import signal
 import socket
+import struct
 import threading
 import time
+import zlib
 
 import pytest
 
 from helpers import simple_observe_model
-from repro import intervals
+from repro import faults, intervals
 from repro.analysis.config import AnalysisOptions, parse_endpoint
-from repro.analysis.engine import DenotationBounds
+from repro.analysis.engine import AnalysisReport, DenotationBounds
 from repro.analysis.model import Model, program_hash
 from repro.lang import parse
 from repro.symbolic import ExecutionLimits, fingerprint_term
@@ -306,8 +308,22 @@ class TestSocketExecutor:
 # ---------------------------------------------------------------------------
 
 class TestBoundsServer:
-    def test_bounds_cache_and_concurrent_clients(self, serial_bounds):
-        with serve_in_background() as handle:
+    """The bounds server over the null store; the subclass below reruns every
+    case over a disk store (``--state-dir``): both take the same flow."""
+
+    durable = False
+
+    @pytest.fixture
+    def serve(self, tmp_path):
+        def start(**kwargs):
+            if self.durable:
+                kwargs["state_dir"] = str(tmp_path / "state")
+            return serve_in_background(**kwargs)
+
+        return start
+
+    def test_bounds_cache_and_concurrent_clients(self, serial_bounds, serve):
+        with serve() as handle:
             with ServiceClient(handle.endpoint) as client:
                 assert client.ping()
                 first = client.bounds(BRANCHY_SRC, [(0.0, 0.5), (0.5, 1.0)])
@@ -346,8 +362,8 @@ class TestBoundsServer:
                 assert model_info["program_cache_hits"] == 5
                 assert model_info["program_cache_misses"] == 1
 
-    def test_result_cache_serves_repeat_queries(self, serial_bounds):
-        with serve_in_background() as handle:
+    def test_result_cache_serves_repeat_queries(self, serial_bounds, serve):
+        with serve() as handle:
             with ServiceClient(handle.endpoint) as client:
                 cold = client.bounds(BRANCHY_SRC, [(0.0, 0.5), (0.5, 1.0)])
                 assert cold.result_cache == "miss"
@@ -366,8 +382,8 @@ class TestBoundsServer:
                 assert stats["results"]["hits"] == 1
                 assert stats["results"]["misses"] == 2
 
-    def test_result_cache_can_be_disabled(self, serial_bounds):
-        with serve_in_background(result_cache_limit=0) as handle:
+    def test_result_cache_can_be_disabled(self, serial_bounds, serve):
+        with serve(result_cache_limit=0) as handle:
             with ServiceClient(handle.endpoint) as client:
                 client.bounds(BRANCHY_SRC, [(0.0, 0.5), (0.5, 1.0)])
                 repeat = client.bounds(BRANCHY_SRC, [(0.0, 0.5), (0.5, 1.0)])
@@ -378,8 +394,8 @@ class TestBoundsServer:
                     "entries": 0, "limit": 0, "hits": 0, "misses": 0,
                 }
 
-    def test_streamed_query_emits_partial_before_result(self, serial_bounds):
-        with serve_in_background() as handle:
+    def test_streamed_query_emits_partial_before_result(self, serial_bounds, serve):
+        with serve() as handle:
             with ServiceClient(handle.endpoint) as client:
                 seen = []
                 reply = client.bounds(
@@ -399,8 +415,8 @@ class TestBoundsServer:
                 for (lower, _), (full_lower, _) in zip(partial, serial_bounds):
                     assert lower <= full_lower + 1e-12
 
-    def test_error_frame_keeps_connection_usable(self):
-        with serve_in_background() as handle:
+    def test_error_frame_keeps_connection_usable(self, serve):
+        with serve() as handle:
             with ServiceClient(handle.endpoint) as client:
                 with pytest.raises(ServiceError, match="ParseError"):
                     client.bounds("(oops", [(0.0, 1.0)])
@@ -408,10 +424,10 @@ class TestBoundsServer:
                     client.bounds(BRANCHY_SRC, [(0.0, 1.0)], options={"bogus_knob": 1})
                 assert client.ping()
 
-    def test_bad_option_values_get_error_frames(self):
+    def test_bad_option_values_get_error_frames(self, serve):
         # JSON accepts NaN; a tenant must not be able to hang the socket tier
         # with it.  The removed columnar knob is an unknown option now.
-        with serve_in_background() as handle:
+        with serve() as handle:
             with ServiceClient(handle.endpoint) as client:
                 with pytest.raises(ServiceError, match="io_timeout"):
                     client.bounds(BRANCHY_SRC, [(0.0, 1.0)], options={"io_timeout": math.nan})
@@ -435,3 +451,101 @@ class TestBoundsServer:
             assert info["program_cache_misses"] == 1
         finally:
             model.close()
+
+    def test_refined_reply_matches_local_report(self, serve):
+        # A refined query runs the engine's own refine loop on both store
+        # kinds, so the reply carries the engine's path and time accounting.
+        options = {"refine": "gap", "refine_max_rounds": 2, "executor": "serial"}
+        model = Model(parse(BRANCHY_SRC))
+        try:
+            report = AnalysisReport()
+            local = model.bounds(TARGETS, AnalysisOptions(**options), report=report)
+        finally:
+            model.close()
+        with serve() as handle:
+            with ServiceClient(handle.endpoint) as client:
+                reply = client.bounds(BRANCHY_SRC, TARGETS, options=options)
+        assert as_pairs(reply.bounds) == as_pairs(local)
+        assert reply.paths == report.path_count
+        assert reply.refine_rounds == report.refine_rounds
+        assert reply.seconds > 0
+
+    def test_every_partial_carries_seq(self, serve):
+        options = {"refine": "gap", "refine_max_rounds": 2, "executor": "serial"}
+        with serve() as handle:
+            with socket.create_connection(parse_endpoint(handle.endpoint), timeout=60) as sock:
+                send_frame(sock, {
+                    "type": "bounds", "program": BRANCHY_SRC, "stream": True,
+                    "targets": [[0.0, 0.5], [0.5, 1.0]], "options": options,
+                })
+                frames = []
+                while not frames or frames[-1]["type"] != "result":
+                    frames.append(recv_frame(sock)[0])
+        result = frames.pop()
+        assert all(frame["type"] == "partial" for frame in frames)
+        # The first-paths preview is seq 1; round r's partial is seq r + 1.
+        assert [frame["seq"] for frame in frames] == list(
+            range(1, result["refine_rounds"] + 2)
+        )
+
+    def test_identical_inflight_query_is_coalesced(self, serial_bounds, serve):
+        with serve() as handle:
+            with faults.injected("seed=18;server.query:delay(1.0)@1"):
+                first = []
+
+                def slow_query():
+                    with ServiceClient(handle.endpoint) as tenant:
+                        first.append(tenant.bounds(BRANCHY_SRC, TARGETS))
+
+                thread = threading.Thread(target=slow_query)
+                thread.start()
+                try:
+                    with ServiceClient(handle.endpoint) as client:
+                        deadline = time.monotonic() + 10
+                        while client.stats()["inflight"] < 1:
+                            assert time.monotonic() < deadline
+                            time.sleep(0.01)
+                        again = client.bounds(BRANCHY_SRC, TARGETS)
+                        stats = client.stats()
+                finally:
+                    thread.join(timeout=60)
+        # Answered from the held query's result: a second engine run would
+        # have asked the model's compile cache again.
+        assert again.result_cache == "hit"
+        assert as_pairs(again.bounds) == as_pairs(first[0].bounds) == serial_bounds
+        assert stats["queries"] == 2
+        model_info = next(iter(stats["cache"]["models"].values()))
+        assert model_info["compilations"] == 1
+        assert model_info["hits"] == 0
+
+    @pytest.mark.parametrize("payload", [b"{not json", b"\xff\xfe{}"])
+    def test_malformed_header_gets_protocol_error_frame(self, payload, serve):
+        crc = zlib.crc32(payload) & 0xFFFFFFFF
+        frame = struct.pack("!IQI", len(payload) | 0x80000000, 0, crc) + payload
+        with serve() as handle:
+            with socket.create_connection(parse_endpoint(handle.endpoint), timeout=30) as sock:
+                sock.sendall(frame)
+                reply, _blob = recv_frame(sock)
+        assert reply["type"] == "error"
+        assert reply["exc_type"] == "ProtocolError"
+
+
+class TestBoundsServerOnDisk(TestBoundsServer):
+    """Every bounds-server case again, over a ``--state-dir`` disk store."""
+
+    durable = True
+
+    def test_result_cache_can_be_disabled(self, serial_bounds, serve):
+        # The disk store is a result tier of its own: with the memory LRU
+        # off, a repeat is still answered from disk, not recomputed.
+        with serve(result_cache_limit=0) as handle:
+            with ServiceClient(handle.endpoint) as client:
+                client.bounds(BRANCHY_SRC, [(0.0, 0.5), (0.5, 1.0)])
+                repeat = client.bounds(BRANCHY_SRC, [(0.0, 0.5), (0.5, 1.0)])
+                assert repeat.result_cache == "hit"
+                assert as_pairs(repeat.bounds) == serial_bounds
+                stats = client.stats()
+                assert stats["results"] == {
+                    "entries": 0, "limit": 0, "hits": 0, "misses": 0,
+                }
+                assert stats["durability"]["result_store_hits"] == 1
