@@ -23,7 +23,6 @@ from repro.models import pedestrian_program
 from bench_utils import emit, scaled
 
 _rows: list[str] = []
-_records: list[dict] = []
 
 
 def _observe_model():
@@ -64,16 +63,7 @@ def test_ablation_observe_model(use_linear, bench_once):
         f"bounds=[{bounds.lower:.4f}, {bounds.upper:.4f}] width={bounds.width:.4f} "
         f"time={seconds:.2f}s paths(linear/box)={report.linear_paths}/{report.box_paths}"
     )
-    _records.append(
-        {
-            "workload": "observe-model",
-            "analyzer": "linear" if use_linear else "box",
-            "lower": bounds.lower,
-            "upper": bounds.upper,
-            "seconds": seconds,
-        }
-    )
-    emit("ablation_linear_vs_box", _rows, data={"rows": _records})
+    emit("ablation_linear_vs_box", _rows)
     assert bounds.lower <= bounds.upper
 
 
@@ -99,16 +89,7 @@ def test_ablation_pedestrian_depth3(bench_once):
             f"bounds=[{bounds.lower:.4f}, {bounds.upper:.4f}] width={bounds.width:.4f} "
             f"time={seconds:.2f}s"
         )
-        _records.append(
-            {
-                "workload": "pedestrian-depth3",
-                "analyzer": "linear" if use_linear else "box",
-                "lower": bounds.lower,
-                "upper": bounds.upper,
-                "seconds": seconds,
-            }
-        )
-    emit("ablation_linear_vs_box", _rows, data={"rows": _records})
+    emit("ablation_linear_vs_box", _rows)
     # Both configurations were served from a single symbolic execution.
     assert model.compile_count == 1
 

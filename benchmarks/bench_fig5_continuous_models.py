@@ -23,16 +23,16 @@ from repro.models import (
     neals_funnel_program,
 )
 
-from bench_utils import TINY, emit, histogram_metrics, scaled
+from bench_utils import TINY, emit, scaled
 
-_BOX_OPTIONS = AnalysisOptions(splits_per_dimension=scaled(80, 16), use_linear_semantics=False)
+_BOX_OPTIONS = AnalysisOptions(splits_per_dimension=scaled(80, 16), analyzers=("box",))
 
 
-def _summarise(name: str, histogram, extra: list[str] | None = None, **metrics) -> None:
+def _summarise(name: str, histogram, extra: list[str] | None = None) -> None:
     lines = histogram.summary_lines()
     if extra:
         lines.extend(extra)
-    emit(name, lines, data={**histogram_metrics(histogram), **metrics})
+    emit(name, lines)
 
 
 def _is_reference(model, rng, count=scaled(20_000, 3_000)):
@@ -46,8 +46,7 @@ def test_fig5a_coin_bias(bench_once, rng):
     samples = _is_reference(model, rng)
     report = histogram.validate_samples(samples, tolerance=0.02)
     _summarise(
-        "fig5a_coin_bias", histogram, [f"IS consistent: {report.consistent}"],
-        is_consistent=report.consistent,
+        "fig5a_coin_bias", histogram, [f"IS consistent: {report.consistent}"]
     )
     assert histogram.z_lower > 0
     if not TINY:
@@ -60,8 +59,7 @@ def test_fig5b_max_of_normals(bench_once, rng):
     samples = _is_reference(model, rng)
     report = histogram.validate_samples(samples, tolerance=0.02)
     _summarise(
-        "fig5b_max_of_normals", histogram, [f"IS consistent: {report.consistent}"],
-        is_consistent=report.consistent,
+        "fig5b_max_of_normals", histogram, [f"IS consistent: {report.consistent}"]
     )
     if not TINY:
         assert report.consistent
@@ -80,7 +78,7 @@ def test_fig5b_max_of_normals(bench_once, rng):
 def test_fig5c_binary_gmm(bench_once, rng):
     model = Model(
         binary_gmm_program(observation=1.0),
-        AnalysisOptions(splits_per_dimension=scaled(160, 24), use_linear_semantics=False),
+        AnalysisOptions(splits_per_dimension=scaled(160, 24), analyzers=("box",)),
     )
     histogram = bench_once(model.histogram, -3.0, 3.0, 12)
     samples = _is_reference(model, rng)
@@ -105,9 +103,6 @@ def test_fig5c_binary_gmm(bench_once, rng):
             f"mode-collapsed HMC consistent: {hmc_report.consistent} "
             f"({hmc_report.violations} bucket violations)",
         ],
-        is_consistent=is_report.consistent,
-        hmc_consistent=hmc_report.consistent,
-        hmc_violations=hmc_report.violations,
     )
     if not TINY:
         assert is_report.consistent
@@ -121,8 +116,7 @@ def test_fig5d_neals_funnel(bench_once, rng):
     samples = _is_reference(model, rng)
     report = histogram.validate_samples(samples, tolerance=0.02)
     _summarise(
-        "fig5d_neals_funnel", histogram, [f"IS consistent: {report.consistent}"],
-        is_consistent=report.consistent,
+        "fig5d_neals_funnel", histogram, [f"IS consistent: {report.consistent}"]
     )
     if not TINY:
         assert report.consistent

@@ -17,7 +17,7 @@ from repro.analysis import AnalysisOptions, Model
 from repro.intervals import Interval
 from repro.models import recursive_suite
 
-from bench_utils import TINY, emit, histogram_metrics, scaled
+from bench_utils import TINY, emit, scaled
 
 #: per-model (fixpoint depth, score splits, box splits) — reduced for bench runtime
 _BENCH_SETTINGS = {
@@ -62,16 +62,7 @@ def test_fig6_model(entry, bench_once, rng):
     lines.extend(histogram.summary_lines())
     lines.append(f"importance-sampling histogram consistent with the bounds: {report.consistent}")
     lines.append(f"paper reports a GuBPI running time of {entry.paper_seconds:.0f}s on this model")
-    emit(
-        f"fig6_{entry.name.replace('-', '_')}",
-        lines,
-        data={
-            "model": entry.name,
-            "fixpoint_depth": depth,
-            **histogram_metrics(histogram),
-            "is_consistent": report.consistent,
-        },
-    )
+    emit(f"fig6_{entry.name.replace('-', '_')}", lines)
 
     # Shape assertions: sound, non-trivial bounds on an unbounded-recursion program.
     assert histogram.z_lower > 0.0

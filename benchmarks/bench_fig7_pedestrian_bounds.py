@@ -16,7 +16,7 @@ import numpy as np
 from repro.analysis import AnalysisOptions, Model
 from repro.models import pedestrian_bounded_program, pedestrian_program
 
-from bench_utils import TINY, emit, histogram_metrics, scaled
+from bench_utils import TINY, emit, scaled
 
 _DEPTH = scaled(5, 3)
 _BUCKETS = scaled(6, 4)
@@ -68,17 +68,7 @@ def test_fig7_pedestrian_bounds(bench_once, rng):
         "out definitively; at this reduced depth the harness asserts that IS is accepted and "
         "that the two samplers disagree strongly"
     )
-    emit(
-        "fig7_pedestrian_bounds",
-        lines,
-        data={
-            "fixpoint_depth": _DEPTH,
-            **histogram_metrics(histogram),
-            "is_consistent": is_report.consistent,
-            "hmc_consistent": hmc_report.consistent,
-            "tv_distance_is_vs_hmc": tv_distance,
-        },
-    )
+    emit("fig7_pedestrian_bounds", lines)
 
     # Shape assertions (Fig. 7 at reduced scale): sound bounds that accept IS,
     # and a fixed-dimension HMC run that is either flagged outright by the

@@ -1,25 +1,19 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-reproduction benchmarks.
 
 Previously these lived in ``benchmarks/conftest.py`` and were imported via
 ``from conftest import emit``, which collides with ``tests/conftest.py`` when
 pytest collects both directories; benchmark modules import them explicitly
 from this module instead.
 
-Every driver emits two artifacts under ``benchmarks/results``:
-
-* ``<name>.txt`` — the human-readable result block (also printed), and
-* ``BENCH_<name>.json`` — machine-readable timings/bounds (written whenever
-  the driver passes structured ``data`` to :func:`emit`), so the perf
-  trajectory of the engine can be tracked across PRs and compared by CI.
+Every benchmark prints its result block and keeps a copy in
+``benchmarks/results/<name>.txt`` (scratch, never tracked).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
-import platform
-from typing import Iterable, Mapping, Optional, TypeVar
+from typing import Iterable, TypeVar
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -37,56 +31,9 @@ def scaled(normal: _T, tiny: _T) -> _T:
     return tiny if TINY else normal
 
 
-def _jsonable(value):
-    """Coerce NumPy scalars and other number-likes to plain JSON types."""
-    if isinstance(value, Mapping):
-        return {str(key): _jsonable(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(item) for item in value]
-    if isinstance(value, (str, int, bool)) or value is None:
-        return value
-    if isinstance(value, float):
-        return value
-    if hasattr(value, "item"):  # NumPy scalar
-        return value.item()
-    return float(value)
-
-
-def histogram_metrics(histogram) -> dict:
-    """Machine-readable bound record of one histogram (for ``BENCH_*.json``).
-
-    The shared bucket schema of every driver that emits histogram bounds —
-    keep it here so the artifact contract the CI perf-smoke job uploads stays
-    consistent across drivers.
-    """
-    return {
-        "z_lower": histogram.z_lower,
-        "z_upper": histogram.z_upper,
-        "buckets": [
-            {"lo": bound.bucket.lo, "hi": bound.bucket.hi, "lower": bound.lower, "upper": bound.upper}
-            for bound in histogram.buckets
-        ],
-    }
-
-
-def emit(name: str, lines: Iterable[str], data: Optional[Mapping] = None) -> None:
-    """Print a result block and persist it under ``benchmarks/results``.
-
-    When ``data`` is provided the same driver result is also written as
-    ``BENCH_<name>.json`` — a machine-readable record (timings, bounds,
-    knobs) with a small provenance envelope, which CI uploads as an artifact
-    so the engine's perf trajectory is comparable across PRs.
-    """
+def emit(name: str, lines: Iterable[str]) -> None:
+    """Print a result block and keep it as ``benchmarks/results/<name>.txt``."""
     RESULTS_DIR.mkdir(exist_ok=True)
     text = "\n".join(lines)
     print(f"\n=== {name} ===\n{text}")
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    if data is not None:
-        record = {
-            "driver": name,
-            "tiny": TINY,
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-            "metrics": _jsonable(data),
-        }
-        (RESULTS_DIR / f"BENCH_{name}.json").write_text(json.dumps(record, indent=2) + "\n")

@@ -1,8 +1,8 @@
-"""Fixtures for the benchmark harness.
+"""Fixtures for the paper-reproduction benchmarks.
 
 Every benchmark regenerates one table or figure of the paper at laptop scale:
 it computes the rows/series, asserts the qualitative shape the paper reports,
-and both prints the result and appends it to ``benchmarks/results/<name>.txt``
+and both prints the result and writes it to ``benchmarks/results/<name>.txt``
 so the numbers survive the pytest capture.  Shared helpers live in
 ``benchmarks/bench_utils.py``.
 """
@@ -19,10 +19,10 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture
-def bench_once(benchmark):
-    """Run the benchmarked callable exactly once (these are long-running analyses)."""
+def bench_once():
+    """Run a long-running analysis once and return its result."""
 
     def runner(function, *args, **kwargs):
-        return benchmark.pedantic(function, args=args, kwargs=kwargs, rounds=1, iterations=1)
+        return function(*args, **kwargs)
 
     return runner

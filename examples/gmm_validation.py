@@ -23,7 +23,7 @@ def main() -> None:
     rng = np.random.default_rng(7)
     model = Model(
         binary_gmm_program(observation=1.0),
-        AnalysisOptions(splits_per_dimension=160, use_linear_semantics=False),
+        AnalysisOptions(splits_per_dimension=160, analyzers=("box",)),
     )
 
     print("=== guaranteed bounds on the posterior of mu ===")

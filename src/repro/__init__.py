@@ -42,9 +42,6 @@ from .analysis import (
     Model,
     ParallelAnalysisExecutor,
     available_analyzers,
-    bound_denotation,
-    bound_posterior_histogram,
-    bound_query,
     get_analyzer,
     register_analyzer,
 )
@@ -71,9 +68,6 @@ __all__ = [
     "register_analyzer",
     "get_analyzer",
     "available_analyzers",
-    "bound_denotation",
-    "bound_query",
-    "bound_posterior_histogram",
     "Interval",
 ]
 

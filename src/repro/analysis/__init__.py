@@ -5,9 +5,7 @@ The recommended entry point is :class:`Model` (see
 execution-limits configuration and serves bounds, posterior queries and
 histograms from it.  Path-analysis strategies are pluggable through the
 registry in :mod:`repro.analysis.registry`; ``"linear"`` and ``"box"`` ship
-built in.  The free functions ``bound_denotation`` / ``bound_query`` /
-``bound_posterior_histogram`` are deprecated shims kept for backwards
-compatibility.
+built in.
 """
 
 from .box_analyzer import BoxPathAnalyzer, analyze_path_boxes, analyze_table_boxes, split_domain
@@ -25,9 +23,6 @@ from .engine import (
     analyze_execution,
     analyze_path_stream,
     analyze_single_path,
-    bound_denotation,
-    bound_posterior_histogram,
-    bound_query,
     histogram_buckets,
     normalised_query,
     reduce_contributions,
@@ -94,9 +89,6 @@ __all__ = [
     "reduce_contributions",
     "normalised_query",
     "histogram_buckets",
-    "bound_denotation",
-    "bound_query",
-    "bound_posterior_histogram",
     "BucketBound",
     "HistogramBounds",
     "ValidationReport",

@@ -166,10 +166,6 @@ class AnalysisOptions:
         score_splits: how many chunks the range of every linear score atom is
             split into by the *linear* semantics (Section 6.4).
         max_score_combinations: cap on the product grid over score atoms.
-        use_linear_semantics: legacy switch between the optimised linear
-            semantics and pure box splitting (the ablation of Section 6.4);
-            superseded by ``analyzers`` but still honoured when ``analyzers``
-            is not set.
         prune_empty_paths: skip (bound by 0) linear paths whose constraint
             polytope is infeasible *or flat*: a Chebyshev radius ``≤ 1e-9``
             means volume 0 under :meth:`repro.polytope.Polytope.volume_bounds`'
@@ -177,9 +173,9 @@ class AnalysisOptions:
         analyzers: ordered preference of registered path-analyzer names (see
             :mod:`repro.analysis.registry`).  Every symbolic path is handled
             by the first listed analyzer that declares itself applicable.
-            ``None`` (the default) derives the sequence from
-            ``use_linear_semantics``: ``("linear", "box")`` when true,
-            ``("box",)`` otherwise.
+            ``None`` (the default) means ``("linear", "box")``: the
+            optimised linear semantics with box splitting as the fallback;
+            ``("box",)`` is the pure box-splitting ablation of Section 6.4.
         workers: how many workers the parallel bound engine fans path chunks
             out over.  ``1`` (the default) keeps the engine serial unless
             ``executor`` explicitly requests a pool.  Defaults to
@@ -300,7 +296,6 @@ class AnalysisOptions:
     max_boxes_per_path: int = 20_000
     score_splits: int = 32
     max_score_combinations: int = 4_096
-    use_linear_semantics: bool = True
     prune_empty_paths: bool = True
     analyzers: Optional[tuple[str, ...]] = None
     workers: int = field(default_factory=_default_workers)
@@ -399,9 +394,7 @@ class AnalysisOptions:
     @property
     def analyzer_names(self) -> tuple[str, ...]:
         """The effective, ordered analyzer preference of this configuration."""
-        if self.analyzers is not None:
-            return self.analyzers
-        return ("linear", "box") if self.use_linear_semantics else ("box",)
+        return self.analyzers if self.analyzers is not None else ("linear", "box")
 
     @property
     def effective_executor(self) -> str:

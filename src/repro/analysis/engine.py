@@ -19,24 +19,19 @@ serves every downstream query from the cache.  This module keeps the engine
 primitives — :func:`analyze_execution` turns one (possibly cached)
 :class:`~repro.symbolic.SymbolicExecutionResult` into denotation bounds, and
 :func:`normalised_query` / :func:`histogram_buckets` derive posterior-level
-results from them — plus the deprecated free-function shims
-(:func:`bound_denotation`, :func:`bound_query`,
-:func:`bound_posterior_histogram`) that delegate to ``Model``.
+results from them.
 """
 
 from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..intervals import Interval
-from ..lang.ast import Term
 from ..symbolic import SymbolicExecutionResult, SymbolicPath
 from .config import AnalysisOptions
-from .histogram import HistogramBounds
 from .registry import PathAnalyzer, resolve_analyzers
 
 __all__ = [
@@ -50,9 +45,6 @@ __all__ = [
     "reduce_contributions",
     "normalised_query",
     "histogram_buckets",
-    "bound_denotation",
-    "bound_query",
-    "bound_posterior_histogram",
 ]
 
 _REALS = Interval(-math.inf, math.inf)
@@ -420,67 +412,12 @@ def histogram_buckets(low: float, high: float, bucket_count: int) -> list[Interv
     """The equal-width bucket intervals of a histogram over ``[low, high)``."""
     if not isinstance(bucket_count, int) or isinstance(bucket_count, bool) or bucket_count <= 0:
         raise ValueError(f"bucket_count must be a positive integer, got {bucket_count!r}")
+    if not (math.isfinite(low) and math.isfinite(high) and math.isfinite(high - low)):
+        raise ValueError(
+            f"histogram range [{low!r}, {high!r}) must have finite endpoints and a finite width"
+        )
     if not high > low:
         raise ValueError("histogram bounds require high > low")
     edges = [low + (high - low) * k / bucket_count for k in range(bucket_count + 1)]
     return [Interval(edges[k], edges[k + 1]) for k in range(bucket_count)]
 
-
-# ---------------------------------------------------------------------------
-# Deprecated free-function shims.
-# ---------------------------------------------------------------------------
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"repro.analysis.{old} is deprecated; use repro.Model and {new} instead "
-        "(the Model facade caches the symbolic execution across queries)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def bound_denotation(
-    term: Term,
-    targets: Sequence[Interval],
-    options: Optional[AnalysisOptions] = None,
-    report: Optional[AnalysisReport] = None,
-) -> list[DenotationBounds]:
-    """Deprecated shim for ``Model(term).bounds(targets)``."""
-    _deprecated("bound_denotation", "Model.bounds")
-    from .model import Model
-
-    # The transient model is closed so a parallel one-off query does not leak
-    # its worker pool; a real Model amortises the pool over many queries.
-    with Model(term, options=options) as model:
-        return model.bounds(targets, report=report)
-
-
-def bound_query(
-    term: Term,
-    target: Interval,
-    options: Optional[AnalysisOptions] = None,
-    report: Optional[AnalysisReport] = None,
-) -> QueryBounds:
-    """Deprecated shim for ``Model(term).probability(target)``."""
-    _deprecated("bound_query", "Model.probability")
-    from .model import Model
-
-    with Model(term, options=options) as model:
-        return model.probability(target, report=report)
-
-
-def bound_posterior_histogram(
-    term: Term,
-    low: float,
-    high: float,
-    bucket_count: int,
-    options: Optional[AnalysisOptions] = None,
-    report: Optional[AnalysisReport] = None,
-) -> HistogramBounds:
-    """Deprecated shim for ``Model(term).histogram(low, high, bucket_count)``."""
-    _deprecated("bound_posterior_histogram", "Model.histogram")
-    from .model import Model
-
-    with Model(term, options=options) as model:
-        return model.histogram(low, high, bucket_count, report=report)

@@ -2,7 +2,6 @@
 
 from .batch import BatchPolytope
 from .highs import kernel_available
-from .linear_bounds import bound_form, form_rows
 from .polytope import LPFailure, Polytope, PolytopeError
 from .vertex_enum import enumerate_vertices, volume_by_enumeration
 
@@ -13,7 +12,5 @@ __all__ = [
     "PolytopeError",
     "enumerate_vertices",
     "volume_by_enumeration",
-    "bound_form",
-    "form_rows",
     "kernel_available",
 ]

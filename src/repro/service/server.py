@@ -100,10 +100,17 @@ __all__ = ["BoundsServer", "ProgramCache", "serve_in_background", "main"]
 #: so this only stops an untrusted client from making it read gigabytes.
 _MAX_REQUEST_BLOB_BYTES = 64 * 1024 * 1024
 
+#: AnalysisOptions fields only the server operator sets: ``socket_endpoint``
+#: is the address the socket work queue listens on, and that listener
+#: unpickles worker result frames.
+_OPERATOR_OPTIONS = frozenset({"socket_endpoint"})
+
 #: AnalysisOptions fields clients may set per request.  Derived from the
 #: dataclass itself so new engine knobs become available without touching
 #: the service tier.
-_OPTION_FIELDS = frozenset(field.name for field in dataclasses.fields(AnalysisOptions))
+_OPTION_FIELDS = (
+    frozenset(field.name for field in dataclasses.fields(AnalysisOptions)) - _OPERATOR_OPTIONS
+)
 
 
 class ProgramCache:
@@ -603,6 +610,9 @@ class BoundsServer:
         raw = header.get("options") or {}
         if not isinstance(raw, dict):
             raise ProtocolError("options must be a JSON object")
+        forbidden = set(raw) & _OPERATOR_OPTIONS
+        if forbidden:
+            raise ProtocolError(f"analysis options only the server sets: {sorted(forbidden)}")
         unknown = set(raw) - _OPTION_FIELDS
         if unknown:
             raise ProtocolError(f"unknown analysis options: {sorted(unknown)}")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from repro.analysis import AnalysisOptions, AnalysisReport, Model
+from repro.analysis import AnalysisOptions, AnalysisReport, Model, histogram_buckets
 from repro.intervals import Interval
 from repro.lang import builder as b, parse
 from repro.models import discrete_suite
@@ -59,7 +59,7 @@ class TestBoundDenotation:
         report = AnalysisReport()
         model.bounds(
             [Interval(0.0, 1.0)],
-            AnalysisOptions(use_linear_semantics=False),
+            AnalysisOptions(analyzers=("box",)),
             report=report,
         )
         assert report.linear_paths == 0
@@ -196,6 +196,16 @@ class TestHistograms:
             Model(b.sample()).histogram(0.0, 1.0, 0)
         with pytest.raises(ValueError):
             Model(b.sample()).histogram(1.0, 0.0, 4)
+
+    @pytest.mark.parametrize(
+        "low,high",
+        [(-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0), (-1e308, 1e308)],
+    )
+    def test_non_finite_range_rejected(self, low, high):
+        # Infinite ends (or an overflowing width) used to reach the bucket
+        # edges as inf * 0 = NaN and fail with a misleading Interval error.
+        with pytest.raises(ValueError, match="histogram range"):
+            histogram_buckets(low, high, 2)
 
     def test_empty_validation_report(self):
         histogram = Model(b.sample()).histogram(0.0, 1.0, 4)

@@ -61,7 +61,7 @@ _SCENARIOS = {
         "build": lambda: Model(
             binary_gmm_program(),
             AnalysisOptions(
-                splits_per_dimension=24, use_linear_semantics=False, workers=1, executor="serial"
+                splits_per_dimension=24, analyzers=("box",), workers=1, executor="serial"
             ),
         ),
         "targets": [Interval(-1.0, 0.0), Interval(0.0, 1.0), Interval(-3.0, 3.0)],

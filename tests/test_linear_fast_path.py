@@ -55,16 +55,19 @@ from repro.analysis.linear_analyzer import (
 )
 from repro.distributions import Uniform
 from repro.analysis.vectorize import (
+    _ARRAY_LIFTINGS,
     ScalarFallback,
     TableProgramEvaluator,
     _beta_pdf_cells,
+    _normal_pdf_cells,
     _uniform_pdf_cells,
     checked_cells,
     compile_expr_roots,
 )
 from repro.intervals import Interval, get_primitive
+from repro.lang import builder as b
 from repro.models import pedestrian_program
-from repro.polytope import Polytope, kernel_available
+from repro.polytope import BatchPolytope, Polytope, kernel_available
 from repro.polytope import highs, polytope as polytope_module
 from repro.symbolic import LinearForm, symbolic_paths
 from repro.symbolic.execute import ExecutionLimits
@@ -150,6 +153,27 @@ class TestIntegrateMatchesReference:
                 ) == _integrate_reference(
                     polytope, templates, list(atoms), 1.0, options, is_lower
                 )
+
+    def test_vectorized_scores_on_off_agree_on_a_path(self):
+        # Two piecewise max(0, ·) scores over two linear atoms: most of the
+        # score_splits² combinations weigh exactly zero, which the sweep
+        # prunes before any row or volume is built.  The path's
+        # contributions may not notice.
+        program = b.let("x", b.sample(), b.let("y", b.sample(), b.seq(
+            b.score(b.maximum(0.0, b.sub(b.add(b.var("x"), b.var("y")), 1.5))),
+            b.seq(
+                b.score(b.maximum(0.0, b.sub(b.add(b.var("x"), b.mul(2.0, b.var("y"))), 2.2))),
+                b.add(b.var("x"), b.var("y")),
+            ),
+        )))
+        (path,) = symbolic_paths(program).paths
+        results = [
+            analyze_path_linear(path, list(TARGETS), AnalysisOptions(
+                score_splits=8, max_score_combinations=8_192, vectorized_scores=vectorized,
+            ))
+            for vectorized in (True, False)
+        ]
+        assert results[0] == results[1]
 
 
 class TestFlatBaseShortcut:
@@ -354,6 +378,22 @@ class TestExecutorsAgree:
         assert results["thread"] == results["serial"]
         assert results["process"] == results["serial"]
 
+    @pytest.mark.parametrize("analyzers", [None, ("box",)])
+    def test_warm_process_pool_repeats_are_bit_identical(self, analyzers):
+        # Repeated queries on one pooled Model run on worker-resident caches
+        # that warm at a rate set by which worker drew which chunk; every
+        # repeat must still return the first query's floats.
+        options = AnalysisOptions(
+            max_fixpoint_depth=3, score_splits=4, workers=2, executor="process",
+            payload_transport="arena", chunk_size=2, analyzers=analyzers,
+        )
+        with Model(pedestrian_program(), options) as model:
+            first = model.bounds(list(TARGETS))
+            repeats = [model.bounds(list(TARGETS)) for _ in range(3)]
+        assert all(repeat == first for repeat in repeats)
+        serial = Model(pedestrian_program(), options.with_updates(workers=1, executor="serial"))
+        assert first == serial.bounds(list(TARGETS))
+
 
 class TestSerialTableRoute:
     """The default serial loop shares one geometry cache per compiled program."""
@@ -475,6 +515,34 @@ class TestPreparedKernelMatchesLinprog:
             assert bound is not None
             assert (bound.lo, bound.hi) == (lo, hi)
 
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_bound_rows_differential(self, seed):
+        # Many objectives swept over one prepared model (the analyzer's atom
+        # sweep) return, row by row, the floats of a fresh linprog call.
+        from scipy.optimize import linprog
+
+        rng = np.random.default_rng(seed)
+        dimension = int(rng.integers(1, 6))
+        extra = rng.normal(size=(3, dimension))
+        rhs = rng.uniform(0.5, 2.0, size=3) * np.linalg.norm(extra, axis=1)
+        polytope = Polytope.from_box([Interval(0.0, 1.0)] * dimension).add_constraints(
+            extra.tolist(), rhs.tolist()
+        )
+        rows = rng.normal(size=(8, dimension)).tolist()
+        for row, bound in zip(rows, BatchPolytope(polytope).bound_rows(rows)):
+            values = []
+            for sign in (1.0, -1.0):
+                result = linprog(
+                    sign * np.asarray(row), A_ub=polytope.a, b_ub=polytope.b,
+                    bounds=[(None, None)] * dimension, method="highs",
+                    options={"presolve": False},
+                )
+                assert result.success
+                values.append(float(sign * result.fun))
+            assert bound is not None
+            assert (bound.lo, bound.hi) == tuple(sorted(values))
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_presolve_off_agrees_with_default_linprog(self, seed):
@@ -583,6 +651,12 @@ class TestDensityLiftings:
         assert reference is not None, "lifting produced values where the scalar loop aborts"
         assert np.array_equal(lifted[0], reference[0])
         assert np.array_equal(lifted[1], reference[1])
+
+    def test_lifting_table_covers_the_densities(self):
+        # Score sweeps only take the array route for primitives in the table.
+        assert _ARRAY_LIFTINGS["uniform_pdf"] is _uniform_pdf_cells
+        assert _ARRAY_LIFTINGS["beta_pdf"] is _beta_pdf_cells
+        assert _ARRAY_LIFTINGS["normal_pdf"] is _normal_pdf_cells
 
     def test_empty_argument_convention(self):
         # An empty argument (the (inf, -inf) representation) marks a cell the

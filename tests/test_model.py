@@ -13,9 +13,6 @@ from repro.analysis import (
     Model,
     UnknownAnalyzerError,
     available_analyzers,
-    bound_denotation,
-    bound_posterior_histogram,
-    bound_query,
     get_analyzer,
     register_analyzer,
     unregister_analyzer,
@@ -25,7 +22,6 @@ from repro.exact import ExactDistribution
 from repro.inference import HMCResult, ImportanceResult, MHResult
 from repro.intervals import Interval
 from repro.lang import builder as b
-from repro.models import pedestrian_program
 
 from helpers import geometric_program, simple_observe_model
 
@@ -66,7 +62,7 @@ class TestCompiledProgramCache:
         model = Model(simple_observe_model())
         model.probability(Interval(0.0, 1.0), AnalysisOptions(score_splits=8))
         model.probability(Interval(0.0, 1.0), AnalysisOptions(score_splits=64))
-        model.probability(Interval(0.0, 1.0), AnalysisOptions(use_linear_semantics=False))
+        model.probability(Interval(0.0, 1.0), AnalysisOptions(analyzers=("box",)))
         assert counted_execution["count"] == 1
 
     def test_execution_options_invalidate_the_cache(self, counted_execution):
@@ -88,7 +84,7 @@ class TestCompiledProgramCache:
     def test_with_options_shares_the_cache(self, counted_execution):
         model = Model(simple_observe_model(), AnalysisOptions(score_splits=8))
         model.bound(Interval(0.0, 1.0))
-        boxy = model.with_options(use_linear_semantics=False)
+        boxy = model.with_options(analyzers=("box",))
         boxy.bound(Interval(0.0, 1.0))
         assert counted_execution["count"] == 1
 
@@ -214,10 +210,7 @@ class TestAnalysisOptionsValidation:
         options = AnalysisOptions(analyzers=["box"])
         assert options.analyzers == ("box",)
         assert options.analyzer_names == ("box",)
-
-    def test_analyzer_names_derived_from_legacy_flag(self):
         assert AnalysisOptions().analyzer_names == ("linear", "box")
-        assert AnalysisOptions(use_linear_semantics=False).analyzer_names == ("box",)
 
     def test_execution_limits_projection(self):
         options = AnalysisOptions(max_fixpoint_depth=3, max_paths=10)
@@ -261,35 +254,3 @@ class TestUnifiedBaselines:
         estimate = model.estimate(Interval(0.0, 0.25))
         assert isinstance(estimate, ProbabilityEstimate)
         assert estimate.lower <= 0.25 <= estimate.upper
-
-
-class TestDeprecatedShims:
-    """The free functions survive as thin delegating shims (Example 5.2 parity)."""
-
-    def test_bound_query_matches_model_on_example_52(self):
-        # The paper's Example 5.2 pedestrian model, at a reduced depth so the
-        # parity check stays fast.
-        options = AnalysisOptions(max_fixpoint_depth=3, score_splits=8)
-        program = pedestrian_program()
-        target = Interval(0.0, 1.0)
-        new = Model(program, options).probability(target)
-        with pytest.deprecated_call():
-            old = bound_query(program, target, options)
-        assert old.lower == new.lower
-        assert old.upper == new.upper
-        assert old.normalising_constant.lower == new.normalising_constant.lower
-        assert old.normalising_constant.upper == new.normalising_constant.upper
-
-    def test_bound_denotation_shim(self):
-        with pytest.deprecated_call():
-            bounds = bound_denotation(b.sample(), [Interval(0.0, 0.5)])
-        assert bounds[0].lower == pytest.approx(0.5)
-        assert bounds[0].upper == pytest.approx(0.5)
-
-    def test_bound_posterior_histogram_shim(self):
-        with pytest.deprecated_call():
-            histogram = bound_posterior_histogram(b.sample(), 0.0, 1.0, 4)
-        new = Model(b.sample()).histogram(0.0, 1.0, 4)
-        assert histogram.z_lower == new.z_lower
-        assert histogram.z_upper == new.z_upper
-        assert [bb.lower for bb in histogram.buckets] == [bb.lower for bb in new.buckets]

@@ -8,16 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.linear_analyzer import GeometryCache
+from repro.analysis.linear_analyzer import GeometryCache, _lower_row, _upper_row
 from repro.intervals import Interval
 from repro.polytope import (
     BatchPolytope,
     LPFailure,
     Polytope,
     PolytopeError,
-    bound_form,
     enumerate_vertices,
-    form_rows,
     kernel_available,
     volume_by_enumeration,
 )
@@ -77,11 +75,6 @@ class TestLinearProgramming:
         center, radius = unit_cube(2).chebyshev_center()
         assert center == pytest.approx([0.5, 0.5])
         assert radius == pytest.approx(0.5)
-
-    def test_bound_form_includes_interval_constant(self):
-        cube = unit_cube(2)
-        form = LinearForm.from_dict({0: 1.0, 1: 1.0}, Interval(0.0, 0.5))
-        assert bound_form(cube, form) == Interval(0.0, 2.5)
 
 
 class TestVolumes:
@@ -160,18 +153,30 @@ class TestVertexEnumeration:
 
 
 class TestFormRows:
+    """The linear analyzer's constraint rows for ``w·α + [a, b]``: the
+    universal reading (``𝔓_lb``) must hold for every point of the interval
+    constant, the existential one (``𝔓_ub``) for some point."""
+
     def test_universal_vs_existential_upper(self):
         form = LinearForm.from_dict({0: 1.0}, Interval(0.0, 1.0))
-        rows_univ, rhs_univ = form_rows(form, 1, upper=2.0, for_lower_bound=True)
-        rows_exist, rhs_exist = form_rows(form, 1, upper=2.0, for_lower_bound=False)
-        assert rhs_univ[0] == pytest.approx(1.0)  # x + 1 <= 2
-        assert rhs_exist[0] == pytest.approx(2.0)  # x + 0 <= 2
+        row_univ, rhs_univ = _upper_row(form, 2.0, 1, universal=True)
+        row_exist, rhs_exist = _upper_row(form, 2.0, 1, universal=False)
+        assert row_univ == row_exist == [1.0]
+        assert rhs_univ == pytest.approx(1.0)  # x + 1 <= 2
+        assert rhs_exist == pytest.approx(2.0)  # x + 0 <= 2
 
     def test_lower_restriction(self):
         form = LinearForm.from_dict({0: 1.0}, Interval.point(0.0))
-        rows, rhs = form_rows(form, 1, lower=0.5, for_lower_bound=True)
-        assert rows[0] == [-1.0]
-        assert rhs[0] == pytest.approx(-0.5)
+        row, rhs = _lower_row(form, 0.5, 1, universal=True)
+        assert row == [-1.0]
+        assert rhs == pytest.approx(-0.5)
+
+    def test_universal_vs_existential_lower(self):
+        form = LinearForm.from_dict({0: 1.0}, Interval(0.0, 1.0))
+        _, rhs_univ = _lower_row(form, 0.5, 1, universal=True)
+        _, rhs_exist = _lower_row(form, 0.5, 1, universal=False)
+        assert rhs_univ == pytest.approx(-0.5)  # x + 0 >= 0.5
+        assert rhs_exist == pytest.approx(0.5)  # x + 1 >= 0.5
 
 
 class TestLPFailure:

@@ -435,6 +435,23 @@ class TestBoundsServer:
                     client.bounds(BRANCHY_SRC, [(0.0, 1.0)], options={"columnar": False})
                 assert client.ping()
 
+    def test_client_cannot_choose_the_work_queue_address(self, serve):
+        # The socket work queue unpickles what arrives on its listener, so
+        # only the server operator may say where it binds.
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        options = {
+            "executor": "socket", "workers": 2, "socket_endpoint": f"127.0.0.1:{port}",
+        }
+        with serve() as handle:
+            with ServiceClient(handle.endpoint) as client:
+                with pytest.raises(ServiceError, match=r"ProtocolError: .*socket_endpoint"):
+                    client.bounds(BRANCHY_SRC, [(0.0, 1.0)], options=options)
+                assert client.ping()
+                with pytest.raises(ConnectionRefusedError):
+                    socket.create_connection(("127.0.0.1", port), timeout=5).close()
+
     def test_cache_info_counters_track_stream_tee(self):
         model = Model(simple_observe_model())
         try:
