@@ -169,7 +169,7 @@ class AnalysisOptions:
         prune_empty_paths: skip (bound by 0) linear paths whose constraint
             polytope is infeasible *or flat*: a Chebyshev radius ``≤ 1e-9``
             means volume 0 under :meth:`repro.polytope.Polytope.volume_bounds`'
-            rule, for the polytope and for everything inside it.
+            rule, for the polytope and for every cell cut from it.
         analyzers: ordered preference of registered path-analyzer names (see
             :mod:`repro.analysis.registry`).  Every symbolic path is handled
             by the first listed analyzer that declares itself applicable.

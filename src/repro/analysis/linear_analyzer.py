@@ -5,7 +5,8 @@ functions of the sample variables and every prior is a (bounded) uniform
 distribution.  The path denotation becomes an integral of the score product
 over a convex polytope:
 
-* without scores it is a plain polytope volume (Qhull's float, see
+* without scores it is a plain polytope volume (from the parent polytope's
+  triangulation, padded outward, see
   :meth:`~repro.polytope.Polytope.volume_bounds`);
 * with scores, every score value is decomposed into a template over *linear
   atoms* (Appendix E.1); each atom's range over the polytope is bounded by an
@@ -34,14 +35,15 @@ affecting soundness:
   paths are partitioned;
 * **base-first flatness** — an empty or flat base polytope (Chebyshev
   radius ``≤ 1e-9``, the rule :meth:`~repro.polytope.Polytope.volume_bounds`
-  applies to every cell) integrates to 0 at once: each combination cell lies
-  inside its base, so every cell volume would be 0 too, and the atom LPs and
+  applies to every parent) integrates to 0 at once: each combination cell is
+  cut from it, so every cell volume would be 0 too, and the atom LPs and
   cell volumes are skipped;
-* **inherited interior points** — a combination cell is its base cut by an
-  atom chunk's slab, so its volume starts Qhull from a point derived from
-  the base's Chebyshev centre and the atom sweep's own argmin/argmax
-  (:meth:`~repro.polytope.Polytope.interior_point`) instead of a Chebyshev
-  LP of its own; and
+* **volumes from the parent** — a combination cell is its base cut by an
+  atom chunk's slab, so it is measured from the base's triangulation
+  (:class:`~repro.polytope.polytope.SlabProfile`), computed once per base:
+  all chunk volumes of one base along one atom come from one batched
+  ``V(t)`` call (:func:`~repro.polytope.polytope.cell_volumes`), and a
+  refinement round that splits the atom more finely runs no new Qhull; and
 * **batched LP kernels** — each polytope's constraint system is prepared
   once on the low-overhead HiGHS kernel (:mod:`repro.polytope.highs`) and
   all atom objectives sweep it in one batch (:class:`~repro.polytope.batch.
@@ -64,6 +66,7 @@ import numpy as np
 from ..distributions import Uniform
 from ..intervals import Interval
 from ..polytope import BatchPolytope, Polytope
+from ..polytope.polytope import cell_volumes
 from ..symbolic.linear import LinearForm, decompose_score, extract_linear
 from ..symbolic.paths import Relation, SymbolicPath
 from ..symbolic.value import evaluate_with_atoms
@@ -273,26 +276,32 @@ _GeometryKey = tuple[bytes, bytes]
 #: query's working set several times over.
 _GEOMETRY_CACHE_ENTRIES = 4096
 
+#: The ``profiles`` store keeps this share of the entries: a triangulation
+#: takes a few KiB where the other stores keep a float or a key.  At the
+#: default cap that is 512 parents, ten cold pedestrian queries' worth.
+_PROFILE_SHARE = 8
+
 _MISSING = object()
 
 
 class _BoundedStore(OrderedDict):
     """One :class:`GeometryCache` store: an LRU map capped at
-    :data:`_GEOMETRY_CACHE_ENTRIES`.
+    :data:`_GEOMETRY_CACHE_ENTRIES` (divided by ``share``).
 
     :meth:`lookup` and :meth:`remember` hold a lock, so engine threads
     sharing the cache can look up and evict concurrently without an
     ``OrderedDict`` reordering error.  The values are computed outside it.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, share: int = 1) -> None:
         super().__init__()
+        self._share = share
         self._lock = threading.Lock()
 
     def __reduce__(self):
         # A lock cannot be pickled (a table's scratch memo travels with a
         # pickled execution); the copy starts with a fresh one.
-        return type(self), (), None, None, iter(list(self.items()))
+        return type(self), (self._share,), None, None, iter(list(self.items()))
 
     def lookup(self, key):
         """The value under ``key`` (marked recently used), else ``_MISSING``."""
@@ -307,7 +316,7 @@ class _BoundedStore(OrderedDict):
         with self._lock:
             self[key] = value
             self.move_to_end(key)
-            while len(self) > _GEOMETRY_CACHE_ENTRIES:
+            while len(self) > max(1, _GEOMETRY_CACHE_ENTRIES // self._share):
                 self.popitem(last=False)
         return value
 
@@ -323,13 +332,13 @@ class GeometryCache:
     * ``volumes`` — :meth:`Polytope.volume_bounds` results,
     * ``full_dimension`` — :meth:`Polytope.is_full_dimensional` results:
       whether a polytope is empty or flat (volume 0, for it and for every
-      cell inside it),
+      cell cut from it),
     * ``centers`` — :meth:`Polytope.chebyshev_center` results, so the
-      flatness check of a polytope, its volume and the interior points its
-      cells inherit from it share one Chebyshev LP,
-    * ``extremes`` — :meth:`Polytope.extreme_points` results (keyed
-      additionally on the direction's bytes); the atom sweep fills them
-      for free, for both signs of every atom row,
+      flatness check of a polytope and the triangulation its cells are
+      measured from share one Chebyshev LP,
+    * ``profiles`` — :meth:`Polytope.slab_profile` results: one
+      triangulation per parent polytope, which every slab cell of the
+      parent is measured from, in every refinement round,
     * ``atom_bounds`` — batched atom LP sweeps (keyed additionally on the
       dense objective bytes), and
     * ``programs`` — compiled score-template programs (keyed on the template
@@ -339,19 +348,20 @@ class GeometryCache:
     **Purity rule**: every cached computation is a deterministic pure
     function of its key, computed the same way with or without a cache, so
     a hit returns the identical float64s a fresh computation would.  In
-    particular a cell's inherited interior point
-    (:meth:`Polytope.interior_point`) depends on the cell's own bytes only,
-    never on which polytope or atom chunk produced it.  That makes one cache
-    safe to share across the paths of a chunk, across chunks, and across
-    queries — bounds never depend on which path populated an entry, hence
-    not on chunk boundaries either (pinned by
-    ``tests/test_linear_fast_path.py``).
+    particular a cell's volume depends on the cell's own bytes only: its
+    parent and slab are read off its rows, the parent's profile off the
+    parent's rows, and ``V(t)`` at one cut value is the same float
+    whichever cells share its batch.  That makes one cache safe to share
+    across the paths of a chunk, across chunks, and across queries —
+    bounds never depend on which path populated an entry, hence not on
+    chunk boundaries either (pinned by ``tests/test_linear_fast_path.py``).
 
     **Bounded stores**: each store keeps its :data:`_GEOMETRY_CACHE_ENTRIES`
-    most recently used entries.  By the purity rule an eviction only costs
-    a recomputation of the same floats.  Concurrent use from the thread
-    backend is safe: racing writers insert identical values, and each
-    store's lookups and evictions are serialised by its lock.
+    most recently used entries (``profiles``: a :data:`_PROFILE_SHARE`-th
+    of them).  By the purity rule an eviction only costs a recomputation of
+    the same floats.  Concurrent use from the thread backend is safe: racing
+    writers insert identical values, and each store's lookups and evictions
+    are serialised by its lock.
 
     ``volume_hits`` / ``volume_misses`` (and the aggregate ``hits`` /
     ``misses``) feed the perf benchmarks; they have no semantic role.
@@ -361,7 +371,7 @@ class GeometryCache:
         "volumes",
         "full_dimension",
         "centers",
-        "extremes",
+        "profiles",
         "atom_bounds",
         "programs",
         "volume_hits",
@@ -374,7 +384,7 @@ class GeometryCache:
         self.volumes = _BoundedStore()
         self.full_dimension = _BoundedStore()
         self.centers = _BoundedStore()
-        self.extremes = _BoundedStore()
+        self.profiles = _BoundedStore(_PROFILE_SHARE)
         self.atom_bounds = _BoundedStore()
         self.programs = _BoundedStore()
         self.volume_hits = 0
@@ -402,31 +412,50 @@ class GeometryCache:
         rows: Sequence[Sequence[float]],
         rhs: Sequence[float],
     ) -> Interval:
-        """Volume bounds of ``base ∩ {rows·x ≤ rhs}`` under a precomputed key.
+        """Volume bounds of ``base ∩ {rows·x ≤ rhs}`` under a precomputed key
+        (:meth:`restricted_volumes` for one cell)."""
+        return self.restricted_volumes(base, [(key, rows, rhs)])[0]
 
-        ``key`` must equal ``base.add_constraints(rows, rhs).cache_key()`` —
-        callers assemble it by concatenating the base polytope's bytes with
+    def restricted_volumes(
+        self,
+        base: Polytope,
+        cells: Sequence[tuple[_GeometryKey, Sequence[Sequence[float]], Sequence[float]]],
+    ) -> list[Interval]:
+        """Volume bounds of ``base ∩ {rows·x ≤ rhs}`` for every
+        ``(key, rows, rhs)`` in ``cells``.
+
+        Each ``key`` must equal ``base.add_constraints(rows, rhs).cache_key()``
+        — callers assemble it by concatenating the base polytope's bytes with
         the rows' float64 bytes (``np.vstack``/``np.concatenate`` preserve
         C-order, so the concatenation is exactly the restricted
-        H-representation's bytes).  On a hit the restricted polytope is never
-        materialised, which is what the combination loop buys here.
+        H-representation's bytes).  A hit never materialises its cell; the
+        misses are measured together (:func:`cell_volumes`), one batched
+        ``V(t)`` call per parent and direction.
         """
-        value = self.volumes.lookup(key)
-        if value is _MISSING:
-            self.misses += 1
-            self.volume_misses += 1
-            restricted = base.add_constraints(rows, rhs) if len(rows) else base
-            return self.volumes.remember(key, restricted.volume_bounds(self))
-        self.hits += 1
-        self.volume_hits += 1
-        return value
+        results: list = [None] * len(cells)
+        missing: list[int] = []
+        for index, (key, _, _) in enumerate(cells):
+            value = self.volumes.lookup(key)
+            if value is _MISSING:
+                missing.append(index)
+            else:
+                results[index] = value
+        self.hits += len(cells) - len(missing)
+        self.volume_hits += len(cells) - len(missing)
+        self.misses += len(missing)
+        self.volume_misses += len(missing)
+        if missing:
+            restricted = [base.add_constraints(*cells[index][1:]) for index in missing]
+            for index, volume in zip(missing, cell_volumes(restricted, self)):
+                results[index] = self.volumes.remember(cells[index][0], volume)
+        return results
 
     def full_dimensional(self, polytope: Polytope) -> bool:
         """Whether ``polytope`` can have non-zero volume, memoised.
 
-        ``False`` (empty, or Chebyshev radius ``≤ 1e-9``) means every subset
-        of ``polytope`` has :meth:`Polytope.volume_bounds` exactly 0.  A
-        failed LP reads as ``True``, so a solver error never zeroes a bound.
+        ``False`` (empty, or Chebyshev radius ``≤ 1e-9``) means every cell
+        cut from ``polytope`` has :meth:`Polytope.volume_bounds` exactly 0.
+        A failed LP reads as ``True``, so a solver error never zeroes a bound.
         """
         return self._memo(
             self.full_dimension, polytope.cache_key(),
@@ -441,12 +470,16 @@ class GeometryCache:
         """
         return self._memo(self.centers, polytope.cache_key(), polytope.chebyshev_center)
 
-    def extreme_points(self, polytope: Polytope, direction: np.ndarray):
-        """:meth:`Polytope.extreme_points` of ``polytope`` along ``direction``,
-        memoised (failures raise and are not stored)."""
+    def profile(self, polytope: Polytope, center_radius):
+        """:meth:`Polytope.slab_profile` of ``polytope``, memoised.
+
+        ``center_radius`` must be ``polytope``'s own Chebyshev centre and
+        radius (:meth:`chebyshev`), so the key determines it.  A Qhull
+        failure is stored as ``None``.
+        """
         return self._memo(
-            self.extremes, (polytope.cache_key(), direction.tobytes()),
-            lambda: polytope.extreme_points(direction),
+            self.profiles, polytope.cache_key(),
+            lambda: polytope.slab_profile(center_radius),
         )
 
     def bound_atom_rows(
@@ -460,22 +493,10 @@ class GeometryCache:
         gets its wider range over the polytope's axis box instead, so a
         solver error never zeroes a bound.
         """
-        def sweep() -> tuple:
-            points: dict = {}
-            bounds = tuple(BatchPolytope(polytope).bound_rows(dense_rows, points))
-            # The sweep's argmin/argmax are the extreme points along each row
-            # — and, swapped, along its negation (the LP pair is the same).
-            for index, (low_point, high_point) in points.items():
-                row = np.asarray(dense_rows[index], dtype=float)
-                self.extremes.remember(
-                    (polytope.cache_key(), row.tobytes()), (low_point, high_point)
-                )
-                self.extremes.remember(
-                    (polytope.cache_key(), (-row).tobytes()), (high_point, low_point)
-                )
-            return bounds
-
-        return self._memo(self.atom_bounds, (polytope.cache_key(), rows_key), sweep)
+        return self._memo(
+            self.atom_bounds, (polytope.cache_key(), rows_key),
+            lambda: tuple(BatchPolytope(polytope).bound_rows(dense_rows)),
+        )
 
     def template_program(self, templates):
         """Compiled evaluation program of the score templates (``None`` when
@@ -503,7 +524,7 @@ class GeometryCache:
             "unique_volumes": len(self.volumes),
             "unique_full_dimension": len(self.full_dimension),
             "unique_centers": len(self.centers),
-            "unique_extremes": len(self.extremes),
+            "unique_profiles": len(self.profiles),
             "unique_atom_sweeps": len(self.atom_bounds),
         }
 
@@ -682,14 +703,16 @@ def _integrate(
     per atom chunk instead of once per combination, and every volume is
     looked up in the shared :class:`GeometryCache` by the restricted
     polytope's byte key (assembled from the precomputed row bytes) so a hit
-    never materialises the polytope.
+    never materialises the polytope.  The cells that miss are measured
+    together (:meth:`GeometryCache.restricted_volumes`) before the terms
+    are summed in combination order.
 
-    An empty or flat polytope returns 0 before any atom LP: every cell lies
-    inside it, so every cell volume is 0.  ``tests/test_linear_fast_path.py``
-    pins this loop against :func:`_integrate_reference`, the pre-batching
-    scalar original: bit for bit on full-dimensional polytopes; on flat ones
-    the reference may add negligible-weight terms (``< 1e-10`` per cell) to
-    its upper bound that this shortcut drops.
+    An empty or flat polytope returns 0 before any atom LP: every cell is
+    cut from it, so every cell volume is 0.  ``tests/test_linear_fast_path.py``
+    pins this loop against the pre-batching scalar original
+    (``tests/helpers.py``): bit for bit on full-dimensional polytopes; on
+    flat ones the reference may add negligible-weight terms (``< 1e-10`` per
+    cell) to its upper bound that this shortcut drops.
     """
     if not templates:
         volume = cache.volume(polytope)
@@ -737,7 +760,10 @@ def _integrate(
     ]
 
     base_a_key, base_b_key = polytope.cache_key()
-    total = 0.0
+    # ``(factor, cell)`` terms in combination order; ``cell`` indexes
+    # ``cells``, or is ``None`` for a bare negligible weight.
+    terms: list[tuple[float, Optional[int]]] = []
+    cells: list[tuple] = []
     for combo_index, combination in enumerate(itertools.product(*per_atom)):
         if factors is not None and factors[combo_index] == 0.0:
             # A zero weight annihilates the chunk's contribution regardless of
@@ -766,7 +792,7 @@ def _integrate(
             # ``density · volume`` never exceeds the prior mass 1 of the chunk,
             # so adding the weight itself is a sound (and cheap) upper bound —
             # this skips a volume computation for far-tail chunks.
-            total += factor
+            terms.append((factor, None))
             continue
         rows: list[list[float]] = []
         rhs: list[float] = []
@@ -778,96 +804,16 @@ def _integrate(
                 rhs.extend(entry[1])
                 a_parts.append(entry[2])
                 b_parts.append(entry[3])
-        volume = cache.volume_restricted(
-            polytope, (b"".join(a_parts), b"".join(b_parts)), rows, rhs
-        )
-        volume_value = volume.lo if is_lower else volume.hi
-        if volume_value <= 0.0:
-            continue
-        total += density * volume_value * factor
-        if math.isinf(total):
-            return math.inf
-    return total
+        terms.append((factor, len(cells)))
+        cells.append(((b"".join(a_parts), b"".join(b_parts)), rows, rhs))
 
-
-def _integrate_reference(
-    polytope: Polytope,
-    templates,
-    atoms: list[LinearForm],
-    density: float,
-    options: AnalysisOptions,
-    is_lower: bool,
-) -> float:
-    """The pre-batching per-combination integration loop, kept as a test
-    oracle.
-
-    Bounds atoms with one scalar LP pair each, rebuilds the constraint rows
-    per combination, evaluates every score template with the scalar interval
-    evaluator and computes every chunk volume directly — no geometry cache,
-    no vectorised factor sweep, no prepared-LP batching.
-    ``tests/test_linear_fast_path.py`` asserts :func:`_integrate` reproduces
-    this loop's floats bit for bit; production routes never call it.
-    """
-    if not templates:
-        volume = polytope.volume_bounds()
-        return density * (volume.lo if is_lower else volume.hi)
-    if polytope.is_empty():
-        return 0.0
-
-    atom_ranges: list[list[Interval]] = []
-    for atom in atoms:
-        base = polytope.bound_linear(atom.as_dense(polytope.dimension))
-        if base is None:
-            return 0.0
-        atom_ranges.append(_split_interval(base + atom.constant, options.score_splits))
-
-    while _combination_count(atom_ranges) > options.max_score_combinations:
-        widest = max(range(len(atom_ranges)), key=lambda i: len(atom_ranges[i]))
-        if len(atom_ranges[widest]) <= 1:
-            break
-        hull = Interval(atom_ranges[widest][0].lo, atom_ranges[widest][-1].hi)
-        atom_ranges[widest] = _split_interval(hull, max(1, len(atom_ranges[widest]) // 2))
-
-    dimension = polytope.dimension
+    volumes = cache.restricted_volumes(polytope, cells)
     total = 0.0
-    for combination in itertools.product(*atom_ranges):
-        rows: list[list[float]] = []
-        rhs: list[float] = []
-        feasible = True
-        for atom, chunk in zip(atoms, combination):
-            if math.isfinite(chunk.hi):
-                row = _upper_row(atom, chunk.hi, dimension, universal=is_lower)
-                if row is None:
-                    feasible = False
-                    break
-                if row[0]:
-                    rows.append(row[0])
-                    rhs.append(row[1])
-            if math.isfinite(chunk.lo):
-                row = _lower_row(atom, chunk.lo, dimension, universal=is_lower)
-                if row is None:
-                    feasible = False
-                    break
-                if row[0]:
-                    rows.append(row[0])
-                    rhs.append(row[1])
-        if not feasible:
-            continue
-        weight = Interval.point(1.0)
-        for template in templates:
-            score_bounds = evaluate_with_atoms(template.template, list(combination))
-            score_bounds = score_bounds.meet(_NON_NEGATIVE)
-            if score_bounds.is_empty:
-                score_bounds = Interval.point(0.0)
-            weight = weight * score_bounds
-        factor = max(0.0, weight.lo if is_lower else weight.hi)
-        if factor == 0.0:
-            continue
-        if not is_lower and math.isfinite(factor) and factor < _NEGLIGIBLE_WEIGHT:
+    for factor, cell in terms:
+        if cell is None:
             total += factor
             continue
-        chunk_polytope = polytope.add_constraints(rows, rhs) if rows else polytope
-        volume = chunk_polytope.volume_bounds()
+        volume = volumes[cell]
         volume_value = volume.lo if is_lower else volume.hi
         if volume_value <= 0.0:
             continue

@@ -4,41 +4,57 @@ The linear interval trace semantics (paper Section 6.4) reduces path
 denotations to integrals over convex polytopes ``{α : A α ≤ b}``.  GuBPI uses
 the external tools Vinci/LattE for exact volume computation and an LP solver
 for bounding linear forms; this module provides both from scratch on top of
-``scipy`` (with a pure-Python fallback for vertex enumeration):
+``scipy``:
 
 * feasibility and Chebyshev centre via linear programming,
 * bounds on a linear function over the polytope (:meth:`Polytope.bound_linear`),
   the LP optima as HiGHS returns them,
-* volume via halfspace intersection + convex hull, with sound
-  ``[0, box volume]`` fallback bounds when the geometry degenerates.
+* volume via one triangulation per *parent* polytope, padded outward, with
+  sound ``[0, box volume]`` fallback bounds when the geometry degenerates.
 
-The volume is *not* exact: it is the float Qhull computes over joggled
-(``QJ``) input, returned as a point interval rounded to nearest.  It can miss
-the true volume by ~1e-6 relative; certified volumes are an open ROADMAP
-item.
+**Slab profiles.**  Most polytopes the linear analyzer measures are *cells*:
+a parent polytope cut by a slab ``lo ≤ d·x ≤ hi`` (the trailing rows that are
+``±``-equal to the last row, :meth:`Polytope.slab_split`); a polytope
+without such a slab is its own uncut parent.  Each parent is triangulated
+once (:class:`SlabProfile`): one Qhull halfspace intersection from its
+Chebyshev centre gives its vertices, one ``ConvexHull(vertices, "QJ")``
+gives its boundary as simplicial facets, and every facet is pulled from one
+vertex into a simplex.  Only the hull's facet *indices* are used: the
+simplices are spanned by the unjoggled vertices, so their volumes carry
+none of the joggle.  (Without the joggle Qhull merges near-coplanar facets,
+and its ``Qt`` triangulation of the merged facets of a 5-dimensional box
+cut by two rows has been seen to overlap by 3% of the volume, or to fail
+outright.)  ``V(t) = vol(parent ∩ {d·x ≤ t})``
+is then a closed form over the simplices, and a cell measures
+``V(hi) − V(lo)``.  Every cell of a parent shares its triangulation, so a
+refinement round that cuts the parent more finely runs no new Qhull.
 
-**Flatness rule.**  A polytope whose largest inscribed ball has radius
-``≤ 1e-9`` (:data:`FLATNESS_RADIUS`) is treated as lower-dimensional, i.e. of
-volume exactly 0 (:meth:`Polytope.is_full_dimensional`).  Every subset of
-such a polytope is flat too, which lets the linear analyzer settle a whole
-family of cells from their common base.
+**Enclosures.**  A triangulated volume ``v`` of a cell of a parent with
+volume ``V`` is returned as ``[max(0, v − s·V), v + s·V]`` with
+``s =`` :data:`VOLUME_SLACK` ``= 1e-12``.  The padding is an empirical
+bound, not a proof: against exact rational volumes
+(``tests/vertex_enum.py``) the closed form was at most ``1.5e-15 · V`` off
+over 4,500 random cells in dimensions 2–5, and the tests pin every
+measured cell inside its interval.  A polytope of dimension 1 is a
+segment; its length is computed exactly from the rows (in
+:class:`~fractions.Fraction`) and rounded outward to the nearest floats.
 
-**Inherited interior points.**  Qhull's halfspace intersection needs a
-point strictly inside the polytope, and the flatness rule needs a radius.
-Most polytopes the linear analyzer measures are *cells*: a parent polytope
-cut by a slab ``lo ≤ d·x ≤ hi`` (the trailing rows that are ``±``-equal to
-the last row).  Such a cell takes its point from its parent instead of its
-own Chebyshev LP (:meth:`Polytope.interior_point`): the point on the path
-argmin → Chebyshev centre → argmax of ``d`` over the parent at the slab's
-middle value, certified by its distance ``ρ`` to every row of the cell.  A
-ball of radius ``ρ`` fits inside the cell, so ``ρ`` bounds the Chebyshev
-radius from below and the flatness verdict cannot change; when ``ρ ≤``
-:data:`INHERITED_RADIUS` the cell solves its own Chebyshev LP as before.
-The point is a pure function of the cell's own ``(A, b)``: the parent's
-centre and extreme points are themselves LPs on the parent's rows, which a
+**Flatness rule.**  A parent whose largest inscribed ball has radius
+``≤ 1e-9`` (:data:`FLATNESS_RADIUS`) is treated as lower-dimensional: it and
+every cell cut from it have volume exactly 0
+(:meth:`Polytope.is_full_dimensional`).  A cell of a full-dimensional parent
+is measured however thin it is.
+
+**Purity.**  A cell's volume is a pure function of its own ``(A, b)``: the
+parent and the slab are read off its rows, the parent's Chebyshev centre
+and profile are computed from the parent's rows, and ``V(t)`` at one cut
+value is the same float whichever other cut values share its batch.  A
 geometry cache (any object with ``chebyshev(polytope)`` and
-``extreme_points(polytope, direction)``, e.g. the linear analyzer's
-``GeometryCache``) may memoise but never changes.
+``profile(polytope, center_radius)``, e.g. the linear analyzer's
+``GeometryCache``) may memoise those but never changes them.
+
+When Qhull fails on a parent, each of its cells widens to
+``[0, volume of the cell's bounding box]``.
 
 All LPs run on the low-overhead HiGHS kernel (:mod:`repro.polytope.highs`)
 when its binding is available, with presolve off: each polytope lazily
@@ -59,12 +75,12 @@ range to its range over that box (:meth:`Polytope.axis_box_range`).
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from fractions import Fraction
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -75,20 +91,21 @@ from . import highs as _highs
 
 __all__ = [
     "FLATNESS_RADIUS",
-    "INHERITED_RADIUS",
     "LPFailure",
     "Polytope",
     "PolytopeError",
+    "SlabProfile",
+    "VOLUME_SLACK",
+    "cell_volumes",
 ]
 
 #: Chebyshev radius at or below which a polytope counts as lower-dimensional
 #: (volume exactly 0).
 FLATNESS_RADIUS = 1e-9
 
-#: Certified radius an inherited interior point needs to replace the cell's
-#: own Chebyshev LP — well above :data:`FLATNESS_RADIUS`, so Qhull gets a
-#: point clearly inside and the flatness verdict is settled by it.
-INHERITED_RADIUS = 1e-7
+#: Half-width of a triangulated volume, relative to its parent's volume
+#: (see "Enclosures" in the module docstring).
+VOLUME_SLACK = 1e-12
 
 #: ``linprog`` options of every fallback LP: the kernel's option set.
 _LINPROG_OPTIONS = {"presolve": False}
@@ -233,20 +250,8 @@ class Polytope:
 
     def _linear_range(self, coefficients: Sequence[float], constant: float = 0.0) -> Optional[Interval]:
         """:meth:`bound_linear`, raising :class:`LPFailure` when an LP fails."""
-        extremes = self._linear_extremes(coefficients, constant)
-        return None if extremes is None else extremes[0]
-
-    def _linear_extremes(
-        self, coefficients: Sequence[float], constant: float = 0.0
-    ) -> Optional[tuple[Interval, np.ndarray, np.ndarray]]:
-        """Range of ``c·x + constant`` with an argmin and an argmax of ``c·x``.
-
-        ``None`` if the polytope is empty; raises :class:`LPFailure` when an
-        LP fails.
-        """
         if self.dimension == 0:
-            origin = np.zeros(0)
-            return None if self.is_empty() else (Interval.point(constant), origin, origin)
+            return None if self.is_empty() else Interval.point(constant)
         coefficients = np.asarray(coefficients, dtype=float)
         lower = self._optimise(coefficients, minimise=True)
         if lower is None:
@@ -254,28 +259,10 @@ class Polytope:
         upper = self._optimise(coefficients, minimise=False)
         if upper is None:
             return None
-        lo, hi = lower[0] + constant, upper[0] + constant
+        lo, hi = lower + constant, upper + constant
         if lo > hi:
             lo, hi = hi, lo
-        return Interval(lo, hi), lower[1], upper[1]
-
-    def extreme_points(self, direction: Sequence[float]) -> Optional[tuple[np.ndarray, np.ndarray]]:
-        """A minimiser and a maximiser of ``direction · x`` (``None`` if empty).
-
-        Raises :class:`LPFailure` when an LP fails (an unbounded direction
-        included).  The points are those of the LP pair
-        :meth:`bound_linear` solves for ``direction``, so an atom sweep that
-        already bounded ``d`` has them too
-        (:meth:`~repro.polytope.batch.BatchPolytope.bound_rows`).
-        """
-        direction = np.asarray(direction, dtype=float)
-        low = self._solve(1.0 * direction)
-        if low is None:
-            return None
-        high = self._solve(-1.0 * direction)
-        if high is None:
-            return None
-        return low[1], high[1]
+        return Interval(lo, hi)
 
     def prepared_lp(self) -> Optional["_highs.PreparedLP"]:
         """The polytope's constraint system, loaded into the HiGHS kernel once.
@@ -293,33 +280,21 @@ class Polytope:
             object.__setattr__(self, "_prepared_lp", prepared)
         return prepared
 
-    def _optimise(
-        self, coefficients: np.ndarray, minimise: bool
-    ) -> Optional[tuple[float, np.ndarray]]:
-        """The optimum of ``coefficients · x`` and a point attaining it
-        (``None`` if infeasible).
+    def _optimise(self, coefficients: np.ndarray, minimise: bool) -> Optional[float]:
+        """The optimum of ``coefficients · x`` (``None`` if infeasible).
 
         Raises :class:`LPFailure` when the solver fails.
         """
         sign = 1.0 if minimise else -1.0
-        solution = self._solve(sign * coefficients)
-        if solution is None:
-            return None
-        return float(sign * solution[0]), solution[1]
-
-    def _solve(self, cost: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
-        """Minimum of ``cost · x`` and a minimiser (``None`` if infeasible).
-
-        Raises :class:`LPFailure` when the solver fails.
-        """
+        cost = sign * coefficients
         prepared = self.prepared_lp()
         if prepared is not None:
-            status, fun, x = prepared.solve(cost)
+            status, fun, _ = prepared.solve(cost)
             if status == _highs.INFEASIBLE:
                 return None
             if status != _highs.OPTIMAL:
                 raise LPFailure("linear objective LP failed")
-            return fun, np.asarray(x, dtype=float)
+            return float(sign * fun)
         result = linprog(
             cost,
             A_ub=self.a,
@@ -332,7 +307,7 @@ class Polytope:
             return None
         if not result.success:
             raise LPFailure(result.message)
-        return result.fun, np.asarray(result.x, dtype=float)
+        return float(sign * result.fun)
 
     def is_empty(self) -> bool:
         """Feasibility check via LP."""
@@ -399,11 +374,15 @@ class Polytope:
     def is_full_dimensional(self, cache=None) -> bool:
         """Whether the inscribed ball's radius exceeds :data:`FLATNESS_RADIUS`.
 
-        ``False`` means :meth:`volume_bounds` is exactly ``[0, 0]`` — for this
-        polytope and for every subset of it.  A failed Chebyshev LP proves
-        nothing, so it counts as full-dimensional (nothing gets skipped).
-        ``cache`` optionally memoises the Chebyshev LP (see the module
-        docstring).
+        ``False`` means the polytope counts as lower-dimensional *as a
+        parent*: its uncut volume and the volume of every slab cell cut from
+        it are exactly ``[0, 0]``.  It says nothing about the polytope as a
+        cell: :meth:`volume_bounds` measures a cell from its own parent
+        (:meth:`slab_split`), so a thin cell of a full-dimensional parent
+        may be flat here and still get a small positive volume.  A failed
+        Chebyshev LP proves nothing, so it counts as full-dimensional
+        (nothing gets skipped).  ``cache`` optionally memoises the Chebyshev
+        LP (see the module docstring).
         """
         try:
             center_radius = self._chebyshev(cache)
@@ -411,84 +390,36 @@ class Polytope:
             return True
         return center_radius is not None and center_radius[1] > FLATNESS_RADIUS
 
-    def interior_point(self, cache=None) -> Optional[tuple[np.ndarray, float]]:
-        """A point inside the polytope and a radius ``ρ`` of a ball around it
-        that fits inside (``None`` if empty).
+    def slab_split(self) -> tuple["Polytope", Optional[np.ndarray], float, float]:
+        """``(parent, d, lo, hi)`` with ``self = parent ∩ {lo ≤ d·x ≤ hi}``.
 
-        The inherited point (:meth:`_inherited_point`) when one is certified
-        with ``ρ >`` :data:`INHERITED_RADIUS`, otherwise the Chebyshev centre
-        and radius.  A pure function of ``(A, b)``: ``cache`` (see the module
-        docstring) only memoises the LPs involved.  Raises
-        :class:`LPFailure` when the Chebyshev LP fails.
+        The slab is the run of trailing rows ``±``-equal to the last row
+        ``d``, which must bound ``d·x`` from both sides; the rows before it
+        form the parent, whose axis-aligned rows must bound every axis from
+        both sides (so the parent is bounded, as every path polytope's
+        support box makes it).  A polytope without such a slab and parent
+        is its own uncut parent: ``(self, None, -inf, inf)``.
         """
-        inherited = self._inherited_point(cache)
-        if inherited is not None:
-            return inherited
-        return self._chebyshev(cache)
-
-    def _inherited_point(self, cache=None) -> Optional[tuple[np.ndarray, float]]:
-        """The interior point a slab cell inherits from its parent, or ``None``.
-
-        The cell's trailing rows ``±``-equal to its last row ``d`` must bound
-        ``d·x`` from both sides (``lo ≤ d·x ≤ hi``); the rows before them
-        form the parent.  From the parent's Chebyshev centre ``q`` and its
-        extreme points along ``d`` (never an inherited point: one level
-        only), the candidate is the point of the path argmin → ``q`` →
-        argmax where ``d·x`` is the middle of ``[lo, hi]`` (clipped to the
-        parent's range).  It is kept when its distance ``ρ`` to every row of
-        the cell exceeds :data:`INHERITED_RADIUS`.  Any LP failure, an empty
-        parent or an unbounded direction just means ``None``.
-        """
+        uncut = (self, None, -math.inf, math.inf)
         a, b = self.a, self.b
         direction = a[-1]
-        if self.dimension == 0 or not direction.any():
-            return None
+        if not direction.any():
+            return uncut
         upper = (a == direction).all(axis=1)
         parallel = upper | (a == -direction).all(axis=1)
         if parallel.all():
-            return None
+            return uncut
         split = len(a) - int(np.argmin(parallel[::-1]))
         upper = upper[split:]
         if upper.all() or not upper.any():
-            return None  # a one-sided cut is no slab
+            return uncut
+        rest = a[:split]
+        aligned = rest[(rest != 0.0).sum(axis=1) == 1]
+        if not ((aligned > 0.0).any(axis=0) & (aligned < 0.0).any(axis=0)).all():
+            return uncut
         hi = float(b[split:][upper].min())
-        lo = float(-b[split:][~upper].max())
-
-        parent = Polytope(a[:split], b[:split])
-        try:
-            center_radius = parent._chebyshev(cache)
-            if center_radius is None:
-                return None
-            extremes = (
-                parent.extreme_points(direction) if cache is None
-                else cache.extreme_points(parent, direction)
-            )
-        except LPFailure:
-            return None
-        if extremes is None:
-            return None
-        center = center_radius[0]
-        low_point, high_point = extremes
-        low, middle, high = direction @ low_point, direction @ center, direction @ high_point
-        lo, hi = max(lo, low), min(hi, high)
-        if not lo < hi:
-            return None
-        value = 0.5 * (lo + hi)
-        if value <= middle:
-            start, end = low_point, center
-            share = (value - low) / (middle - low) if middle > low else 1.0
-        else:
-            start, end = center, high_point
-            share = (value - middle) / (high - middle)
-        point = start + share * (end - start)
-
-        norms = np.sqrt((a * a).sum(axis=1))
-        if not (norms > 0.0).all():
-            return None
-        radius = float(((b - a @ point) / norms).min())
-        if radius > INHERITED_RADIUS:
-            return point, radius
-        return None
+        lo = float(-b[split:][~upper].min())
+        return Polytope(rest, b[:split]), direction, lo, hi
 
     # ------------------------------------------------------------------
     # Volume
@@ -496,14 +427,13 @@ class Polytope:
     def vertices(
         self, center_radius: Optional[tuple[np.ndarray, float]] = None
     ) -> Optional[np.ndarray]:
-        """Vertex enumeration via Qhull halfspace intersection (``None`` on failure).
+        """Vertex enumeration via Qhull halfspace intersection (``None`` on
+        failure; dimension at least 2).
 
         ``center_radius`` lets a caller that already solved the Chebyshev LP
-        (e.g. :meth:`volume_bounds`) pass its result in instead of paying for
+        (e.g. :meth:`slab_profile`) pass its result in instead of paying for
         the identical solve again.
         """
-        if self.dimension == 0:
-            return np.zeros((1, 0))
         if center_radius is None:
             try:
                 center_radius = self.chebyshev_center()
@@ -514,11 +444,6 @@ class Polytope:
         center, radius = center_radius
         if radius <= FLATNESS_RADIUS:
             return None
-        if self.dimension == 1:
-            bound = self.bound_linear([1.0])
-            if bound is None:
-                return None
-            return np.array([[bound.lo], [bound.hi]])
         halfspaces = np.hstack([self.a, -self.b.reshape(-1, 1)])
         try:
             intersection = HalfspaceIntersection(halfspaces, center)
@@ -526,54 +451,76 @@ class Polytope:
         except (QhullError, ValueError):
             return None
 
+    def slab_profile(self, center_radius: tuple[np.ndarray, float]) -> Optional["SlabProfile"]:
+        """The polytope's :class:`SlabProfile` (``None`` when Qhull fails).
+
+        ``center_radius`` is the polytope's Chebyshev centre and radius (a
+        full-dimensional polytope of dimension at least 2).  One halfspace
+        intersection from that centre gives the vertices, one joggled hull
+        (``QJ``, simplicial facets only) their boundary facets, and each
+        facet not containing the first hull vertex is pulled from it into a
+        simplex of the unjoggled vertices (see the module docstring).
+        """
+        vertices = self.vertices(center_radius)
+        if vertices is None or len(vertices) <= self.dimension:
+            return None
+        try:
+            hull = ConvexHull(vertices, qhull_options="QJ")
+        except (QhullError, ValueError):
+            return None
+        apex = hull.vertices[0]
+        facets = hull.simplices[~(hull.simplices == apex).any(axis=1)]
+        simplices = np.hstack([np.full((len(facets), 1), apex), facets])
+        corners = vertices[simplices]
+        volumes = np.abs(np.linalg.det(corners[:, 1:] - corners[:, :1]))
+        volumes /= math.factorial(self.dimension)
+        return SlabProfile(vertices, simplices, volumes, math.fsum(volumes))
+
     def volume_bounds(self, cache=None) -> Interval:
         """Bounds on the Lebesgue volume.
 
-        In the regular case the result is a point interval: Qhull's volume
-        of the joggled (``QJ``) vertex set, rounded to nearest — close to the
-        true volume but not a certified enclosure of it (see the ROADMAP's
-        certified-volume item).  An empty or flat polytope (Chebyshev radius
-        ``≤`` :data:`FLATNESS_RADIUS`) has volume exactly 0.  When Qhull
-        fails on a full-dimensional polytope the fallback is
+        In the regular case the polytope is measured as a slab of its
+        parent (:meth:`slab_split`), from the parent's :class:`SlabProfile`,
+        and padded by :data:`VOLUME_SLACK` times the parent's volume.  An
+        empty or flat parent (Chebyshev radius ``≤`` :data:`FLATNESS_RADIUS`)
+        or a slab of width 0 gives exactly 0.  When Qhull
+        fails on a full-dimensional parent the fallback is
         ``[0, volume of the bounding box]``; when an LP fails it is
         ``[0, volume of the axis-aligned rows' box]``.  Both keep every
         downstream bound sound, just less precise.
 
-        Qhull starts from :meth:`interior_point`; ``cache`` memoises its LPs
-        without changing the result.
+        ``cache`` memoises the parent's Chebyshev LP and profile without
+        changing the result; :func:`cell_volumes` measures many polytopes
+        at once to the same floats.
         """
+        return cell_volumes([self], cache)[0]
+
+    def _own_volume(self) -> Interval:
+        """:meth:`volume_bounds` of a polytope of dimension 0 or 1, which
+        needs no parent: emptiness, or the length of the segment of ``x``,
+        exact from the rows and rounded outward (no LP)."""
         if self.dimension == 0:
             return Interval.point(0.0) if self.is_empty() else Interval.point(1.0)
-        try:
-            center_radius = self.interior_point(cache)
-        except LPFailure:
-            return Interval(0.0, self._axis_box_volume())
-        if center_radius is None:
+        lo, hi = -math.inf, math.inf
+        for coefficient, rhs in zip(self.a[:, 0].tolist(), self.b.tolist()):
+            if coefficient == 0.0 or math.isinf(rhs):
+                if rhs < 0.0:
+                    return Interval.point(0.0)
+                continue
+            limit = Fraction(rhs) / Fraction(coefficient)
+            if coefficient > 0.0:
+                hi = min(hi, limit)
+            else:
+                lo = max(lo, limit)
+        if hi <= lo:
             return Interval.point(0.0)
-        _, radius = center_radius
-        if radius <= FLATNESS_RADIUS:
-            # Lower-dimensional (or empty): Lebesgue volume 0.
-            return Interval.point(0.0)
-        if self.dimension == 1:
-            try:
-                bound = self._linear_range([1.0])
-            except LPFailure:
-                return Interval(0.0, self._axis_box_volume())
-            if bound is None:
-                return Interval.point(0.0)
-            return Interval.point(bound.width)
-        vertices = self.vertices(center_radius)
-        if vertices is None or len(vertices) <= self.dimension:
-            return Interval(0.0, self._bounding_box_volume())
-        try:
-            hull = ConvexHull(vertices, qhull_options="QJ")
-            return Interval.point(float(hull.volume))
-        except (QhullError, ValueError):
-            return Interval(0.0, self._bounding_box_volume())
+        if math.inf in (hi, -lo):
+            return Interval.point(math.inf)
+        return _enclosure(hi - lo)
 
     def volume(self) -> float:
-        """The upper end of :meth:`volume_bounds` (the Qhull volume in the
-        regular case, otherwise the fallback's upper bound)."""
+        """The upper end of :meth:`volume_bounds` (the padded profile volume
+        in the regular case, otherwise the fallback's upper bound)."""
         return self.volume_bounds().hi
 
     def _bounding_box_volume(self) -> float:
@@ -642,3 +589,156 @@ class Polytope:
             + np.dot(coefficients[negative], lower[negative])
         )
         return Interval(lo, hi)
+
+
+class SlabProfile(NamedTuple):
+    """A parent polytope's triangulation, for measuring its slab cells.
+
+    Row ``i`` of ``simplices`` indexes the ``n + 1`` corners of simplex ``i``
+    in ``vertices``; ``volumes`` are the simplices' volumes and ``total``
+    their exactly rounded sum, the parent's volume.  The simplices tile the
+    parent, so ``V(t) = vol(parent ∩ {d·x ≤ t})`` is the sum of each
+    simplex's share below ``t`` (:meth:`cut_volumes`).
+    """
+
+    vertices: np.ndarray
+    simplices: np.ndarray
+    volumes: np.ndarray
+    total: float
+
+    def cut_volumes(self, direction: np.ndarray, cuts: np.ndarray) -> list[float]:
+        """``V(t)`` along ``direction`` for every ``t`` in ``cuts``.
+
+        A simplex with ``k`` of its ``n + 1`` corners at height ``d·v ≤ t``
+        contributes the part of it below ``t``: the cone from its lowest
+        corner over a staircase triangulation of the crossing points
+        (:func:`_near_share`).  When ``k > (n + 1) / 2`` the part above is
+        measured instead and subtracted.  Every ``(simplex, t)`` pair is
+        computed elementwise and each ``V(t)`` is an exactly rounded sum,
+        so ``V(t)`` is the same float whichever other cut values share the
+        call.
+        """
+        dimension = self.vertices.shape[1]
+        # Heights one coordinate at a time: elementwise, never a BLAS sum.
+        height = self.vertices[:, 0] * direction[0]
+        for axis in range(1, dimension):
+            height = height + self.vertices[:, axis] * direction[axis]
+        heights = np.sort(height[self.simplices], axis=1)
+        cuts = np.asarray(cuts, dtype=float)
+        below = (heights[None, :, :] <= cuts[:, None, None]).sum(axis=2)
+        parts = np.where(below > dimension, self.volumes, 0.0)
+        for count in np.unique(below).tolist():
+            if count == 0 or count > dimension:
+                continue
+            rows, columns = np.nonzero(below == count)
+            corners, cut = heights[columns], cuts[rows]
+            if 2 * count <= dimension + 1:
+                share = _near_share(corners[:, :count], corners[:, count:], cut)
+            else:
+                share = 1.0 - _near_share(corners[:, count:], corners[:, :count], cut)
+            parts[rows, columns] = self.volumes[columns] * share
+        return [math.fsum(row) for row in parts.tolist()]
+
+
+def _near_share(near: np.ndarray, far: np.ndarray, cut: np.ndarray) -> np.ndarray:
+    """Share of a simplex's volume on the side of ``d·x = cut`` holding the
+    corners of height ``near`` (the other corners are at height ``far``).
+
+    That part is the convex hull of the near corners ``v_i`` and the points
+    ``p_ij`` where the edges ``v_i w_j`` cross the cut.  A projective map
+    takes it to a product of two simplices, so the staircase triangulation
+    of the grid ``q_i0 = v_i``, ``q_ij = p_i(j-1)`` (one simplex per
+    monotone path from ``(0, 0)`` to its far corner) triangulates it.  In
+    barycentric coordinates each path's simplex is a triangular matrix
+    whose diagonal holds the crossing weights, so its share is a product
+    of them; the paths are summed by dynamic programming over the grid.
+    """
+    gap = np.abs(far[:, None, :] - near[:, :, None])
+    toward = np.abs(cut[:, None, None] - near[:, :, None]) / gap
+    away = np.abs(far[:, None, :] - cut[:, None, None]) / gap
+    width = far.shape[1]
+    row = [np.ones(len(cut))]
+    for j in range(width):
+        row.append(row[j] * toward[:, 0, j])
+    for i in range(1, near.shape[1]):
+        step = [row[0]]
+        for j in range(width):
+            step.append(row[j + 1] * away[:, i, j] + step[j] * toward[:, i, j])
+        row = step
+    return row[width]
+
+
+def cell_volumes(cells: Sequence[Polytope], cache=None) -> list[Interval]:
+    """``[cell.volume_bounds(cache) for cell in cells]``, measured in batches.
+
+    Cells are grouped by their parent and slab direction
+    (:meth:`Polytope.slab_split`); each group's cut values go through one
+    :meth:`SlabProfile.cut_volumes` call.  Polytopes of dimension 0 or 1
+    need no parent and are measured on their own.
+    """
+    results: list[Optional[Interval]] = [None] * len(cells)
+    groups: dict = {}
+    for index, cell in enumerate(cells):
+        if cell.dimension <= 1:
+            results[index] = cell._own_volume()
+            continue
+        parent, direction, lo, hi = cell.slab_split()
+        key = (parent.cache_key(), None if direction is None else direction.tobytes())
+        groups.setdefault(key, (parent, direction, []))[2].append((index, lo, hi))
+    for parent, direction, members in groups.values():
+        volumes = _slab_volumes(
+            parent, direction, [(lo, hi) for _, lo, hi in members],
+            [cells[index] for index, _, _ in members], cache,
+        )
+        for (index, _, _), volume in zip(members, volumes):
+            results[index] = volume
+    return results
+
+
+def _slab_volumes(
+    parent: Polytope,
+    direction: Optional[np.ndarray],
+    slabs: list[tuple[float, float]],
+    cells: list[Polytope],
+    cache=None,
+) -> list[Interval]:
+    """Volumes of ``parent ∩ {lo ≤ d·x ≤ hi}`` for the ``(lo, hi)`` in
+    ``slabs`` (``direction`` ``None``: the uncut parent); ``cells`` are
+    those polytopes as given, for the fallback bounds."""
+    try:
+        center_radius = parent._chebyshev(cache)
+    except LPFailure:
+        return [Interval(0.0, cell._axis_box_volume()) for cell in cells]
+    if center_radius is None or center_radius[1] <= FLATNESS_RADIUS:
+        return [Interval.point(0.0)] * len(slabs)
+    profile = (
+        parent.slab_profile(center_radius) if cache is None
+        else cache.profile(parent, center_radius)
+    )
+    if profile is None:
+        return [Interval(0.0, cell._bounding_box_volume()) for cell in cells]
+    slack = VOLUME_SLACK * profile.total
+    if direction is None:
+        return [_padded(profile.total, slack)] * len(slabs)
+    cuts = np.unique([cut for slab in slabs for cut in slab])
+    at = dict(zip(cuts.tolist(), profile.cut_volumes(direction, cuts)))
+    # A slab of width 0 is a hyperplane section: volume exactly 0.
+    return [
+        _padded(at[hi] - at[lo], slack) if lo < hi else Interval.point(0.0)
+        for lo, hi in slabs
+    ]
+
+
+def _padded(volume: float, slack: float) -> Interval:
+    """``[volume − slack, volume + slack]``, clipped at 0."""
+    return Interval(max(0.0, volume - slack), max(0.0, volume + slack))
+
+
+def _enclosure(value: Fraction) -> Interval:
+    """The narrowest float interval containing ``value``."""
+    nearest = float(value)
+    exact = Fraction(nearest)
+    return Interval(
+        nearest if exact <= value else math.nextafter(nearest, -math.inf),
+        nearest if exact >= value else math.nextafter(nearest, math.inf),
+    )

@@ -19,6 +19,7 @@ __all__ = [
     "geometric_program",
     "random_spcf_program",
     "_analyze_paths_resolved",
+    "integrate_reference",
 ]
 
 
@@ -72,6 +73,100 @@ def _analyze_paths_resolved(paths, targets, options, analyzers):
             contributions.append(analyze_single_path(path, analyzers, targets, options))
     flush()
     return contributions
+
+
+def integrate_reference(polytope, templates, atoms, density, options, is_lower):
+    """The pre-batching per-combination integration loop: the oracle of the
+    linear analyzer's ``_integrate``.
+
+    Bounds atoms with one scalar LP pair each, rebuilds the constraint rows
+    per combination, evaluates every score template with the scalar interval
+    evaluator and measures every chunk volume on its own — no geometry cache,
+    no vectorised factor sweep, no prepared-LP batching, no batched cut
+    values.  ``tests/test_linear_fast_path.py`` asserts ``_integrate``
+    reproduces this loop's floats bit for bit.
+    """
+    import itertools
+    import math
+
+    from repro.analysis.linear_analyzer import (
+        _NEGLIGIBLE_WEIGHT,
+        _NON_NEGATIVE,
+        _combination_count,
+        _lower_row,
+        _split_interval,
+        _upper_row,
+    )
+    from repro.intervals import Interval
+    from repro.symbolic.value import evaluate_with_atoms
+
+    if not templates:
+        volume = polytope.volume_bounds()
+        return density * (volume.lo if is_lower else volume.hi)
+    if polytope.is_empty():
+        return 0.0
+
+    atom_ranges = []
+    for atom in atoms:
+        base = polytope.bound_linear(atom.as_dense(polytope.dimension))
+        if base is None:
+            return 0.0
+        atom_ranges.append(_split_interval(base + atom.constant, options.score_splits))
+
+    while _combination_count(atom_ranges) > options.max_score_combinations:
+        widest = max(range(len(atom_ranges)), key=lambda i: len(atom_ranges[i]))
+        if len(atom_ranges[widest]) <= 1:
+            break
+        hull = Interval(atom_ranges[widest][0].lo, atom_ranges[widest][-1].hi)
+        atom_ranges[widest] = _split_interval(hull, max(1, len(atom_ranges[widest]) // 2))
+
+    dimension = polytope.dimension
+    total = 0.0
+    for combination in itertools.product(*atom_ranges):
+        rows = []
+        rhs = []
+        feasible = True
+        for atom, chunk in zip(atoms, combination):
+            if math.isfinite(chunk.hi):
+                row = _upper_row(atom, chunk.hi, dimension, universal=is_lower)
+                if row is None:
+                    feasible = False
+                    break
+                if row[0]:
+                    rows.append(row[0])
+                    rhs.append(row[1])
+            if math.isfinite(chunk.lo):
+                row = _lower_row(atom, chunk.lo, dimension, universal=is_lower)
+                if row is None:
+                    feasible = False
+                    break
+                if row[0]:
+                    rows.append(row[0])
+                    rhs.append(row[1])
+        if not feasible:
+            continue
+        weight = Interval.point(1.0)
+        for template in templates:
+            score_bounds = evaluate_with_atoms(template.template, list(combination))
+            score_bounds = score_bounds.meet(_NON_NEGATIVE)
+            if score_bounds.is_empty:
+                score_bounds = Interval.point(0.0)
+            weight = weight * score_bounds
+        factor = max(0.0, weight.lo if is_lower else weight.hi)
+        if factor == 0.0:
+            continue
+        if not is_lower and math.isfinite(factor) and factor < _NEGLIGIBLE_WEIGHT:
+            total += factor
+            continue
+        chunk_polytope = polytope.add_constraints(rows, rhs) if rows else polytope
+        volume = chunk_polytope.volume_bounds()
+        volume_value = volume.lo if is_lower else volume.hi
+        if volume_value <= 0.0:
+            continue
+        total += density * volume_value * factor
+        if math.isinf(total):
+            return math.inf
+    return total
 
 
 def simple_observe_model(observed: float = 1.1, std: float = 0.25):

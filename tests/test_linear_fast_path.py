@@ -6,9 +6,9 @@ density liftings claims every one of them is a pure reorganisation: the
 floats cannot move.  This suite makes each claim a property:
 
 * :func:`repro.analysis.linear_analyzer._integrate` (batched sweep, cached
-  volumes, compiled templates) is bit-identical to
-  :func:`~repro.analysis.linear_analyzer._integrate_reference`, the
-  pre-batching per-combination loop kept as the oracle;
+  and batched volumes, compiled templates) is bit-identical to
+  ``helpers.integrate_reference``, the pre-batching per-combination loop
+  kept as the oracle;
 * the prepared HiGHS kernel returns the exact floats of the
   ``scipy.optimize.linprog`` wrapper it replaces, its directly built CSC
   arrays equal ``scipy.sparse``'s, and a Chebyshev LP re-solved on a shared
@@ -50,7 +50,6 @@ from repro.analysis.linear_analyzer import (
     GeometryCache,
     _analyze_linear_forms,
     _integrate,
-    _integrate_reference,
     linear_analysis_applicable,
 )
 from repro.distributions import Uniform
@@ -74,6 +73,8 @@ from repro.symbolic.execute import ExecutionLimits
 from repro.symbolic.linear import decompose_score
 from repro.symbolic.paths import Relation
 from repro.symbolic.value import SConst, SPrim, SVar
+
+from helpers import integrate_reference
 
 TARGETS = (Interval(0.0, 1.0), Interval.reals())
 
@@ -125,7 +126,7 @@ class TestIntegrateMatchesReference:
         options = AnalysisOptions(score_splits=splits, max_score_combinations=64)
         cache = GeometryCache()
         for is_lower in (True, False):
-            reference = _integrate_reference(
+            reference = integrate_reference(
                 polytope, templates, list(atoms), 1.0, options, is_lower
             )
             batched = _integrate(
@@ -150,7 +151,7 @@ class TestIntegrateMatchesReference:
             for is_lower in (True, False):
                 assert _integrate(
                     polytope, templates, list(atoms), 1.0, options, GeometryCache(), is_lower
-                ) == _integrate_reference(
+                ) == integrate_reference(
                     polytope, templates, list(atoms), 1.0, options, is_lower
                 )
 
@@ -200,7 +201,7 @@ class TestFlatBaseShortcut:
         cells = splits ** len(atoms)
         cache = GeometryCache()
         for is_lower in (True, False):
-            reference = _integrate_reference(
+            reference = integrate_reference(
                 polytope, templates, list(atoms), 1.0, options, is_lower
             )
             shortcut = _integrate(
@@ -407,14 +408,17 @@ class TestSerialTableRoute:
 
     @pytest.fixture
     def volume_calls(self, monkeypatch):
+        # Every polytope measured, one at a time (``volume_bounds``) or in a
+        # batch of cells (``cell_volumes``).
         calls = []
-        volume_bounds = Polytope.volume_bounds
+        cell_volumes = polytope_module.cell_volumes
 
-        def counted(self, *args):
-            calls.append(self)
-            return volume_bounds(self, *args)
+        def counted(cells, *args):
+            calls.extend(cells)
+            return cell_volumes(cells, *args)
 
-        monkeypatch.setattr(Polytope, "volume_bounds", counted)
+        monkeypatch.setattr(polytope_module, "cell_volumes", counted)
+        monkeypatch.setattr(linear_analyzer, "cell_volumes", counted)
         return calls
 
     def test_fewer_volumes_than_path_by_path(self, volume_calls):
