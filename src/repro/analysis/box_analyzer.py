@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,12 +30,12 @@ import numpy as np
 from ..distributions import ContinuousDistribution, DiscreteDistribution, Distribution
 from ..intervals import Interval
 from ..symbolic.paths import Relation, SymbolicPath
-from ..symbolic.value import SymExpr, evaluate_interval
+from ..symbolic.value import evaluate_interval
 from .config import AnalysisOptions
 from .vectorize import ScalarFallback as _ScalarFallback
 from .vectorize import (
     TableProgramEvaluator,
-    checked_cells,
+    compile_expr_roots,
     compile_table_roots,
     vec_mul as _vec_mul,
     vec_product as _vec_product,
@@ -90,52 +89,17 @@ def _grid_parts(dimension: int, options: AnalysisOptions) -> int:
     return max(1, parts)
 
 
-@dataclass
-class _Cell:
-    bounds: list[Interval]
-    mass: float
-
-
-def _enumerate_cells(path: SymbolicPath, options: AnalysisOptions) -> list[_Cell]:
-    parts = _grid_parts(path.variable_count, options)
-    per_variable: list[list[tuple[Interval, float]]] = []
-    for dist in path.distributions:
-        cells = split_domain(dist, parts)
-        per_variable.append([(cell, dist.measure(cell)) for cell in cells])
-    cells: list[_Cell] = [_Cell(bounds=[], mass=1.0)]
-    for variable_cells in per_variable:
-        next_cells: list[_Cell] = []
-        for cell in cells:
-            for interval, mass in variable_cells:
-                if mass <= 0.0 and interval.width == 0.0:
-                    continue
-                next_cells.append(_Cell(bounds=cell.bounds + [interval], mass=cell.mass * mass))
-        cells = next_cells
-    return cells
-
-
 # ----------------------------------------------------------------------
 # Vectorised cell evaluation
 #
-# The per-cell loop below evaluates every constraint, score and the result
-# value once per grid cell — for a path with thousands of cells that is
-# thousands of Python interpreter round-trips per expression node.  The
-# vectorised sweep (shared with the linear analyser in
-# :mod:`repro.analysis.vectorize`) evaluates each expression node once over
-# *all* cells as a pair of (lo, hi) NumPy arrays instead; any anomaly
-# abandons the sweep and re-runs the path through the scalar loop.
+# A per-cell loop evaluates every constraint, score and the result value
+# once per grid cell — for a path with thousands of cells that is thousands
+# of Python interpreter round-trips per expression node.  The sweep instead
+# compiles the path's expressions into one flat program
+# (:mod:`repro.analysis.vectorize`, shared with the linear analyser) and
+# evaluates each instruction once over *all* cells as a pair of (lo, hi)
+# NumPy arrays; any anomaly abandons the sweep for the per-cell loop.
 # ----------------------------------------------------------------------
-
-
-def _checked_cells(
-    expr: SymExpr, los: np.ndarray, his: np.ndarray, transcendentals: bool = False
-):
-    return checked_cells(
-        expr,
-        los.shape[0],
-        var_leaf=lambda leaf: (los[:, leaf.index], his[:, leaf.index]),
-        transcendentals=transcendentals,
-    )
 
 
 def _constraint_masks(relation: str, glo: np.ndarray, ghi: np.ndarray):
@@ -152,11 +116,13 @@ def _constraint_masks(relation: str, glo: np.ndarray, ghi: np.ndarray):
 def _cell_arrays(distributions: Sequence[Distribution], options: AnalysisOptions):
     """The cell grid as arrays: bounds ``(n, d)`` and masses ``(n,)``.
 
-    Mirrors :func:`_enumerate_cells` (same per-variable splits, same
-    zero-mass point-cell filter, same lexicographic cell order) but builds
-    the product grid with ``meshgrid`` instead of a Python cross product.
-    Takes the distribution sequence directly so the materialised and
-    columnar routes build identical grids.
+    Every variable's domain is split by :func:`split_domain`, zero-mass point
+    cells are dropped, and the product grid is laid out in lexicographic
+    order (the last variable varies fastest).  A cell's mass is the product
+    of its per-variable masses, multiplied left to right from 1.  ``None``
+    when some variable has no cell.  Takes the distribution sequence
+    directly so the materialised and columnar routes, and the per-cell
+    loop, all read one grid.
     """
     parts = _grid_parts(len(distributions), options)
     lows, highs, masses = [], [], []
@@ -183,29 +149,59 @@ def _cell_arrays(distributions: Sequence[Distribution], options: AnalysisOptions
     return los, his, mass
 
 
-def _boxes_sweep(
-    arrays,
-    constraints,
-    scores,
-    result,
-    targets: Sequence[Interval],
-    eval_expr,
-) -> list[tuple[float, float]]:
+def _program_entry(compiled, relations, distributions):
+    """A path's sweep program from its compiled roots.
+
+    ``compiled`` is ``(instructions, positions)`` of the constraint roots,
+    then the score roots, then the result root — the order the sweep
+    consumes them, so lazy evaluation short-circuits exactly there.  The
+    entry is ``(instructions, constraint (position, relation) pairs, score
+    positions, result position, distributions)``.
+    """
+    instrs, positions = compiled
+    count = len(relations)
+    return (
+        instrs,
+        tuple(zip(positions[:count], relations)),
+        positions[count:-1],
+        positions[-1],
+        distributions,
+    )
+
+
+def _path_program(path: SymbolicPath):
+    """The sweep program of a materialised path (raises
+    :class:`_ScalarFallback` when a root cannot be compiled)."""
+    roots = [constraint.expr for constraint in path.constraints]
+    roots.extend(path.scores)
+    roots.append(path.result)
+    return _program_entry(
+        compile_expr_roots(roots),
+        [constraint.relation for constraint in path.constraints],
+        path.distributions,
+    )
+
+
+def _boxes_sweep(program, arrays, targets: Sequence[Interval]) -> list[tuple[float, float]]:
     """The grid sweep shared by the materialised and columnar routes.
 
-    ``constraints`` is a sequence of ``(expression handle, relation)``,
-    ``scores``/``result`` are expression handles, and ``eval_expr`` resolves
-    a handle to per-cell ``(lo, hi)`` arrays — a :class:`SymExpr` evaluated
-    by :func:`~repro.analysis.vectorize.checked_cells` on the materialised
-    route, a node id evaluated by
-    :func:`~repro.analysis.vectorize.checked_cells_table` on the columnar
-    route.  Sharing this fold is what makes the two routes bit-identical.
+    ``program`` is a :func:`_program_entry` and ``arrays`` the
+    :func:`_cell_arrays` grid of its distributions.  Both routes run this
+    one fold over the same instruction format, which is what makes them
+    bit-identical.  Raises :class:`_ScalarFallback` when the sweep cannot
+    express a cell.
     """
+    if arrays is None:
+        return [(0.0, 0.0) for _ in targets]
+    instrs, constraints, score_positions, result_position, _ = program
     los, his, mass = arrays
+    eval_expr = TableProgramEvaluator(
+        instrs, los.shape[0], var_leaf=lambda index: (los[:, index], his[:, index])
+    ).eval_to
     possible = mass > 0.0
     definite = possible.copy()
-    for handle, relation in constraints:
-        glo, ghi = eval_expr(handle)
+    for position, relation in constraints:
+        glo, ghi = eval_expr(position)
         exists_mask, forall_mask = _constraint_masks(relation, glo, ghi)
         possible &= exists_mask
         definite &= forall_mask
@@ -214,8 +210,8 @@ def _boxes_sweep(
 
     weight_lo = np.ones(los.shape[0])
     weight_hi = np.ones(los.shape[0])
-    for score in scores:
-        slo, shi = eval_expr(score)
+    for position in score_positions:
+        slo, shi = eval_expr(position)
         # meet with [0, inf); an all-negative score interval collapses to 0.
         slo = np.maximum(slo, 0.0)
         negative = shi < slo
@@ -227,7 +223,7 @@ def _boxes_sweep(
     if np.isnan(weight_lo).any() or np.isnan(weight_hi).any():
         raise _ScalarFallback
 
-    value_lo, value_hi = eval_expr(result)
+    value_lo, value_hi = eval_expr(result_position)
     upper_mass = _vec_product(mass, weight_hi)
     lower_mass = _vec_product(mass, weight_lo)
 
@@ -239,27 +235,6 @@ def _boxes_sweep(
         lower = float(np.sum(lower_mass, where=contained, initial=0.0))
         results.append((lower, upper))
     return results
-
-
-def _analyze_path_boxes_vectorized(
-    path: SymbolicPath,
-    targets: Sequence[Interval],
-    options: AnalysisOptions,
-) -> list[tuple[float, float]]:
-    """The vectorised sweep; raises :class:`_ScalarFallback` when unsupported."""
-    arrays = _cell_arrays(path.distributions, options)
-    if arrays is None:
-        return [(0.0, 0.0) for _ in targets]
-    los, his, _ = arrays
-    transcendentals = options.vectorized_transcendentals
-    return _boxes_sweep(
-        arrays,
-        [(constraint.expr, constraint.relation) for constraint in path.constraints],
-        path.scores,
-        path.result,
-        targets,
-        lambda expr: _checked_cells(expr, los, his, transcendentals),
-    )
 
 
 #: ``table.scratch`` key of the box analyzer's per-path compiled programs.
@@ -320,10 +295,8 @@ def _box_program(table, index: int):
     """The compiled sweep program of path ``index`` (memoised per table).
 
     Compiled once per table attachment and reused by every chunk and every
-    query over it: ``(instructions, constraint (position, relation) pairs,
-    score positions, result position, distributions)``.  ``None`` marks a
-    path the sweep cannot express — callers decode and run the materialised
-    route.
+    query over it (a :func:`_program_entry`).  ``None`` marks a path the
+    sweep cannot express — callers decode it and run the per-cell loop.
     """
     cache = table.scratch.get(_TABLE_SCRATCH_KEY)
     if cache is None:
@@ -331,29 +304,17 @@ def _box_program(table, index: int):
     if index in cache:
         return cache[index]
     expr_ids, rel_ids = table.constraint_ids(index)
-    score_ids = table.score_ids(index)
-    # Constraint roots first, then scores, then the result: the compiled
-    # program is laid out so lazy evaluation short-circuits in exactly the
-    # order the sweep consumes the roots.
     roots = [int(expr_id) for expr_id in expr_ids]
-    roots.extend(int(score_id) for score_id in score_ids)
+    roots.extend(int(score_id) for score_id in table.score_ids(index))
     roots.append(table.result_id(index))
     try:
-        instrs, positions = compile_table_roots(table, roots)
+        entry = _program_entry(
+            compile_table_roots(table, roots),
+            [Relation.ALL[int(rel_id)] for rel_id in rel_ids],
+            table.path_distributions(index),
+        )
     except _ScalarFallback:
-        cache[index] = None
-        return None
-    constraint_count = len(expr_ids)
-    entry = (
-        instrs,
-        tuple(
-            (position, Relation.ALL[int(rel_id)])
-            for position, rel_id in zip(positions[:constraint_count], rel_ids)
-        ),
-        positions[constraint_count:-1],
-        positions[-1],
-        table.path_distributions(index),
-    )
+        entry = None
     cache[index] = entry
     return entry
 
@@ -372,32 +333,18 @@ def analyze_table_boxes(
     executes the program lazily over it — no
     :class:`~repro.symbolic.SymbolicPath` is materialised and no expression
     tree is walked.  Paths the sweep cannot express (zero-variable paths,
-    anomalies mid-sweep) decode and run the materialised
-    :func:`analyze_path_boxes`, so results are bit-identical to the
+    anomalies mid-sweep) decode and run the per-cell loop, as
+    :func:`analyze_path_boxes` does, so results are bit-identical to the
     materialised route in every case.
     """
-    program = _box_program(table, index) if options.vectorized_boxes else None
-    if program is None or len(program[4]) == 0:
-        return analyze_path_boxes(table.decode_path(index), targets, options)
-    instrs, constraints, score_positions, result_position, distributions = program
-    try:
-        arrays = _table_cell_arrays(table, index, distributions, options)
-        if arrays is None:
-            return [(0.0, 0.0) for _ in targets]
-        los, his, _ = arrays
-        evaluator = TableProgramEvaluator(
-            instrs,
-            los.shape[0],
-            var_leaf=lambda var_index: (los[:, var_index], his[:, var_index]),
-            transcendentals=options.vectorized_transcendentals,
-        )
-        return _boxes_sweep(
-            arrays, constraints, score_positions, result_position, targets, evaluator.eval_to
-        )
-    except _ScalarFallback:
-        # Same escape hatch as the materialised route: decode this one path
-        # and let analyze_path_boxes run its (vectorised, then scalar) loop.
-        return analyze_path_boxes(table.decode_path(index), targets, options)
+    program = _box_program(table, index)
+    if program is not None and len(program[4]) > 0:
+        try:
+            arrays = _table_cell_arrays(table, index, program[4], options)
+            return _boxes_sweep(program, arrays, targets)
+        except _ScalarFallback:
+            pass
+    return _analyze_cells(table.decode_path(index), targets, options)
 
 
 def analyze_path_boxes(
@@ -407,19 +354,30 @@ def analyze_path_boxes(
 ) -> list[tuple[float, float]]:
     """Bounds on ``⟦Ψ⟧_lb(U)`` / ``⟦Ψ⟧_ub(U)`` for every target ``U``.
 
-    Returns one ``(lower, upper)`` pair per entry of ``targets``.  With
-    ``options.vectorized_boxes`` (the default) the grid is evaluated in one
-    vectorised sweep over all cells; paths the sweep cannot express fall back
-    to the per-cell loop transparently.
+    Returns one ``(lower, upper)`` pair per entry of ``targets``.  The grid
+    is evaluated in one vectorised sweep over all cells; paths the sweep
+    cannot express fall back to the per-cell loop transparently.
     """
-    if options.vectorized_boxes and path.variable_count > 0:
+    if path.variable_count > 0:
         try:
-            return _analyze_path_boxes_vectorized(path, targets, options)
+            return _boxes_sweep(
+                _path_program(path), _cell_arrays(path.distributions, options), targets
+            )
         except _ScalarFallback:
             # Unsupported expression shapes and per-cell NaN corner cases
-            # re-run through the scalar loop; genuine defects (e.g. shape
+            # re-run through the per-cell loop; genuine defects (e.g. shape
             # mismatches) propagate instead of silently degrading to it.
             pass
+    return _analyze_cells(path, targets, options)
+
+
+def _analyze_cells(
+    path: SymbolicPath,
+    targets: Sequence[Interval],
+    options: AnalysisOptions,
+) -> list[tuple[float, float]]:
+    """The per-cell interval loop: the fallback for paths the sweep cannot
+    express, and the only route for zero-variable paths."""
     lower = [0.0] * len(targets)
     upper = [0.0] * len(targets)
     if path.variable_count == 0:
@@ -442,10 +400,14 @@ def analyze_path_boxes(
                 lower[index] += max(0.0, weight.lo)
         return list(zip(lower, upper))
 
-    for cell in _enumerate_cells(path, options):
-        if cell.mass <= 0.0:
+    arrays = _cell_arrays(path.distributions, options)
+    if arrays is None:
+        return list(zip(lower, upper))
+    los, his, masses = arrays
+    for cell_los, cell_his, mass in zip(los.tolist(), his.tolist(), masses.tolist()):
+        if mass <= 0.0:
             continue
-        bounds = cell.bounds
+        bounds = [Interval(lo, hi) for lo, hi in zip(cell_los, cell_his)]
         definitely_satisfied = True
         possibly_satisfied = True
         for constraint in path.constraints:
@@ -466,9 +428,9 @@ def analyze_path_boxes(
         value = evaluate_interval(path.result, bounds)
         for index, target in enumerate(targets):
             if value.intersects(target):
-                upper[index] += cell.mass * max(0.0, weight.hi)
+                upper[index] += mass * max(0.0, weight.hi)
             if definitely_satisfied and target.contains_interval(value):
-                lower[index] += cell.mass * max(0.0, weight.lo)
+                lower[index] += mass * max(0.0, weight.lo)
     return list(zip(lower, upper))
 
 

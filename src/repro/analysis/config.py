@@ -188,20 +188,6 @@ class AnalysisOptions:
             default) derives the backend from ``workers`` — a process pool
             when ``workers > 1``, the serial loop otherwise.  Defaults to
             ``$REPRO_ANALYSIS_EXECUTOR`` when that variable is set.
-        vectorized_boxes: let the box analyser evaluate all grid cells of a
-            path in one vectorised sweep instead of a per-cell Python loop
-            (:func:`repro.analysis.box_analyzer.analyze_path_boxes`).
-        vectorized_scores: let the linear analyser evaluate all score-atom
-            range combinations of an integral in one vectorised sweep instead
-            of the per-combination Python loop
-            (:mod:`repro.analysis.linear_analyzer`).
-        vectorized_transcendentals: evaluate the monotone transcendental
-            primitives (``exp``, ``log``) inside vectorised sweeps as
-            whole-array NumPy calls instead of the per-cell scalar interval
-            lifting.  **Off by default**: NumPy's transcendentals may differ
-            from libm's in the last ulp, and the golden regression pins
-            assume libm — enabling the knob keeps bounds sound but may move
-            them by one ulp.
         stream: pipeline symbolic exploration into path analysis — paths are
             produced by the iterative explorer and consumed chunk-by-chunk
             while exploration is still enumerating, so the full path set is
@@ -254,6 +240,15 @@ class AnalysisOptions:
             no query outlives its caller.  Deliberately *relative*: options
             participate in cache keys, and an absolute timestamp would make
             every query a cache miss.  ``None`` (the default) disables it.
+        stream_cache_budget: memory budget (bytes) of the streamed-query
+            cache tee.  A ``stream=True`` query on a cache miss materialises
+            the paths it dispatches (interned, so the footprint is the
+            arena-encoded size) and, if the whole stream fits the budget,
+            installs the result in the compiled-program cache — a repeated
+            query is then served from the cache at batch speed without the
+            first query having sacrificed time-to-first-bound.  ``None`` or
+            ``0`` disables the tee (streamed queries bypass the cache, the
+            pre-tee behaviour).
         refine: anytime-refinement mode — ``"off"`` (the default: one
             uniform sweep at the configured split budgets) or ``"gap"``
             (gap-directed anytime refinement: seed from the uniform sweep,
@@ -279,15 +274,6 @@ class AnalysisOptions:
             across backends.  ``None`` removes the cap (rounds run until the
             gap heap drains, the width target is met or the time budget
             expires).
-        stream_cache_budget: memory budget (bytes) of the streamed-query
-            cache tee.  A ``stream=True`` query on a cache miss materialises
-            the paths it dispatches (interned, so the footprint is the
-            arena-encoded size) and, if the whole stream fits the budget,
-            installs the result in the compiled-program cache — a repeated
-            query is then served from the cache at batch speed without the
-            first query having sacrificed time-to-first-bound.  ``None`` or
-            ``0`` disables the tee (streamed queries bypass the cache, the
-            pre-tee behaviour).
     """
 
     max_fixpoint_depth: int = 6
@@ -301,9 +287,6 @@ class AnalysisOptions:
     workers: int = field(default_factory=_default_workers)
     chunk_size: Optional[int] = None
     executor: Optional[str] = field(default_factory=_default_executor)
-    vectorized_boxes: bool = True
-    vectorized_scores: bool = True
-    vectorized_transcendentals: bool = False
     stream: bool = field(default_factory=_default_stream)
     prefetch: int = 4
     payload_transport: Optional[str] = None

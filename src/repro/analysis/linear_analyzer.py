@@ -74,7 +74,6 @@ from .config import AnalysisOptions
 from .vectorize import (
     ScalarFallback,
     TableProgramEvaluator,
-    checked_cells,
     compile_expr_roots,
     vec_mul,
 )
@@ -500,8 +499,8 @@ class GeometryCache:
 
     def template_program(self, templates):
         """Compiled evaluation program of the score templates (``None`` when
-        a template cannot be expressed as a program — the factor sweep then
-        walks the expression trees as before)."""
+        a template cannot be expressed as a program — the combination loop
+        then evaluates every weight with the scalar interval evaluator)."""
         key = id(templates)
         entry = self.programs.lookup(key)
         if entry is _MISSING or entry[0] is not templates:
@@ -742,15 +741,13 @@ def _integrate(
         atom_ranges[widest] = _split_interval(hull, max(1, len(atom_ranges[widest]) // 2))
 
     # Pre-compute the weight factor of every atom-range combination in one
-    # vectorised sweep over the whole product grid (the scalar per-combination
-    # branch below is the historical fallback and remains the reference
-    # semantics — the sweep reproduces its floats bit-for-bit).
+    # sweep over the whole product grid.  ``None`` (a template the program
+    # cannot express, or an anomaly mid-sweep) leaves the per-combination
+    # branch below to compute each weight with the scalar interval
+    # evaluator; the sweep reproduces its floats bit-for-bit.
     factors = None
-    if options.vectorized_scores and atoms:
-        factors = _vectorized_factors(
-            atom_ranges, templates, is_lower, options.vectorized_transcendentals,
-            program=cache.template_program(templates),
-        )
+    if atoms:
+        factors = _vectorized_factors(atom_ranges, cache.template_program(templates), is_lower)
 
     # Pre-compute each chunk's constraint rows and their cache-key bytes once
     # per (atom, chunk) — the product loop then only concatenates.
@@ -823,35 +820,22 @@ def _integrate(
     return total
 
 
-def _vectorized_factors(
-    atom_ranges: list[list[Interval]],
-    templates,
-    is_lower: bool,
-    transcendentals: bool = False,
-    program=None,
-):
+def _vectorized_factors(atom_ranges: list[list[Interval]], program, is_lower: bool):
     """Weight factor of every atom-range combination, in one meshgrid sweep.
 
     Builds the full product grid of atom chunks (in :func:`itertools.product`
     order: the last atom varies fastest) as ``(combinations × atoms)`` bound
-    arrays and evaluates every score template over it with the shared
-    vectorised interval evaluator.  The result is bit-identical to the scalar
-    per-combination loop — exact IEEE operations are lifted wholesale and
-    everything else falls back to the scalar interval lifting per cell — so
-    enabling ``vectorized_scores`` never moves a bound.  Returns ``None``
-    when the sweep cannot express a template (the caller then runs the
-    scalar loop).
-
-    ``program`` optionally supplies the templates pre-compiled by
+    arrays and runs ``program`` — the score templates compiled by
     :func:`~repro.analysis.vectorize.compile_expr_roots`
-    (:meth:`GeometryCache.template_program` caches them): the sweep then
-    replays flat instructions instead of re-walking the expression trees,
-    through the same lifting kernel — identical arrays either way.
+    (:meth:`GeometryCache.template_program` caches it) — over it.  The
+    result is bit-identical to the scalar per-combination loop: exact IEEE
+    operations are lifted wholesale and everything else takes the scalar
+    interval lifting per cell.  Returns ``None`` when there is no program,
+    at most one combination, or the sweep cannot express a cell (the caller
+    then runs the scalar loop).
     """
-    if not templates:
-        return None
     count = _combination_count(atom_ranges)
-    if count <= 1:
+    if program is None or count <= 1:
         return None
     lo_grid = np.meshgrid(
         *[np.array([chunk.lo for chunk in cells]) for cells in atom_ranges], indexing="ij"
@@ -861,29 +845,15 @@ def _vectorized_factors(
     )
     combos_lo = np.stack([grid.reshape(-1) for grid in lo_grid], axis=1)
     combos_hi = np.stack([grid.reshape(-1) for grid in hi_grid], axis=1)
-
-    def atom_leaf(leaf):
-        return combos_lo[:, leaf.index], combos_hi[:, leaf.index]
-
+    instrs, positions = program
+    evaluator = TableProgramEvaluator(
+        instrs, count, atom_leaf=lambda index: (combos_lo[:, index], combos_hi[:, index])
+    )
     try:
         weight_lo = np.ones(count)
         weight_hi = np.ones(count)
-        evaluator = None
-        if program is not None:
-            evaluator = TableProgramEvaluator(
-                program[0],
-                count,
-                atom_leaf=lambda index: (combos_lo[:, index], combos_hi[:, index]),
-                transcendentals=transcendentals,
-            )
-        for position, template in enumerate(templates):
-            if evaluator is not None:
-                score_lo, score_hi = evaluator.eval_to(program[1][position])
-            else:
-                score_lo, score_hi = checked_cells(
-                    template.template, count, atom_leaf=atom_leaf,
-                    transcendentals=transcendentals,
-                )
+        for position in positions:
+            score_lo, score_hi = evaluator.eval_to(position)
             # meet with [0, inf); an empty meet collapses to the point 0.
             score_lo = np.maximum(score_lo, 0.0)
             empty = score_hi < score_lo

@@ -18,20 +18,21 @@ define the bounds.  Anomalies (NaN from ``∞ − ∞`` corner cases, empty
 constants, unsupported leaves) raise :class:`ScalarFallback`, and the caller
 re-runs the scalar loop.
 
-Leaf resolution is pluggable: callers provide callbacks mapping
-:class:`~repro.symbolic.value.SVar` and/or
-:class:`~repro.symbolic.value.SAtom` leaves to their per-cell bound arrays,
-so the same evaluator serves sample-variable grids and atom-range grids.
+Leaf resolution is pluggable: callers provide callbacks mapping a
+sample-variable and/or atom-placeholder *index* to its per-cell bound
+arrays, so the same evaluator serves sample-variable grids and atom-range
+grids.
 
-Two routes share one lifting kernel (:func:`apply_primitive_cells`):
-:func:`evaluate_cells` recurses over a materialised expression tree, while
-the columnar analyzer fast path **compiles** a path's expressions straight
-from the node columns of a :class:`~repro.symbolic.arena.PathTable` into a
-flat instruction program (:func:`compile_table_roots`, cached per table
-attachment) and executes it lazily per cell grid
-(:class:`TableProgramEvaluator`) — shared sub-DAGs run once per sweep and
-repeated queries skip the walk entirely.  Both routes produce bit-identical
-arrays on equal expressions.
+There is one evaluator.  A path's expressions are compiled into a flat
+instruction program — from the node columns of a
+:class:`~repro.symbolic.arena.PathTable` (:func:`compile_table_roots`,
+cached per table attachment) or from materialised expression roots
+(:func:`compile_expr_roots`) — and :class:`TableProgramEvaluator` executes
+it lazily per cell grid through the one lifting kernel
+(:func:`apply_primitive_cells`).  Shared sub-DAGs run once per sweep, and
+repeated queries skip the compilation entirely.  ``exp`` and ``log``, like
+every primitive without an array lifting here, always take their scalar
+(libm) interval lifting cell by cell.
 """
 
 from __future__ import annotations
@@ -50,17 +51,11 @@ __all__ = [
     "ScalarFallback",
     "TableProgramEvaluator",
     "apply_primitive_cells",
-    "checked_cells",
     "compile_expr_roots",
     "compile_table_roots",
-    "evaluate_cells",
     "vec_mul",
     "vec_product",
 ]
-
-#: A callback resolving a leaf node to ``(lo, hi)`` arrays over all cells.
-LeafLookup = Callable[[SymExpr], tuple[np.ndarray, np.ndarray]]
-
 
 class ScalarFallback(Exception):
     """Abandon the vectorised sweep and let the caller use its scalar loop."""
@@ -90,61 +85,15 @@ def vec_mul(alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray, bhi: np.ndarray):
     return lo, hi
 
 
-def evaluate_cells(
-    expr: SymExpr,
-    count: int,
-    var_leaf: Optional[LeafLookup] = None,
-    atom_leaf: Optional[LeafLookup] = None,
-    transcendentals: bool = False,
-):
-    """``(lo, hi)`` arrays of ``expr`` over ``count`` cells.
-
-    ``var_leaf`` / ``atom_leaf`` resolve sample-variable / atom-placeholder
-    leaves; an expression containing a leaf kind without a resolver raises
-    :class:`ScalarFallback` (the caller's scalar loop decides).
-
-    ``transcendentals`` additionally lifts the monotone transcendental
-    primitives (``exp``, ``log``) to whole-array NumPy calls instead of the
-    per-cell scalar interval lifting.  NumPy's implementations may differ
-    from libm's in the last ulp, so this is **opt-in**
-    (``AnalysisOptions.vectorized_transcendentals``, off by default) — with
-    the knob off, a sweep reproduces the scalar loop's floats bit-for-bit;
-    with it on, bounds may move by one ulp while remaining sound (both
-    liftings evaluate the true monotone envelope at the cell endpoints).
-    """
-    if isinstance(expr, SVar):
-        if var_leaf is None:
-            raise ScalarFallback
-        return var_leaf(expr)
-    if isinstance(expr, SAtom):
-        if atom_leaf is None:
-            raise ScalarFallback
-        return atom_leaf(expr)
-    if isinstance(expr, SConst):
-        if expr.interval.is_empty:
-            raise ScalarFallback
-        return np.full(count, expr.interval.lo), np.full(count, expr.interval.hi)
-    if isinstance(expr, SPrim):
-        args = [
-            evaluate_cells(arg, count, var_leaf, atom_leaf, transcendentals)
-            for arg in expr.args
-        ]
-        return apply_primitive_cells(expr.op, args, count, transcendentals)
-    raise ScalarFallback
-
-
 def apply_primitive_cells(
     op: str,
     args: list[tuple[np.ndarray, np.ndarray]],
     count: int,
-    transcendentals: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(lo, hi)`` arrays of primitive ``op`` applied to per-cell arg bounds.
 
-    The single interval-lifting kernel shared by the object-walking
-    (:func:`evaluate_cells`) and table-walking (:func:`evaluate_cells_table`)
-    evaluators — one implementation is what makes the two routes
-    bit-identical by construction.
+    The interval-lifting kernel of :class:`TableProgramEvaluator`, whichever
+    compiler produced the program.
     """
     if op == "add":
         (alo, ahi), (blo, bhi) = args
@@ -176,25 +125,6 @@ def apply_primitive_cells(
         spans_zero = (alo <= 0.0) & (ahi >= 0.0)
         square_hi = np.maximum(vec_product(alo, alo), vec_product(ahi, ahi))
         return np.where(spans_zero, 0.0, lo), np.where(spans_zero, square_hi, hi)
-    if transcendentals and op == "exp":
-        # exp is increasing: the envelope is [exp(lo), exp(hi)].  NumPy
-        # matches the scalar lifting's edge cases (exp(-inf) = 0,
-        # exp(inf) = inf, overflow saturates to inf) up to libm's last
-        # ulp, which is exactly why the knob is opt-in.
-        ((alo, ahi),) = args
-        with np.errstate(over="ignore"):
-            return np.exp(alo), np.exp(ahi)
-    if transcendentals and op == "log":
-        # log is increasing; non-positive endpoints map to -inf, the
-        # conservative convention of the scalar lifting.
-        ((alo, ahi),) = args
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out_lo = np.log(alo)
-            out_hi = np.log(ahi)
-        return (
-            np.where(alo <= 0.0, -np.inf, out_lo),
-            np.where(ahi <= 0.0, -np.inf, out_hi),
-        )
     kernel = _ARRAY_LIFTINGS.get(op)
     if kernel is not None:
         return kernel(args, count)
@@ -444,33 +374,16 @@ _ARRAY_LIFTINGS = {
 }
 
 
-def checked_cells(
-    expr: SymExpr,
-    count: int,
-    var_leaf: Optional[LeafLookup] = None,
-    atom_leaf: Optional[LeafLookup] = None,
-    transcendentals: bool = False,
-):
-    """Like :func:`evaluate_cells`, but a NaN anywhere aborts the sweep."""
-    # Overflow to ±inf matches CPython float arithmetic and is sound for
-    # interval endpoints; NaN (inf − inf and friends) aborts the sweep.
-    with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi = evaluate_cells(expr, count, var_leaf, atom_leaf, transcendentals)
-    if np.isnan(lo).any() or np.isnan(hi).any():
-        raise ScalarFallback
-    return lo, hi
-
-
 # ---------------------------------------------------------------------------
-# Table-native evaluation (the columnar analyzer fast path)
+# Compiled programs and their evaluator
 # ---------------------------------------------------------------------------
 
 #: A callback resolving a *leaf index* (SVar/SAtom ``index``) to per-cell
-#: ``(lo, hi)`` arrays.  The table walk never materialises leaf objects, so
-#: the table-side lookups are keyed by the raw index instead of a node.
+#: ``(lo, hi)`` arrays.  Programs never hold leaf objects, so lookups are
+#: keyed by the raw index instead of a node.
 IndexLeafLookup = Callable[[int], tuple[np.ndarray, np.ndarray]]
 
-#: Instruction tags of a compiled table program.
+#: Instruction tags of a compiled program.
 _I_VAR = 0
 _I_CONST = 1
 _I_ATOM = 2
@@ -516,7 +429,7 @@ def compile_table_roots(table, root_ids) -> tuple[list[tuple], tuple[int, ...]]:
     ``table.scratch``) so repeated sweeps — every chunk and every query of
     one attachment — skip the walk entirely.  Raises :class:`ScalarFallback`
     on nodes a sweep cannot express (empty interval constants, unknown
-    kinds), mirroring :func:`evaluate_cells`.
+    kinds).
     """
     kind, ia, ib, ic, const_lo, const_hi, children = _walk_columns(table)
     slots: dict[int, int] = {}
@@ -562,18 +475,18 @@ def compile_expr_roots(roots) -> tuple[list[tuple], tuple[int, ...]]:
     The expression-tree analogue of :func:`compile_table_roots`, producing
     the same instruction format for :class:`TableProgramEvaluator`.  The
     linear analyzer compiles a path's score templates once and replays the
-    program for every polytope sweep (2 readings × all targets), replacing
-    the per-sweep recursive :func:`evaluate_cells` walk with flat instruction
-    dispatch.  Sub-expressions shared *by object identity* across the roots
+    program for every polytope sweep (2 readings × all targets); the box
+    analyzer compiles a materialised path's constraint, score and result
+    roots in the order :func:`compile_table_roots` gets them from a table.
+    Sub-expressions shared *by object identity* across the roots
     compile to a single instruction; structurally-equal copies evaluate to
     identical arrays either way, so sharing never affects the floats.
 
     Raises :class:`ScalarFallback` on nodes a sweep cannot express (empty
-    interval constants, unknown node types), mirroring
-    :func:`evaluate_cells`.  Callers caching the program must keep the root
-    expressions alive alongside it — the instruction slots are keyed by
-    ``id()`` during compilation only, but a cache entry that outlives its
-    roots could be matched against recycled ids.
+    interval constants, unknown node types).  Callers caching the program
+    must keep the root expressions alive alongside it — the instruction
+    slots are keyed by ``id()`` during compilation only, but a cache entry
+    that outlives its roots could be matched against recycled ids.
     """
     slots: dict[int, int] = {}
     instrs: list[tuple] = []
@@ -612,16 +525,17 @@ class TableProgramEvaluator:
     """Lazy evaluation of a compiled table program over one cell grid.
 
     :meth:`eval_to` runs the instruction prefix up to a root position and
-    returns (and NaN-checks, like :func:`checked_cells`) its ``(lo, hi)``
-    arrays.  Laziness matters: callers request roots in program order, so a
-    sweep that dies early (e.g. no cell satisfies the constraints) never
-    executes the instructions of later roots — exactly the short-circuit
-    behaviour of evaluating materialised expressions one by one.  Each
+    returns its ``(lo, hi)`` arrays; a NaN endpoint at a root abandons the
+    sweep (:class:`ScalarFallback`).  Laziness matters: callers request
+    roots in program order, so a sweep that dies early (e.g. no cell
+    satisfies the constraints) never executes the instructions of later
+    roots — exactly the short-circuit behaviour of evaluating the roots one
+    by one.  Each
     instruction runs at most once per grid, so sub-DAGs shared across a
     path's expressions are evaluated once per sweep.
     """
 
-    __slots__ = ("instrs", "count", "var_leaf", "atom_leaf", "transcendentals", "values")
+    __slots__ = ("instrs", "count", "var_leaf", "atom_leaf", "values")
 
     def __init__(
         self,
@@ -629,13 +543,11 @@ class TableProgramEvaluator:
         count: int,
         var_leaf: Optional[IndexLeafLookup] = None,
         atom_leaf: Optional[IndexLeafLookup] = None,
-        transcendentals: bool = False,
     ) -> None:
         self.instrs = instrs
         self.count = count
         self.var_leaf = var_leaf
         self.atom_leaf = atom_leaf
-        self.transcendentals = transcendentals
         self.values: list[tuple[np.ndarray, np.ndarray]] = []
 
     def eval_to(self, position: int) -> tuple[np.ndarray, np.ndarray]:
@@ -643,7 +555,6 @@ class TableProgramEvaluator:
         if position >= len(values):
             instrs = self.instrs
             count = self.count
-            transcendentals = self.transcendentals
             # Overflow to ±inf matches CPython float arithmetic and is sound
             # for interval endpoints; NaN is checked at every root below.
             with np.errstate(over="ignore", invalid="ignore"):
@@ -652,9 +563,7 @@ class TableProgramEvaluator:
                     tag = instr[0]
                     if tag == _I_PRIM:
                         args = [values[slot] for slot in instr[2]]
-                        values.append(
-                            apply_primitive_cells(instr[1], args, count, transcendentals)
-                        )
+                        values.append(apply_primitive_cells(instr[1], args, count))
                     elif tag == _I_VAR:
                         if self.var_leaf is None:
                             raise ScalarFallback

@@ -20,6 +20,7 @@ __all__ = [
     "random_spcf_program",
     "_analyze_paths_resolved",
     "integrate_reference",
+    "tree_walk_cells",
 ]
 
 
@@ -167,6 +168,40 @@ def integrate_reference(polytope, templates, atoms, density, options, is_lower):
         if math.isinf(total):
             return math.inf
     return total
+
+
+def tree_walk_cells(expr, count, var_leaf=None, atom_leaf=None):
+    """``(lo, hi)`` arrays of ``expr`` over ``count`` cells, by recursion over
+    the expression tree: the oracle of the compiled-program evaluator.
+
+    Every node is evaluated through the runtime's lifting kernel
+    (``apply_primitive_cells``), but in plain recursion — no compilation, no
+    sub-DAG sharing, no laziness.  ``var_leaf`` / ``atom_leaf`` map an
+    ``SVar`` / ``SAtom`` node to its per-cell bound arrays.  Raises
+    ``ScalarFallback`` where a sweep must be abandoned: an unresolved leaf,
+    an empty constant, or a NaN endpoint of the result.
+    """
+    import numpy as np
+
+    from repro.analysis.vectorize import ScalarFallback, apply_primitive_cells
+    from repro.symbolic.value import SAtom, SConst, SPrim, SVar
+
+    def walk(node):
+        if isinstance(node, SVar) and var_leaf is not None:
+            return var_leaf(node)
+        if isinstance(node, SAtom) and atom_leaf is not None:
+            return atom_leaf(node)
+        if isinstance(node, SConst) and not node.interval.is_empty:
+            return np.full(count, node.interval.lo), np.full(count, node.interval.hi)
+        if isinstance(node, SPrim):
+            return apply_primitive_cells(node.op, [walk(arg) for arg in node.args], count)
+        raise ScalarFallback
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = walk(expr)
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise ScalarFallback
+    return lo, hi
 
 
 def simple_observe_model(observed: float = 1.1, std: float = 0.25):

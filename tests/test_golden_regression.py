@@ -36,7 +36,9 @@ _REGEN = os.environ.get("REPRO_REGEN_GOLDEN", "").lower() not in ("", "0", "fals
 
 #: Bit-level reproducibility is guaranteed only for a fixed dependency stack;
 #: across NumPy/SciPy/qhull versions the volume computations may move by a few
-#: ulps, so the pin uses a tight-but-not-exact tolerance.
+#: ulps, so the pin uses a tight-but-not-exact tolerance.  It is relative
+#: only (every comparison passes ``abs=0.0``): pinned values run down to
+#: 1e-51, and any absolute slack would leave the small ones unpinned.
 _RTOL = 1e-9
 
 _SCENARIOS = {
@@ -134,23 +136,23 @@ def test_bounds_match_golden(name):
         assert len(snapshot[kind]) == len(golden[kind])
         for current, pinned in zip(snapshot[kind], golden[kind]):
             assert current["target"] == pinned["target"]
-            assert current["lower"] == pytest.approx(pinned["lower"], rel=_RTOL, abs=1e-15), (
+            assert current["lower"] == pytest.approx(pinned["lower"], rel=_RTOL, abs=0.0), (
                 f"{name}/{kind}: lower bound moved for target {pinned['target']}"
             )
-            assert current["upper"] == pytest.approx(pinned["upper"], rel=_RTOL, abs=1e-15), (
+            assert current["upper"] == pytest.approx(pinned["upper"], rel=_RTOL, abs=0.0), (
                 f"{name}/{kind}: upper bound moved for target {pinned['target']}"
             )
 
     assert snapshot["histogram"]["z_lower"] == pytest.approx(
-        golden["histogram"]["z_lower"], rel=_RTOL, abs=1e-15
+        golden["histogram"]["z_lower"], rel=_RTOL, abs=0.0
     )
     assert snapshot["histogram"]["z_upper"] == pytest.approx(
-        golden["histogram"]["z_upper"], rel=_RTOL, abs=1e-15
+        golden["histogram"]["z_upper"], rel=_RTOL, abs=0.0
     )
     for current, pinned in zip(snapshot["histogram"]["buckets"], golden["histogram"]["buckets"]):
         assert current["bucket"] == pinned["bucket"]
-        assert current["lower"] == pytest.approx(pinned["lower"], rel=_RTOL, abs=1e-15)
-        assert current["upper"] == pytest.approx(pinned["upper"], rel=_RTOL, abs=1e-15)
+        assert current["lower"] == pytest.approx(pinned["lower"], rel=_RTOL, abs=0.0)
+        assert current["upper"] == pytest.approx(pinned["upper"], rel=_RTOL, abs=0.0)
 
 
 @pytest.mark.parametrize("name", sorted(_SCENARIOS))
@@ -166,5 +168,5 @@ def test_parallel_engine_matches_golden(name):
     with model:
         bounds = model.bounds(scenario["targets"], options)
     for current, pinned in zip(bounds, golden["denotation_bounds"]):
-        assert current.lower == pytest.approx(pinned["lower"], rel=_RTOL, abs=1e-15)
-        assert current.upper == pytest.approx(pinned["upper"], rel=_RTOL, abs=1e-15)
+        assert current.lower == pytest.approx(pinned["lower"], rel=_RTOL, abs=0.0)
+        assert current.upper == pytest.approx(pinned["upper"], rel=_RTOL, abs=0.0)

@@ -19,8 +19,8 @@ floats cannot move.  This suite makes each claim a property:
 * the ``uniform_pdf`` / ``beta_pdf`` array liftings agree cell by cell with
   the generic per-Interval lifting (including the agreement on *when* to
   abandon the sweep);
-* compiled template programs evaluate to the same arrays as the tree-walking
-  evaluator;
+* compiled template and box-path programs evaluate to the same arrays as
+  the tree-walking oracle (``helpers.tree_walk_cells``);
 * end-to-end bounds are invariant under chunk size, executor backend and
   payload transport — the observable consequence of the geometry cache's
   exact-bytes keying (a hit returns the identical float64s a fresh
@@ -44,7 +44,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import AnalysisOptions, Model, analyze_path_linear, histogram_buckets
-from repro.analysis import linear_analyzer
+from repro.analysis import box_analyzer, linear_analyzer
 from repro.analysis.linear_analyzer import (
     _NEGLIGIBLE_WEIGHT,
     GeometryCache,
@@ -55,12 +55,12 @@ from repro.analysis.linear_analyzer import (
 from repro.distributions import Uniform
 from repro.analysis.vectorize import (
     _ARRAY_LIFTINGS,
+    _I_PRIM,
     ScalarFallback,
     TableProgramEvaluator,
     _beta_pdf_cells,
     _normal_pdf_cells,
     _uniform_pdf_cells,
-    checked_cells,
     compile_expr_roots,
 )
 from repro.intervals import Interval, get_primitive
@@ -74,7 +74,7 @@ from repro.symbolic.linear import decompose_score
 from repro.symbolic.paths import Relation
 from repro.symbolic.value import SConst, SPrim, SVar
 
-from helpers import integrate_reference
+from helpers import integrate_reference, tree_walk_cells
 
 TARGETS = (Interval(0.0, 1.0), Interval.reals())
 
@@ -140,26 +140,32 @@ class TestIntegrateMatchesReference:
             )
             assert warm == batched or (math.isnan(warm) and math.isnan(batched))
 
-    def test_scalar_fallback_route_matches(self):
-        # vectorized_scores=False forces the scalar per-combination weights
-        # inside _integrate; the skips differ but the floats may not.
+    def test_scalar_fallback_route_matches(self, monkeypatch):
+        # A factor sweep that returns None forces the scalar per-combination
+        # weights inside _integrate; the skips differ but the floats may not.
         polytope = Polytope.from_box([Interval(0.0, 1.0)] * 2)
         atoms = []
         templates = [decompose_score(_score_exprs(0.0, 1.0, 1.0)[0][0], atoms)]
-        for vectorized in (True, False):
-            options = AnalysisOptions(score_splits=4, vectorized_scores=vectorized)
-            for is_lower in (True, False):
-                assert _integrate(
+        options = AnalysisOptions(score_splits=4)
+        for is_lower in (True, False):
+            reference = integrate_reference(
+                polytope, templates, list(atoms), 1.0, options, is_lower
+            )
+            swept = _integrate(
+                polytope, templates, list(atoms), 1.0, options, GeometryCache(), is_lower
+            )
+            with monkeypatch.context() as patch:
+                patch.setattr(linear_analyzer, "_vectorized_factors", lambda *args: None)
+                scalar = _integrate(
                     polytope, templates, list(atoms), 1.0, options, GeometryCache(), is_lower
-                ) == integrate_reference(
-                    polytope, templates, list(atoms), 1.0, options, is_lower
                 )
+            assert swept == scalar == reference
 
-    def test_vectorized_scores_on_off_agree_on_a_path(self):
+    def test_vectorized_scores_on_off_agree_on_a_path(self, monkeypatch):
         # Two piecewise max(0, ·) scores over two linear atoms: most of the
         # score_splits² combinations weigh exactly zero, which the sweep
         # prunes before any row or volume is built.  The path's
-        # contributions may not notice.
+        # contributions may not notice the scalar fallback.
         program = b.let("x", b.sample(), b.let("y", b.sample(), b.seq(
             b.score(b.maximum(0.0, b.sub(b.add(b.var("x"), b.var("y")), 1.5))),
             b.seq(
@@ -168,13 +174,10 @@ class TestIntegrateMatchesReference:
             ),
         )))
         (path,) = symbolic_paths(program).paths
-        results = [
-            analyze_path_linear(path, list(TARGETS), AnalysisOptions(
-                score_splits=8, max_score_combinations=8_192, vectorized_scores=vectorized,
-            ))
-            for vectorized in (True, False)
-        ]
-        assert results[0] == results[1]
+        options = AnalysisOptions(score_splits=8, max_score_combinations=8_192)
+        swept = analyze_path_linear(path, list(TARGETS), options)
+        monkeypatch.setattr(linear_analyzer, "_vectorized_factors", lambda *args: None)
+        assert analyze_path_linear(path, list(TARGETS), options) == swept
 
 
 class TestFlatBaseShortcut:
@@ -579,8 +582,8 @@ class TestPreparedKernelMatchesLinprog:
 # -- density liftings ---------------------------------------------------
 
 def _cells_reference(op, args, count):
-    """The generic per-cell lifting (``evaluate_cells``' fallback), or
-    ``None`` when it abandons the sweep."""
+    """The generic per-cell lifting (``apply_primitive_cells``' fallback),
+    or ``None`` when it abandons the sweep."""
     primitive = get_primitive(op)
     out_lo = np.empty(count)
     out_hi = np.empty(count)
@@ -707,7 +710,7 @@ class TestCompiledTemplates:
         )
         for root, position in zip(roots, positions):
             try:
-                want = checked_cells(root, count, atom_leaf=atom_leaf)
+                want = tree_walk_cells(root, count, atom_leaf=atom_leaf)
             except ScalarFallback:
                 with pytest.raises(ScalarFallback):
                     evaluator.eval_to(position)
@@ -715,6 +718,58 @@ class TestCompiledTemplates:
             got = evaluator.eval_to(position)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("observed", [-0.4, 0.3, 1.1])
+    def test_box_path_program_matches_tree_walk(self, observed):
+        # The box analyzer compiles a materialised path's constraint, score
+        # and result roots into one program.  Sample-variable leaves over a
+        # real cell grid (a normal prior gives infinite endpoints), with
+        # normal_pdf scores whose parameters are themselves expressions.
+        program = b.let("x", b.sample(), b.let("y", b.normal(0.0, 1.0), b.if_leq(
+            b.mul(b.var("x"), b.var("y")),
+            0.2,
+            b.seq(b.observe_normal(b.add(b.var("x"), b.var("y")), 0.5, observed), b.var("x")),
+            b.seq(
+                b.observe_normal(b.var("y"), b.sqrt(b.add(b.var("x"), 0.1)), observed),
+                b.seq(
+                    b.observe_normal(b.square(b.var("x")), 0.25, observed),
+                    b.mul(b.var("x"), b.var("y")),
+                ),
+            ),
+        )))
+        paths = symbolic_paths(program).paths
+        assert len(paths) == 2
+        options = AnalysisOptions(splits_per_dimension=5)
+        for path in paths:
+            roots = [constraint.expr for constraint in path.constraints]
+            roots.extend(path.scores)
+            roots.append(path.result)
+            instrs, constraints, score_positions, result_position, _ = (
+                box_analyzer._path_program(path)
+            )
+            assert any(instr[1] == "normal_pdf" for instr in instrs if instr[0] == _I_PRIM)
+            positions = [position for position, _ in constraints]
+            positions.extend(score_positions)
+            positions.append(result_position)
+            los, his, _ = box_analyzer._cell_arrays(path.distributions, options)
+            count = los.shape[0]
+            evaluator = TableProgramEvaluator(
+                instrs, count, var_leaf=lambda index: (los[:, index], his[:, index])
+            )
+            for root, position in zip(roots, positions):
+                try:
+                    want = tree_walk_cells(
+                        root, count, var_leaf=lambda leaf: (los[:, leaf.index], his[:, leaf.index])
+                    )
+                except ScalarFallback:
+                    # Roots compile in order, so the prefix the evaluator
+                    # runs for this root holds only this root's own nodes.
+                    with pytest.raises(ScalarFallback):
+                        evaluator.eval_to(position)
+                    break
+                got = evaluator.eval_to(position)
+                assert np.array_equal(got[0], want[0])
+                assert np.array_equal(got[1], want[1])
 
 
 class TestGeometryCacheSharing:

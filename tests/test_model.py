@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+import re
+
 import numpy as np
 import pytest
 
@@ -211,6 +215,13 @@ class TestAnalysisOptionsValidation:
         assert options.analyzers == ("box",)
         assert options.analyzer_names == ("box",)
         assert AnalysisOptions().analyzer_names == ("linear", "box")
+
+    def test_docstring_lists_every_field(self):
+        # Each option is documented under ``Attributes:``, once and in field
+        # order, so removing or adding a knob cannot leave its docs behind.
+        doc = inspect.cleandoc(AnalysisOptions.__doc__)
+        documented = re.findall(r"^    (\w+):", doc.split("Attributes:", 1)[1], re.MULTILINE)
+        assert documented == [field.name for field in dataclasses.fields(AnalysisOptions)]
 
     def test_execution_limits_projection(self):
         options = AnalysisOptions(max_fixpoint_depth=3, max_paths=10)

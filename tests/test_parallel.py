@@ -33,7 +33,9 @@ from repro.analysis import (
     register_analyzer,
     unregister_analyzer,
 )
+from repro.analysis import box_analyzer
 from repro.analysis.parallel import TableJob, run_table_job
+from repro.analysis.vectorize import ScalarFallback
 from repro.intervals import Interval
 from repro.lang import builder as b
 from repro.symbolic import ExecutionLimits, PathExplosionError, symbolic_paths
@@ -126,13 +128,21 @@ class TestSerialParallelEquivalence:
         finally:
             model.close()
 
-    def test_vectorized_and_scalar_boxes_agree(self, serial_baselines):
+    def test_vectorized_and_scalar_boxes_agree(self, serial_baselines, monkeypatch):
         """The vectorised sweep is a performance path, not a semantic one."""
         model, _ = serial_baselines["nonlinear"]
-        vec = model.bounds(_TARGETS, model.options.with_updates(analyzers=("box",)))
-        scalar = model.bounds(
-            _TARGETS, model.options.with_updates(analyzers=("box",), vectorized_boxes=False)
-        )
+        options = model.options.with_updates(analyzers=("box",))
+        vec = model.bounds(_TARGETS, options)
+        abandoned = []
+
+        def abandon(*args):
+            abandoned.append(args)
+            raise ScalarFallback
+
+        # Every path abandons the sweep and runs the per-cell loop.
+        monkeypatch.setattr(box_analyzer, "_boxes_sweep", abandon)
+        scalar = model.bounds(_TARGETS, options)
+        assert abandoned
         for a, b_ in zip(vec, scalar):
             assert a.lower == pytest.approx(b_.lower, rel=1e-12, abs=1e-15)
             assert a.upper == pytest.approx(b_.upper, rel=1e-12, abs=1e-15)

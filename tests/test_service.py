@@ -426,14 +426,20 @@ class TestBoundsServer:
 
     def test_bad_option_values_get_error_frames(self, serve):
         # JSON accepts NaN; a tenant must not be able to hang the socket tier
-        # with it.  The removed columnar knob is an unknown option now.
+        # with it.  A removed knob is an unknown option now.
         with serve() as handle:
             with ServiceClient(handle.endpoint) as client:
                 with pytest.raises(ServiceError, match="io_timeout"):
                     client.bounds(BRANCHY_SRC, [(0.0, 1.0)], options={"io_timeout": math.nan})
-                with pytest.raises(ServiceError, match="unknown analysis options"):
-                    client.bounds(BRANCHY_SRC, [(0.0, 1.0)], options={"columnar": False})
-                assert client.ping()
+                for name, value in [
+                    ("columnar", False),
+                    ("vectorized_boxes", False),
+                    ("vectorized_scores", False),
+                    ("vectorized_transcendentals", True),
+                ]:
+                    with pytest.raises(ServiceError, match="unknown analysis options"):
+                        client.bounds(BRANCHY_SRC, [(0.0, 1.0)], options={name: value})
+                    assert client.ping()
 
     def test_client_cannot_choose_the_work_queue_address(self, serve):
         # The socket work queue unpickles what arrives on its listener, so
