@@ -22,7 +22,6 @@ from .engine import (
     QueryBounds,
     analyze_execution,
     analyze_path_stream,
-    analyze_single_path,
     histogram_buckets,
     normalised_query,
     reduce_contributions,
@@ -85,7 +84,6 @@ __all__ = [
     "close_shared_executors",
     "analyze_execution",
     "analyze_path_stream",
-    "analyze_single_path",
     "reduce_contributions",
     "normalised_query",
     "histogram_buckets",

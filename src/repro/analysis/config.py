@@ -23,8 +23,8 @@ __all__ = [
 ]
 
 #: The recognised execution backends of the bound engine.  ``"serial"`` runs
-#: the classic single-threaded loop, ``"thread"`` / ``"process"`` fan path
-#: chunks out over a ``concurrent.futures`` pool (see
+#: the table jobs in-process one at a time, ``"thread"`` / ``"process"`` fan
+#: path chunks out over a ``concurrent.futures`` pool (see
 #: :mod:`repro.analysis.parallel`), and ``"socket"`` fans chunks out over a
 #: TCP work queue to remote worker processes (``python -m
 #: repro.service.worker``; see :mod:`repro.service.queue`).
@@ -166,10 +166,6 @@ class AnalysisOptions:
         score_splits: how many chunks the range of every linear score atom is
             split into by the *linear* semantics (Section 6.4).
         max_score_combinations: cap on the product grid over score atoms.
-        prune_empty_paths: skip (bound by 0) linear paths whose constraint
-            polytope is infeasible *or flat*: a Chebyshev radius ``≤ 1e-9``
-            means volume 0 under :meth:`repro.polytope.Polytope.volume_bounds`'
-            rule, for the polytope and for every cell cut from it.
         analyzers: ordered preference of registered path-analyzer names (see
             :mod:`repro.analysis.registry`).  Every symbolic path is handled
             by the first listed analyzer that declares itself applicable.
@@ -184,9 +180,10 @@ class AnalysisOptions:
             derives a deterministic, cost-balanced partition from the path
             set and the worker count (see
             :func:`repro.analysis.parallel.partition_paths`).
-        executor: ``"serial"``, ``"thread"`` or ``"process"``; ``None`` (the
+        executor: ``"serial"``, ``"thread"``, ``"process"`` or ``"socket"``
+            (a TCP work queue, see ``socket_endpoint``); ``None`` (the
             default) derives the backend from ``workers`` — a process pool
-            when ``workers > 1``, the serial loop otherwise.  Defaults to
+            when ``workers > 1``, the serial kind otherwise.  Defaults to
             ``$REPRO_ANALYSIS_EXECUTOR`` when that variable is set.
         stream: pipeline symbolic exploration into path analysis — paths are
             produced by the iterative explorer and consumed chunk-by-chunk
@@ -282,7 +279,6 @@ class AnalysisOptions:
     max_boxes_per_path: int = 20_000
     score_splits: int = 32
     max_score_combinations: int = 4_096
-    prune_empty_paths: bool = True
     analyzers: Optional[tuple[str, ...]] = None
     workers: int = field(default_factory=_default_workers)
     chunk_size: Optional[int] = None
@@ -384,7 +380,7 @@ class AnalysisOptions:
         """The execution backend selected by this configuration.
 
         An explicit ``executor`` wins; otherwise ``workers > 1`` selects a
-        process pool and ``workers == 1`` the serial loop.
+        process pool and ``workers == 1`` the serial kind.
         """
         if self.executor is not None:
             return self.executor

@@ -30,9 +30,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..intervals import Interval
-from ..symbolic import SymbolicExecutionResult, SymbolicPath
+from ..symbolic import SymbolicExecutionResult
 from .config import AnalysisOptions
-from .registry import PathAnalyzer, resolve_analyzers
 
 __all__ = [
     "DenotationBounds",
@@ -41,7 +40,6 @@ __all__ = [
     "PathContribution",
     "analyze_execution",
     "analyze_path_stream",
-    "analyze_single_path",
     "reduce_contributions",
     "normalised_query",
     "histogram_buckets",
@@ -137,48 +135,6 @@ class PathContribution:
     contributions: tuple[tuple[float, float], ...]
 
 
-def analyze_single_path(
-    path: SymbolicPath,
-    analyzers: Sequence[PathAnalyzer],
-    targets: Sequence[Interval],
-    options: AnalysisOptions,
-) -> PathContribution:
-    """Analyse one path with the first applicable analyzer.
-
-    The unit of work of the serial streaming loop; the chunk body every
-    other route runs (:func:`~repro.analysis.parallel.analyze_table_slice`)
-    calls the same analyzer methods, and raises this function's error for a
-    path no analyzer accepts.
-    """
-    for analyzer in analyzers:
-        if analyzer.applicable(path, options):
-            contributions = analyzer.analyze(path, targets, options)
-            return PathContribution(
-                analyzer_name=analyzer.name,
-                truncated=path.truncated,
-                contributions=tuple(contributions),
-            )
-    names = ", ".join(options.analyzer_names)
-    raise RuntimeError(
-        f"no analyzer in ({names}) is applicable to a symbolic path; "
-        "include the universal 'box' analyzer as a fallback"
-    )
-
-
-def _accumulate(
-    totals: list[tuple[float, float]],
-    contribution: PathContribution,
-    report: Optional[AnalysisReport],
-) -> None:
-    """Fold one path's contributions into the running totals (in place)."""
-    if report is not None:
-        report.record_path(contribution.analyzer_name)
-    for index, (lower, upper) in enumerate(contribution.contributions):
-        path_lower = 0.0 if contribution.truncated else lower
-        old_lower, old_upper = totals[index]
-        totals[index] = (old_lower + path_lower, old_upper + upper)
-
-
 def reduce_contributions(
     contributions: Sequence[PathContribution],
     targets: Sequence[Interval],
@@ -188,12 +144,19 @@ def reduce_contributions(
 
     The accumulation always runs in canonical path order, so the result is
     bit-reproducible and independent of how the paths were partitioned into
-    chunks or of the order in which workers finished: parallel runs return
-    exactly the floats the serial loop returns.
+    chunks or of the order in which workers finished: every backend returns
+    the same floats.  Truncated paths contribute 0 to the lower sums.
     """
     totals = [(0.0, 0.0) for _ in targets]
     for contribution in contributions:
-        _accumulate(totals, contribution, report)
+        if report is not None:
+            report.record_path(contribution.analyzer_name)
+        for index, (lower, upper) in enumerate(contribution.contributions):
+            old_lower, old_upper = totals[index]
+            totals[index] = (
+                old_lower + (0.0 if contribution.truncated else lower),
+                old_upper + upper,
+            )
     return [
         DenotationBounds(target=target, lower=lower, upper=upper)
         for target, (lower, upper) in zip(targets, totals)
@@ -215,19 +178,17 @@ def analyze_execution(
     whose ``applicable`` predicate accepts it.  The execution may come from a
     cache; analysis never re-runs the symbolic phase.
 
-    When ``options`` request parallelism (``workers > 1`` or an explicit
-    ``executor`` kind) the path set is fanned out over a worker pool; an
-    already-running :class:`~repro.analysis.parallel.ParallelAnalysisExecutor`
-    can be passed in to reuse its pool across queries (this is what
-    :class:`repro.Model` does).  Serial and parallel runs return bit-identical
-    bounds (see :func:`reduce_contributions`).
-
-    The serial loop (``workers=1``, no executor) runs the same chunk body as
-    every pool worker — :func:`~repro.analysis.parallel.analyze_table_slice`
-    over the execution's :class:`~repro.symbolic.arena.PathTable`, as one
-    slice — and the linear analyzer's geometry cache, kept in the table's
-    scratch space, is shared across the paths of the compiled program and
-    across repeated queries on it.
+    The paths run on ``executor`` (a
+    :class:`~repro.analysis.parallel.ParallelAnalysisExecutor`, reused
+    across queries — this is what :class:`repro.Model` does) or, without
+    one, on the process-wide executor of ``options``' kind
+    (:func:`~repro.analysis.parallel.shared_executor`): the ``"serial"``
+    kind for ``workers=1``, a pool otherwise.  Every backend runs the same
+    table jobs and folds in canonical path order, so serial and parallel
+    runs return bit-identical bounds (see :func:`reduce_contributions`).
+    The linear analyzer's geometry cache lives in the compiled table's
+    scratch space, so it is shared across the program's paths and across
+    repeated queries on it.
 
     With ``options.refine="gap"`` the uniform sweep becomes the *seed* of a
     gap-directed refinement loop (:mod:`repro.analysis.refine`): the worst
@@ -239,6 +200,8 @@ def analyze_execution(
     :class:`~repro.analysis.refine.RefinementCheckpoint` that keeps the
     rounds durable (see :func:`~repro.analysis.refine.refine_execution`).
     """
+    from .parallel import shared_executor
+
     options = options or AnalysisOptions()
     report = report if report is not None else AnalysisReport()
     start = time.perf_counter()
@@ -246,44 +209,17 @@ def analyze_execution(
     # self-consistent (path_count covers the same runs as linear_paths etc.).
     report.path_count += len(execution.paths)
     report.truncated_paths += execution.truncated_paths
-
+    pool = executor or shared_executor(options)
     if options.refine_enabled:
         from .refine import refine_execution
 
-        pool = executor
-        if pool is None and options.parallel:
-            from .parallel import shared_executor
-
-            pool = shared_executor(options)
         bounds = refine_execution(
             execution, targets, options,
             report=report, executor=pool, progress=progress,
             checkpoint=checkpoint,
         )
-        report.seconds += time.perf_counter() - start
-        return bounds
-
-    if executor is not None or options.parallel:
-        from .parallel import shared_executor
-
-        # Callers without their own pool (the deprecated shims, direct
-        # engine calls) share process-wide pools instead of paying a pool
-        # fork + teardown per query.
-        pool = executor if executor is not None else shared_executor(options)
+    else:
         bounds = pool.analyze(execution, targets, options, report)
-        report.seconds += time.perf_counter() - start
-        return bounds
-
-    # Serial loop: the whole table as one slice of the pool workers' chunk
-    # body; the fold runs in canonical path order like every parallel merge.
-    from .parallel import analyze_table_slice
-
-    paths = execution.paths
-    contributions = analyze_table_slice(
-        execution.table(), 0, len(paths),
-        tuple(targets), options, resolve_analyzers(options), paths=paths,
-    )
-    bounds = reduce_contributions(contributions, targets, report)
     report.seconds += time.perf_counter() - start
     return bounds
 
@@ -303,19 +239,19 @@ def analyze_path_stream(
     iterable of :class:`~repro.symbolic.SymbolicPath` — typically a live
     :class:`~repro.symbolic.PathStream` — and is consumed incrementally, so
     analysis overlaps with exploration and the full path set is never
-    materialised.  With parallel options the stream is dispatched in bounded
-    chunks over a worker pool
-    (:meth:`~repro.analysis.parallel.ParallelAnalysisExecutor.analyze_stream`);
-    serially it folds each path's contribution as it arrives, keeping memory
-    at O(targets).  Either way the fold runs in canonical path order, so the
-    bounds are bit-identical to a batch run over the materialised path set.
+    materialised.  The stream is dispatched in bounded chunks
+    (:meth:`~repro.analysis.parallel.ParallelAnalysisExecutor.analyze_stream`)
+    on ``executor``, or on the process-wide executor of ``options``' kind;
+    the serial kind analyses one chunk at a time.  The fold runs in
+    canonical path order, so the bounds are bit-identical to a batch run
+    over the materialised path set.
 
     Exceptions raised by the generator (e.g. a mid-stream
     :class:`~repro.symbolic.PathExplosionError`) propagate to the caller.
 
     ``progress`` (optional) is the anytime hook of the service tier: a
     callable ``progress(partial_bounds, paths_done)`` invoked **once**, as
-    soon as the first path contributions are folded, with the running
+    soon as the first chunk's contributions are collected, with the running
     partial accumulation.  Partial lower bounds are sound lower bounds (path
     contributions are non-negative and only accumulate); partial upper
     bounds are *not* yet sound — they cover only the paths analysed so far —
@@ -325,52 +261,21 @@ def analyze_path_stream(
     ``contribution_sink`` (optional) receives every per-path
     :class:`PathContribution` in canonical path order — the refinement
     scheduler seeds from it so a streamed query never pays a second uniform
-    sweep.  Passing a sink trades the serial branch's O(targets) memory for
-    O(paths), so only callers that go on to refine should pass one.
+    sweep.  The records are a few floats per path, so only callers that go
+    on to refine should pass one.
     """
+    from .parallel import shared_executor
+
     options = options or AnalysisOptions()
     report = report if report is not None else AnalysisReport()
     start = time.perf_counter()
-
-    if executor is not None or options.parallel:
-        from .parallel import shared_executor
-
-        pool = executor if executor is not None else shared_executor(options)
-        bounds = pool.analyze_stream(
-            paths, targets, options, report,
-            progress=progress, contribution_sink=contribution_sink,
-        )
-        report.seconds += time.perf_counter() - start
-        return bounds
-
-    # Serial streaming: fold every path into the accumulator the moment it
-    # is produced — O(targets) memory (plus the optional sink), peak path
-    # buffer of one.
-    analyzers = resolve_analyzers(options)
-    totals = [(0.0, 0.0) for _ in targets]
-    for path in paths:
-        report.path_count += 1
-        report.truncated_paths += int(path.truncated)
-        contribution = analyze_single_path(path, analyzers, targets, options)
-        if contribution_sink is not None:
-            contribution_sink.append(contribution)
-        _accumulate(totals, contribution, report)
-        if report.first_result_seconds is None:
-            report.first_result_seconds = time.perf_counter() - start
-            report.peak_path_buffer = max(report.peak_path_buffer, 1)
-            if progress is not None:
-                progress(
-                    [
-                        DenotationBounds(target=target, lower=lower, upper=upper)
-                        for target, (lower, upper) in zip(targets, totals)
-                    ],
-                    report.path_count,
-                )
+    pool = executor or shared_executor(options)
+    bounds = pool.analyze_stream(
+        paths, targets, options, report,
+        progress=progress, contribution_sink=contribution_sink,
+    )
     report.seconds += time.perf_counter() - start
-    return [
-        DenotationBounds(target=target, lower=lower, upper=upper)
-        for target, (lower, upper) in zip(targets, totals)
-    ]
+    return bounds
 
 
 def normalised_query(
@@ -409,7 +314,11 @@ def normalised_query(
 
 
 def histogram_buckets(low: float, high: float, bucket_count: int) -> list[Interval]:
-    """The equal-width bucket intervals of a histogram over ``[low, high)``."""
+    """The equal-width bucket intervals of a histogram over ``[low, high)``.
+
+    The last edge is ``high`` itself: ``low + (high - low) * n / n`` can
+    round off it, and the buckets must tile ``[low, high)`` exactly.
+    """
     if not isinstance(bucket_count, int) or isinstance(bucket_count, bool) or bucket_count <= 0:
         raise ValueError(f"bucket_count must be a positive integer, got {bucket_count!r}")
     if not (math.isfinite(low) and math.isfinite(high) and math.isfinite(high - low)):
@@ -418,6 +327,6 @@ def histogram_buckets(low: float, high: float, bucket_count: int) -> list[Interv
         )
     if not high > low:
         raise ValueError("histogram bounds require high > low")
-    edges = [low + (high - low) * k / bucket_count for k in range(bucket_count + 1)]
+    edges = [low + (high - low) * k / bucket_count for k in range(bucket_count)] + [high]
     return [Interval(edges[k], edges[k + 1]) for k in range(bucket_count)]
 

@@ -613,11 +613,7 @@ def _analyze_linear_forms(
 
     lower = [0.0] * len(targets)
     upper = [0.0] * len(targets)
-    if (
-        options.prune_empty_paths
-        and upper_poly is not None
-        and not cache.full_dimensional(upper_poly)
-    ):
+    if upper_poly is not None and not cache.full_dimensional(upper_poly):
         # Flat or empty: every target polytope lies inside ``upper_poly`` (and
         # ``lower_poly`` inside it), so every volume below would be 0.
         return list(zip(lower, upper))

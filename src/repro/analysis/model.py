@@ -159,11 +159,11 @@ class Model:
     ``score_splits`` or the analyzer selection never re-runs symbolic
     execution, changing ``max_fixpoint_depth`` / ``max_paths`` does).
 
-    Queries whose options request parallelism (``workers > 1`` or an explicit
-    ``executor``) run on a worker pool that is likewise created lazily and
-    reused across queries; :meth:`close` (or using the model as a context
-    manager) shuts the pools down.  Parallel queries return bounds
-    bit-identical to serial ones.
+    Every query runs on a :class:`~repro.analysis.parallel.ParallelAnalysisExecutor`
+    of the options' kind (``"serial"`` for ``workers=1``, a worker pool
+    otherwise), likewise created lazily and reused across queries;
+    :meth:`close` (or using the model as a context manager) shuts the pools
+    down.  Parallel queries return bounds bit-identical to serial ones.
     """
 
     def __init__(self, term: Term, options: Optional[AnalysisOptions] = None) -> None:
@@ -181,10 +181,10 @@ class Model:
         self._stream_tee_primes = 0
         self._program_cache_hits = 0
         self._program_cache_misses = 0
-        # Worker pools, keyed by the parallel knobs that define them.  Pools
-        # are created lazily on the first parallel query and reused across
-        # queries (mirroring the compiled-program cache for the symbolic
-        # phase); close() shuts them down.
+        # Executors, keyed by the knobs that define them (the serial kind
+        # included).  They are created lazily on the first query and reused
+        # across queries (mirroring the compiled-program cache for the
+        # symbolic phase); close() shuts them down.
         self._executors: dict[tuple, "ParallelAnalysisExecutor"] = {}
 
     # ------------------------------------------------------------------
@@ -268,11 +268,11 @@ class Model:
         self._compiled[compiled.limits] = compiled
 
     def executor_for(self, options: Optional[AnalysisOptions] = None):
-        """The pooled executor serving ``options`` (``None`` for serial runs).
+        """The executor serving ``options`` (a ``"serial"`` one for ``workers=1``).
 
-        Public face of the lazy pool cache for callers that drive analysis
-        components directly; pools are shared with regular :meth:`bounds`
-        queries and shut down by :meth:`close` as usual.
+        Public face of the lazy executor cache for callers that drive
+        analysis components directly; executors are shared with regular
+        :meth:`bounds` queries and shut down by :meth:`close` as usual.
         """
         return self._executor_for(self._resolve(options))
 
@@ -336,12 +336,10 @@ class Model:
         return options if options is not None else self._options
 
     # ------------------------------------------------------------------
-    # Parallel worker pools
+    # Executors
     # ------------------------------------------------------------------
     def _executor_for(self, options: AnalysisOptions):
-        """The pooled executor serving ``options`` (``None`` for serial runs)."""
-        if not options.parallel:
-            return None
+        """The executor serving ``options``, created on first use."""
         from .parallel import ParallelAnalysisExecutor
 
         key = options.executor_key()
@@ -367,10 +365,10 @@ class Model:
         return executor
 
     def close(self) -> None:
-        """Shut down every worker pool this model has spun up (idempotent).
+        """Shut down every executor this model has spun up (idempotent).
 
-        Queries remain valid afterwards — the next parallel query simply
-        creates a fresh pool.  ``Model`` is also a context manager::
+        Queries remain valid afterwards — the next query simply creates a
+        fresh executor.  ``Model`` is also a context manager::
 
             with Model(term, AnalysisOptions(workers=4)) as model:
                 model.histogram(0.0, 3.0, 12)
@@ -387,7 +385,7 @@ class Model:
 
     @property
     def executor_count(self) -> int:
-        """How many worker pools this model currently holds."""
+        """How many executors (serial ones included) this model holds."""
         return len(self._executors)
 
     # ------------------------------------------------------------------
@@ -529,10 +527,9 @@ class Model:
                     compile_seconds=explore_seconds[0],
                 ),
             )
-            if executor is not None:
-                # Process pools only: serialising the table for an
-                # in-process pool would be pure waste.
-                executor.prime_arena(self._compiled[limits].execution)
+            # A no-op off process pools: serialising the table for an
+            # in-process executor would be pure waste.
+            executor.prime_arena(self._compiled[limits].execution)
         if sink is not None and execution is None and stream.stats.exhausted:
             # The tee could not materialise the path set but refinement
             # needs one: the compiled program supplies it — cached from a

@@ -23,11 +23,11 @@ This module fans that loop out as **table jobs**:
   context and are re-resolved by name in the worker (see
   :func:`repro.analysis.registry.ensure_analyzers_registered`);
 * :func:`run_table_job` resolves a job and runs :func:`analyze_table_slice`,
-  the one chunk body every backend, the socket workers and the default
-  ``workers=1`` loop share;
-* :class:`ParallelAnalysisExecutor` owns the pools.  Batch, refinement and
-  streamed queries are job producers over one submit per backend and one
-  collect loop, and the per-job results merge through
+  the one chunk body every backend and the socket workers share;
+* :class:`ParallelAnalysisExecutor` owns the pools and is the only
+  dispatch route: a ``workers=1`` query runs on its ``"serial"`` kind.
+  Batch, refinement and streamed queries are job producers over one job
+  loop, and the per-job results merge through
   :func:`repro.analysis.engine.reduce_contributions` in canonical path order
   — the bounds are therefore **bit-identical** to a serial run, independent
   of the backend, the worker count, the chunk size and the order in which
@@ -42,8 +42,8 @@ inline-image job on a local process pool, then serially.
 Backend guidance: the ``"process"`` executor is the right default for
 CPU-bound bound analysis (the per-path work is pure Python and NumPy, so the
 GIL serialises threads); ``"thread"`` suits environments that forbid
-subprocesses; ``"serial"`` runs the identical jobs in-process (handy for
-debugging a parallel run).
+subprocesses; ``"serial"`` runs the identical jobs in-process, one at a
+time.
 
 Analyzers that implement ``analyze_table`` (box, linear) sweep the table's
 node/CSR arrays without materialising ``SymbolicPath`` objects; analyzers
@@ -54,11 +54,12 @@ from __future__ import annotations
 
 import atexit
 import concurrent.futures
+import functools
 import os
 import pickle
 import time
 import warnings
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from collections import OrderedDict
 
@@ -81,7 +82,6 @@ from .engine import (
     AnalysisReport,
     DenotationBounds,
     PathContribution,
-    analyze_single_path,
     reduce_contributions,
 )
 from .registry import (
@@ -196,24 +196,19 @@ def analyze_table_slice(
     targets: tuple[Interval, ...],
     options: AnalysisOptions,
     analyzers,
-    paths: Optional[Sequence[SymbolicPath]] = None,
     indices: Optional[Sequence[int]] = None,
 ) -> list[PathContribution]:
     """Analyse one ``[start, stop)`` slice of a ``PathTable`` (resolved form).
 
-    The one chunk body: process and socket workers, in-process backends and
-    the engine's default ``workers=1`` loop all run it, so every consumer
+    The one chunk body: process and socket workers and the in-process
+    backends (the serial kind included) all run it, so every consumer
     holding a table and resolved analyzers produces the exact same
     contribution records.
 
     Every path index is routed to the first applicable analyzer — via its
     ``applicable_table`` hook when it has one, otherwise by asking
-    ``applicable`` on the materialised path.  ``paths`` (optional) is the
-    already-materialised path sequence the table was built from — the
-    serial loop passes ``execution.paths`` so analyzers without the
-    columnar hooks receive the original objects for free; jobs leave it
-    ``None`` and decode on demand (memoised per call).  Consecutive
-    same-analyzer indices form a group:
+    ``applicable`` on the path, decoded on demand (memoised per call).
+    Consecutive same-analyzer indices form a group:
 
     * analyzers with ``analyze_table`` receive the index group directly and
       sweep the table's node/CSR arrays — **no** ``SymbolicPath`` objects
@@ -229,8 +224,6 @@ def analyze_table_slice(
     decoded: dict[int, SymbolicPath] = {}
 
     def path_at(index: int) -> SymbolicPath:
-        if paths is not None:
-            return paths[index]
         path = decoded.get(index)
         if path is None:
             path = decoded[index] = table.decode_path(index)
@@ -283,11 +276,11 @@ def analyze_table_slice(
     for index in (indices if indices is not None else range(start, stop)):
         analyzer = pick(index)
         if analyzer is None:
-            flush()
-            # Delegate to the shared single-path helper for the canonical
-            # "no applicable analyzer" error.
-            contributions.append(analyze_single_path(path_at(index), analyzers, targets, options))
-            continue
+            names = ", ".join(options.analyzer_names)
+            raise RuntimeError(
+                f"no analyzer in ({names}) is applicable to a symbolic path; "
+                "include the universal 'box' analyzer as a fallback"
+            )
         if analyzer is not group_analyzer:
             flush()
             group_analyzer = analyzer
@@ -380,17 +373,18 @@ def _worker_lost(queue):
 
 
 #: Process-wide executor cache for callers without their own pool lifecycle
-#: (the deprecated ``bound_*`` shims, direct ``analyze_execution`` calls).
-#: ``Model`` owns and closes its pools explicitly and does not use this.
+#: (direct ``analyze_execution`` / ``analyze_path_stream`` calls).  ``Model``
+#: owns and closes its executors explicitly and does not use this.
 _SHARED_EXECUTORS: dict[tuple[str, int], "ParallelAnalysisExecutor"] = {}
 
 
 def shared_executor(options: AnalysisOptions) -> "ParallelAnalysisExecutor":
-    """A process-wide pool matching ``options``' executor kind and worker count.
+    """A process-wide executor matching ``options``' kind and worker count.
 
     Created lazily and reused for every subsequent query with the same
     ``(kind, workers)`` — without this, each engine-level call with parallel
-    options would fork and tear down a fresh pool.  Shared pools live until
+    options would fork and tear down a fresh pool (serial options get the
+    shared ``"serial"`` executor).  Shared pools live until
     :func:`close_shared_executors` or interpreter exit (``concurrent.futures``
     joins them atexit).
     """
@@ -427,16 +421,16 @@ class ParallelAnalysisExecutor:
     """A reusable worker pool for chunked bound analysis.
 
     The executor is cheap to construct — the underlying pool is created
-    lazily on the first parallel query and reused across queries, which is
+    lazily on the first multi-job query and reused across queries, which is
     how :class:`repro.Model` amortises pool start-up over a whole evaluation
     scenario.  It is a context manager; :meth:`close` shuts the pool down.
 
     ``kind`` is one of ``"process"`` (default; true CPU parallelism),
     ``"thread"`` (no pickling, but GIL-bound), ``"serial"`` (the identical
-    jobs without a pool, for debugging) or ``"socket"`` (a TCP work queue
-    dispatching jobs to ``python -m repro.service.worker`` processes — local
-    ones it spawns itself and/or remote ones that connect to
-    ``socket_endpoint``; see :mod:`repro.service.queue`).
+    jobs in-process, one at a time: the ``workers=1`` route) or ``"socket"``
+    (a TCP work queue dispatching jobs to ``python -m repro.service.worker``
+    processes — local ones it spawns itself and/or remote ones that connect
+    to ``socket_endpoint``; see :mod:`repro.service.queue`).
     """
 
     def __init__(
@@ -507,11 +501,10 @@ class ParallelAnalysisExecutor:
     # ------------------------------------------------------------------
     # Pool lifecycle
     # ------------------------------------------------------------------
-    def _ensure_pool(self) -> Optional[concurrent.futures.Executor]:
+    def _ensure_pool(self) -> concurrent.futures.Executor:
+        """The lazily-created pool of the ``"thread"`` and ``"process"`` kinds."""
         if self._closed:
             raise RuntimeError("ParallelAnalysisExecutor is closed")
-        if self.kind in ("serial", "socket"):
-            return None
         if self._pool is None:
             if self.kind == "thread":
                 self._pool = concurrent.futures.ThreadPoolExecutor(max_workers=self.workers)
@@ -711,7 +704,7 @@ class ParallelAnalysisExecutor:
         return key
 
     # ------------------------------------------------------------------
-    # Submit, collect, and the degradation ladder
+    # Submit, the job loop, and the degradation ladder
     # ------------------------------------------------------------------
     def _submit(
         self,
@@ -775,21 +768,113 @@ class ParallelAnalysisExecutor:
                     f"{self.io_timeout:.1f}s"
                 )
 
-    def _collect(self, pending: list, queue) -> list[tuple[int, list[PathContribution]]]:
-        """Gather ``(job, future)`` pairs into results sorted by job index.
+    def _job_loop(
+        self,
+        jobs: Iterable[tuple[TableJob, Optional[Callable[[], None]]]],
+        kind: str,
+        options: AnalysisOptions,
+        table_key: Optional[str] = None,
+        max_inflight: Optional[int] = None,
+        on_result: Optional[Callable[[list], None]] = None,
+        done_at: Optional[list[float]] = None,
+    ) -> list[tuple[int, list[PathContribution]]]:
+        """Run ``(job, cleanup)`` pairs on ``kind``'s backend, sorted by job index.
 
-        When the socket tier runs out of attempts or workers, the rest of
-        the pending jobs are salvaged (:meth:`_salvage`) and the loop stops.
+        The one dispatch loop of batch, refinement and streamed queries.
+        ``jobs`` is a list, or a generator that runs between submissions
+        (the stream's chunker).  At most ``max_inflight`` jobs are in
+        flight (``None``: no cap), and the serial kind runs one at a time.
+        With a cap, :attr:`peak_path_buffer` records the high-water mark of
+        paths in flight.  A job's ``cleanup`` (or ``None``) runs once its
+        result is collected or the loop dies.
+
+        ``options`` carries the socket knobs: job timeout, retries and one
+        deadline for the whole loop.  ``table_key`` names the queue
+        resource of the socket jobs' shared table; without it each socket
+        job's own table image is registered for the job's lifetime.
+        ``on_result(results)`` (optional) runs after every collection, and
+        ``done_at`` (optional) receives every job's completion time.
+
+        The degradation ladder: a socket job out of attempts is re-run
+        locally (:meth:`_salvage`) while the rest flow on; a queue without
+        workers hands back every job in flight, and later jobs skip it.
         """
+        pool = self._ensure_pool() if kind in ("thread", "process") else None
+        queue = self._ensure_queue() if kind == "socket" else None
+        if queue is not None:
+            from ..service.protocol import hash_bytes
+        cap = 1 if pool is None and queue is None else max_inflight
         lost = _worker_lost(queue)
+        deadline = _deadline(options)
         results: list[tuple[int, list[PathContribution]]] = []
-        for position, (_, future) in enumerate(pending):
+        inflight: dict[concurrent.futures.Future, tuple] = {}
+        socket_dead = False
+
+        def settle(future: concurrent.futures.Future) -> None:
+            nonlocal socket_dead
+            job, cleanup = inflight.pop(future)
             try:
-                self._wait_any((future,), queue)
                 results.append(future.result())  # re-raises worker exceptions
             except lost as error:
-                results.extend(self._salvage(pending[position:], str(error)))
-                break
+                socket_dead = queue.worker_count() == 0
+                results.extend(self._salvage([(job, future)], str(error)))
+            finally:
+                if cleanup is not None:
+                    cleanup()
+
+        def wait_some() -> None:
+            nonlocal socket_dead
+            try:
+                done = self._wait_any(tuple(inflight), queue)
+            except lost as error:
+                socket_dead = True
+                stranded = list(inflight.items())
+                inflight.clear()
+                for _, (_, cleanup) in stranded:
+                    if cleanup is not None:
+                        cleanup()
+                results.extend(self._salvage(
+                    [(job, future) for future, (job, _) in stranded], str(error)
+                ))
+                done = ()
+            for future in done:
+                settle(future)
+            if on_result is not None:
+                on_result(results)
+
+        try:
+            for job, cleanup in jobs:
+                if socket_dead:
+                    results.extend(self._run_locally([job], "socket backend previously lost"))
+                    if cleanup is not None:
+                        cleanup()
+                    if on_result is not None:
+                        on_result(results)
+                    continue
+                key = table_key
+                if queue is not None and key is None:
+                    key = hash_bytes(job.table)
+                    queue.add_resource(key, job.table, "table")
+                    cleanup = functools.partial(queue.discard_resource, key)
+                future = self._submit(job, pool, queue, options, deadline, key)
+                inflight[future] = (job, cleanup)
+                if done_at is not None:
+                    future.add_done_callback(lambda _: done_at.append(time.perf_counter()))
+                if max_inflight is not None:
+                    resident = sum(job.stop - job.start for job, _ in inflight.values())
+                    self.peak_path_buffer = max(self.peak_path_buffer, resident)
+                while cap is not None and len(inflight) >= cap:
+                    wait_some()
+            while inflight:
+                wait_some()
+        finally:
+            # On an error, drop the outstanding futures and run their
+            # cleanups (attached workers keep their mappings until they
+            # evict them); the pool itself stays usable.
+            for _, cleanup in inflight.values():
+                if cleanup is not None:
+                    cleanup()
+            inflight.clear()
         results.sort(key=lambda item: item[0])
         return results
 
@@ -865,28 +950,27 @@ class ParallelAnalysisExecutor:
 
         The producer behind batch and refinement queries: the table is
         carried once per call in the form ``kind`` needs, each job gets its
-        options' context, and the results come back sorted by job index.
-        ``kind="serial"`` runs the jobs inline on any executor.
+        options' context, and the job loop runs them without an in-flight
+        cap.  The jobs share one set of socket knobs: refinement levels
+        scale split budgets only.
         """
-        pool = self._ensure_pool() if kind in ("thread", "process") else None
-        queue = self._ensure_queue() if kind == "socket" else None
+        if not work:
+            return []
         table_key = None
-        if queue is not None:
-            table_key, table = self._socket_table(execution, queue)
+        if kind == "socket":
+            table_key, table = self._socket_table(execution, self._ensure_queue())
         elif kind == "process":
             segment = self._arena_for(execution)
             table = segment.name if segment is not None else execution.table().to_bytes()
         else:
             table = execution.table()
-        pending = []
+        jobs = []
         for index, (start, stop, indices, options) in enumerate(work):
             context = (targets, options, analyzer_specs(options.analyzer_names))
             if kind == "process":
                 context = self._process_context(context)
-            job = TableJob(index, table, context, start, stop, indices)
-            future = self._submit(job, pool, queue, options, _deadline(options), table_key)
-            pending.append((job, future))
-        return self._collect(pending, queue)
+            jobs.append((TableJob(index, table, context, start, stop, indices), None))
+        return self._job_loop(jobs, kind, work[0][3], table_key=table_key)
 
     def analyze(
         self,
@@ -898,9 +982,9 @@ class ParallelAnalysisExecutor:
         """Denotation bounds for ``targets``, fanned out over the pool.
 
         The per-chunk results are reassembled in chunk order and folded in
-        canonical path order, so the bounds are bit-identical to a serial
-        :func:`repro.analysis.engine.analyze_execution` run.  Worker
-        exceptions propagate to the caller.
+        canonical path order, so the bounds are bit-identical on every
+        backend, worker count and chunk size.  Worker exceptions propagate
+        to the caller.
         """
         target_tuple = tuple(targets)
         contributions = self.analyze_contributions(execution, target_tuple, options)
@@ -927,6 +1011,9 @@ class ParallelAnalysisExecutor:
         # chunk_size is a per-call knob: the caller's options win, the
         # executor's own value is only a default.
         chunk_size = options.chunk_size if options.chunk_size is not None else self.chunk_size
+        if chunk_size is None and self.kind == "serial":
+            # No pool to balance: the whole table is one job.
+            chunk_size = max(1, len(paths))
         chunks = partition_paths(paths, self.workers, chunk_size)
         self.chunks_dispatched += len(chunks)
         self.paths_analyzed += len(paths)
@@ -959,8 +1046,6 @@ class ParallelAnalysisExecutor:
         """
         if self._closed:
             raise RuntimeError("ParallelAnalysisExecutor is closed")
-        if not jobs:
-            return []
         self.chunks_dispatched += len(jobs)
         self.paths_analyzed += sum(len(indices) for indices, _ in jobs)
         work = [(0, 0, tuple(indices), options) for indices, options in jobs]
@@ -971,7 +1056,7 @@ class ParallelAnalysisExecutor:
     # Streaming analysis
     # ------------------------------------------------------------------
     def _stream_job(self, index: int, chunk_paths: tuple, context: tuple):
-        """The table job of one streamed chunk, plus its cleanup (or None).
+        """The ``(job, cleanup)`` pair of one streamed chunk.
 
         A process pool gets a short-lived per-chunk segment (the full path
         set is unknown while the stream is live), unlinked by the cleanup;
@@ -980,6 +1065,7 @@ class ParallelAnalysisExecutor:
         the interning walk: nothing is serialised, so sharing equal
         sub-expressions would only cost time.
         """
+        self.chunks_dispatched += 1
         count = len(chunk_paths)
         if self.kind in ("serial", "thread"):
             table = PathTable.from_paths(chunk_paths, intern=False)
@@ -991,6 +1077,30 @@ class ParallelAnalysisExecutor:
                 return TableJob(index, segment.name, context, 0, count), segment.unlink
             self._arena_degraded = True
         return TableJob(index, encode_paths(chunk_paths), context, 0, count), None
+
+    def _stream_jobs(
+        self, paths: Iterable[SymbolicPath], chunk_size: int, context: tuple
+    ) -> Iterator[tuple[TableJob, Optional[Callable[[], None]]]]:
+        """Chunk a path stream into table jobs, each as soon as it fills."""
+        fault_plan = faults.active()
+        buffer: list[SymbolicPath] = []
+        index = path_count = 0
+        for path in paths:
+            if fault_plan is not None:
+                action = fault_plan.decide("stream.paths")
+                if action is not None and action.kind == "explode":
+                    raise PathExplosionError(
+                        "injected mid-stream path explosion "
+                        f"(after {path_count} paths)"
+                    )
+            buffer.append(path)
+            path_count += 1
+            if len(buffer) >= chunk_size:
+                yield self._stream_job(index, tuple(buffer), context)
+                index += 1
+                buffer = []
+        if buffer:
+            yield self._stream_job(index, tuple(buffer), context)
 
     def analyze_stream(
         self,
@@ -1005,20 +1115,20 @@ class ParallelAnalysisExecutor:
 
         ``paths`` is consumed incrementally (typically the generator of
         :meth:`repro.symbolic.SymbolicExecutor.iter_paths`): paths are
-        buffered into fixed-size chunks and each chunk is submitted as a
-        table job as soon as it fills, so workers analyse the first chunks
-        while exploration is still enumerating the rest.  The buffer is
-        bounded — at most ``workers × options.prefetch`` jobs are in flight;
-        when the bound is hit, chunk production blocks until a worker
-        finishes.  Peak parent memory is therefore O(chunk size × prefetch ×
-        workers) paths instead of the whole path set.
+        buffered into fixed-size chunks (``chunk_size``, by default
+        ``_STREAM_CHUNK_SIZE``) and each chunk is submitted as a table job
+        as soon as it fills, so workers analyse the first chunks while
+        exploration is still enumerating the rest.  The buffer is bounded —
+        at most ``workers × options.prefetch`` jobs are in flight (one on
+        the serial kind); when the bound is hit, chunk production blocks
+        until a job finishes.  Peak parent memory is therefore O(chunk size
+        × prefetch × workers) paths instead of the whole path set.
 
         Per-chunk results are reassembled in chunk order and folded in
         canonical path order, so streamed bounds are **bit-identical** to a
-        batch :meth:`analyze` run and to the serial loop.  Exceptions from
-        the path generator (e.g. a mid-stream
-        :class:`~repro.symbolic.PathExplosionError`) and from workers
-        propagate to the caller.
+        batch :meth:`analyze` run.  Exceptions from the path generator
+        (e.g. a mid-stream :class:`~repro.symbolic.PathExplosionError`) and
+        from workers propagate to the caller.
 
         ``progress`` (optional) is the anytime first-bound hook: it is
         invoked **once**, with ``(partial_bounds, paths_done)``, the moment
@@ -1042,162 +1152,37 @@ class ParallelAnalysisExecutor:
         options = options or AnalysisOptions()
         target_tuple = tuple(targets)
         chunk_size = options.chunk_size if options.chunk_size is not None else self.chunk_size
-        if chunk_size is None:
-            chunk_size = _STREAM_CHUNK_SIZE
-        max_inflight = self.workers * options.prefetch
         context = (target_tuple, options, analyzer_specs(options.analyzer_names))
+        #: Completion timestamps recorded by done-callbacks (which fire the
+        #: moment a worker finishes) — collecting a result later would
+        #: overstate time-to-first-bound when the in-flight cap is never
+        #: reached.
+        done_at: list[float] = []
+
+        def first_bound(results: list) -> None:
+            """Invoke the anytime first-bound hook once, on the first result."""
+            nonlocal progress
+            if progress is not None and results:
+                hook, progress = progress, None
+                ordered = sorted(results, key=lambda item: item[0])
+                partial = [record for _, records in ordered for record in records]
+                hook(reduce_contributions(partial, target_tuple, None), len(partial))
 
         start = time.perf_counter()
         self.peak_path_buffer = 0
-        pool = self._ensure_pool()
-        queue = self._ensure_queue() if self.kind == "socket" else None
-        lost = _worker_lost(queue)
-        #: The whole stream shares one deadline, like a batch query's jobs.
-        deadline = _deadline(options)
-        #: Flipped once the ladder fires: later chunks skip the dead socket
-        #: tier and go straight to the local backend.
-        socket_dead = False
-        results: list[tuple[int, list[PathContribution]]] = []
-        inflight: dict[concurrent.futures.Future, TableJob] = {}
-        #: Per-chunk cleanups (segment unlink, queue resource discard), run
-        #: when the chunk's result is collected or the stream dies.
-        cleanups: dict[concurrent.futures.Future, Callable[[], None]] = {}
-        buffer: list[SymbolicPath] = []
-        progress_pending = progress is not None
-        #: Completion timestamps recorded by done-callbacks (which fire the
-        #: moment a worker finishes, possibly from the pool's result thread) —
-        #: collecting a result later would overstate time-to-first-bound when
-        #: the in-flight cap is never reached.
-        done_at: list[float] = []
-        path_count = 0
-        chunk_index = 0
-
-        def note_buffer() -> None:
-            resident = len(buffer) + sum(job.stop - job.start for job in inflight.values())
-            if resident > self.peak_path_buffer:
-                self.peak_path_buffer = resident
-
-        def fire_progress() -> None:
-            """Invoke the anytime first-bound hook once, on the first result."""
-            nonlocal progress_pending
-            if not progress_pending or not results:
-                return
-            progress_pending = False
-            ordered = sorted(results, key=lambda item: item[0])
-            partial = [record for _, records in ordered for record in records]
-            progress(reduce_contributions(partial, target_tuple, None), len(partial))
-
-        def release(future: concurrent.futures.Future) -> None:
-            cleanup = cleanups.pop(future, None)
-            if cleanup is not None:
-                cleanup()
-
-        def collect(future: concurrent.futures.Future) -> None:
-            nonlocal socket_dead
-            job = inflight.pop(future)
-            try:
-                results.append(future.result())  # re-raises worker exceptions
-            except lost as error:
-                # Socket job out of attempts: this chunk takes the ladder;
-                # the stream keeps flowing and the merge stays canonical.
-                socket_dead = queue.worker_count() == 0
-                results.extend(self._salvage([(job, future)], str(error)))
-            finally:
-                release(future)
-            fire_progress()
-
-        def wait_some() -> None:
-            """Collect at least one in-flight job (ladder on a dead queue)."""
-            nonlocal socket_dead
-            try:
-                done = self._wait_any(tuple(inflight), queue)
-            except lost as error:
-                # Every worker is gone and none came back: salvage the whole
-                # in-flight set locally.
-                socket_dead = True
-                stranded = list(inflight.items())
-                inflight.clear()
-                for future, _ in stranded:
-                    release(future)
-                results.extend(self._salvage(
-                    [(job, future) for future, job in stranded], str(error)
-                ))
-                fire_progress()
-                return
-            for finished in done:
-                collect(finished)
-
-        def dispatch() -> None:
-            nonlocal chunk_index
-            chunk_paths = tuple(buffer)
-            index = chunk_index
-            chunk_index += 1
-            self.chunks_dispatched += 1
-            buffer.clear()
-            job, cleanup = self._stream_job(index, chunk_paths, context)
-            if socket_dead:
-                # The ladder already fired: skip the dead socket tier.
-                results.extend(self._run_locally([job], "socket backend previously lost"))
-                fire_progress()
-                return
-            table_key = None
-            if queue is not None:
-                from ..service.protocol import hash_bytes
-
-                table_key = hash_bytes(job.table)
-                queue.add_resource(table_key, job.table, "table")
-                cleanup = lambda: queue.discard_resource(table_key)  # noqa: E731
-            future = self._submit(job, pool, queue, options, deadline, table_key)
-            inflight[future] = job
-            if cleanup is not None:
-                cleanups[future] = cleanup
-            future.add_done_callback(lambda _: done_at.append(time.perf_counter()))
-            note_buffer()
-            if pool is None and queue is None:
-                # Serial kind: collect at once, so the buffer stays bounded
-                # by one chunk.
-                collect(future)
-            # Bounded buffer: block until a slot frees up.
-            while len(inflight) >= max_inflight:
-                wait_some()
-
-        fault_plan = faults.active()
-        try:
-            for path in paths:
-                if fault_plan is not None:
-                    action = fault_plan.decide("stream.paths")
-                    if action is not None and action.kind == "explode":
-                        raise PathExplosionError(
-                            "injected mid-stream path explosion "
-                            f"(after {path_count} paths)"
-                        )
-                buffer.append(path)
-                path_count += 1
-                note_buffer()
-                if len(buffer) >= chunk_size:
-                    dispatch()
-            if buffer:
-                dispatch()
-            while inflight:
-                wait_some()
-        finally:
-            # On a mid-stream error, drop references to outstanding futures
-            # and unlink their segments / discard their queue resources
-            # (attached workers keep their mappings until they evict them;
-            # the kernel reclaims the memory with the last detach).  The
-            # pool itself stays usable for subsequent queries.
-            inflight.clear()
-            while cleanups:
-                _, cleanup = cleanups.popitem()
-                cleanup()
-
-        self.paths_analyzed += path_count
-        results.sort(key=lambda item: item[0])
+        results = self._job_loop(
+            self._stream_jobs(paths, chunk_size or _STREAM_CHUNK_SIZE, context),
+            self.kind, options,
+            max_inflight=self.workers * options.prefetch,
+            on_result=first_bound,
+            done_at=done_at,
+        )
         contributions = [record for _, records in results for record in records]
+        self.paths_analyzed += len(contributions)
         if contribution_sink is not None:
             contribution_sink.extend(contributions)
         if report is not None:
-            report.path_count += path_count
+            report.path_count += len(contributions)
             report.truncated_paths += sum(int(c.truncated) for c in contributions)
             if done_at:
                 report.first_result_seconds = min(done_at) - start

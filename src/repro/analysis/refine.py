@@ -62,7 +62,6 @@ from .engine import (
     PathContribution,
     reduce_contributions,
 )
-from .registry import resolve_analyzers
 
 __all__ = [
     "RefinementCheckpoint",
@@ -179,7 +178,7 @@ class RefinementScheduler:
 
     ``executor`` (optional) is a running
     :class:`~repro.analysis.parallel.ParallelAnalysisExecutor`; without one
-    the scheduler runs the identical sweeps in-process.
+    the sweeps run on a ``"serial"`` executor.
     ``seed_contributions`` (optional) are already-computed canonical-order
     per-path records — the streamed cache tee hands them over so a streamed
     query's refinement never re-sweeps the paths it just analysed.
@@ -196,6 +195,10 @@ class RefinementScheduler:
         self.execution = execution
         self.targets = tuple(targets)
         self.options = options
+        if executor is None:
+            from .parallel import ParallelAnalysisExecutor
+
+            executor = ParallelAnalysisExecutor(workers=1, kind="serial")
         self.executor = executor
         self._contributions: Optional[list[PathContribution]] = (
             list(seed_contributions) if seed_contributions is not None else None
@@ -225,20 +228,6 @@ class RefinementScheduler:
             raise RuntimeError("RefinementScheduler.seed() has not run yet")
         return list(self._bounds)
 
-    def _seed_contributions(self) -> list[PathContribution]:
-        if self.executor is not None:
-            return self.executor.analyze_contributions(
-                self.execution, self.targets, self.options
-            )
-        from .parallel import analyze_table_slice
-
-        paths = self.execution.paths
-        analyzers = resolve_analyzers(self.options)
-        return analyze_table_slice(
-            self.execution.table(), 0, len(paths),
-            self.targets, self.options, analyzers, paths=paths,
-        )
-
     def seed(self) -> list[DenotationBounds]:
         """Run (or adopt) the coarse uniform sweep and build the gap heap.
 
@@ -246,7 +235,9 @@ class RefinementScheduler:
         same options — refinement only ever narrows it.
         """
         if self._contributions is None:
-            self._contributions = self._seed_contributions()
+            self._contributions = self.executor.analyze_contributions(
+                self.execution, self.targets, self.options
+            )
         entries = []
         for index, contribution in enumerate(self._contributions):
             gap = _path_gap(contribution)
@@ -335,7 +326,7 @@ class RefinementScheduler:
         can overlap jobs.  The split only shapes dispatch — merged results
         are keyed by path index, so it never affects the bounds.
         """
-        workers = self.executor.workers if self.executor is not None else 1
+        workers = self.executor.workers
         jobs: list[tuple[tuple[int, ...], AnalysisOptions]] = []
         for level in sorted(groups):
             indices = sorted(groups[level])
@@ -344,26 +335,6 @@ class RefinementScheduler:
             for start in range(0, len(indices), job_size):
                 jobs.append((tuple(indices[start : start + job_size]), options))
         return jobs
-
-    def _dispatch(
-        self, jobs: list[tuple[tuple[int, ...], AnalysisOptions]]
-    ) -> list[list[PathContribution]]:
-        if self.executor is not None:
-            return self.executor.analyze_refinement_jobs(self.execution, jobs, self.targets)
-        from .parallel import analyze_table_slice
-
-        table = self.execution.table()
-        paths = self.execution.paths
-        results = []
-        for indices, options in jobs:
-            analyzers = resolve_analyzers(options)
-            results.append(
-                analyze_table_slice(
-                    table, 0, 0, self.targets, options, analyzers,
-                    paths=paths, indices=indices,
-                )
-            )
-        return results
 
     def refine_round(self) -> Optional[list[DenotationBounds]]:
         """Run one refinement round; None when every path has retired.
@@ -383,7 +354,9 @@ class RefinementScheduler:
             return None
 
         jobs = self._job_specs(groups)
-        refined_lists = self._dispatch(jobs)
+        refined_lists = self.executor.analyze_refinement_jobs(
+            self.execution, jobs, self.targets
+        )
         level_of = {index: level for level, members in groups.items() for index in members}
         for (indices, _options), refined in zip(jobs, refined_lists):
             if len(refined) != len(indices):

@@ -18,10 +18,33 @@ __all__ = [
     "pedestrian_walk_fixpoint",
     "geometric_program",
     "random_spcf_program",
+    "analyze_single_path",
     "_analyze_paths_resolved",
     "integrate_reference",
     "tree_walk_cells",
 ]
+
+
+def analyze_single_path(path, analyzers, targets, options):
+    """Analyse one path with the first applicable analyzer.
+
+    The per-path unit of the materialised oracle below; it raises the
+    runtime table loop's error for a path no analyzer accepts.
+    """
+    from repro.analysis.engine import PathContribution
+
+    for analyzer in analyzers:
+        if analyzer.applicable(path, options):
+            return PathContribution(
+                analyzer_name=analyzer.name,
+                truncated=path.truncated,
+                contributions=tuple(analyzer.analyze(path, targets, options)),
+            )
+    names = ", ".join(options.analyzer_names)
+    raise RuntimeError(
+        f"no analyzer in ({names}) is applicable to a symbolic path; "
+        "include the universal 'box' analyzer as a fallback"
+    )
 
 
 def _analyze_paths_resolved(paths, targets, options, analyzers):
@@ -32,7 +55,7 @@ def _analyze_paths_resolved(paths, targets, options, analyzers):
     per-path ``analyze``).  :func:`repro.analysis.parallel.analyze_table_slice`
     must return exactly these contribution records for the same paths.
     """
-    from repro.analysis.engine import PathContribution, analyze_single_path
+    from repro.analysis.engine import PathContribution
     from repro.analysis.parallel import _batch_results
 
     contributions = []

@@ -207,6 +207,18 @@ class TestHistograms:
         with pytest.raises(ValueError, match="histogram range"):
             histogram_buckets(low, high, 2)
 
+    @pytest.mark.parametrize(
+        "low,high,count", [(-0.10616724739521999, 6.243141478867736, 3), (0.0, 3.0, 6)]
+    )
+    def test_buckets_tile_the_range(self, low, high, count):
+        # low + (high - low) * n / n rounds off high for the first range.
+        buckets = histogram_buckets(low, high, count)
+        assert len(buckets) == count
+        assert buckets[0].lo == low
+        assert buckets[-1].hi == high
+        for left, right in zip(buckets, buckets[1:]):
+            assert left.hi == right.lo
+
     def test_empty_validation_report(self):
         histogram = Model(b.sample()).histogram(0.0, 1.0, 4)
         report = histogram.validate_samples([])

@@ -50,6 +50,7 @@ from repro.analysis.linear_analyzer import (
     GeometryCache,
     _analyze_linear_forms,
     _integrate,
+    _rows_for_target,
     linear_analysis_applicable,
 )
 from repro.distributions import Uniform
@@ -230,15 +231,26 @@ class TestFlatBaseShortcut:
             LinearForm.from_dict({0: 1.0}, Interval.point(0.0)),
             constraints, atoms, templates, [Uniform(0.0, 1.0)] * 2, list(TARGETS),
         )
+        options = AnalysisOptions(score_splits=4)
         cache = GeometryCache()
-        pruned = _analyze_linear_forms(*args, AnalysisOptions(score_splits=4), cache)
+        pruned = _analyze_linear_forms(*args, options, cache)
         assert pruned == [(0.0, 0.0)] * len(TARGETS)
         assert list(cache.full_dimension.values()) == [False]
         assert not cache.volumes and not cache.atom_bounds
-        kept = _analyze_linear_forms(
-            *args, AnalysisOptions(score_splits=4, prune_empty_paths=False), GeometryCache()
+        # The unpruned reference: each target's cut of the segment, integrated.
+        segment = Polytope.from_box([Interval(0.0, 1.0)] * 2).add_constraints(
+            [[1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0]
         )
-        for (lower, upper), (kept_lower, kept_upper) in zip(pruned, kept):
+        for (lower, upper), target in zip(pruned, TARGETS):
+            kept = []
+            for is_lower in (True, False):
+                rows = _rows_for_target(args[0], target, 2, universal=is_lower)
+                cut = (
+                    segment.add_constraints([r for r, _ in rows], [b for _, b in rows])
+                    if rows else segment
+                )
+                kept.append(integrate_reference(cut, templates, list(atoms), 1.0, options, is_lower))
+            kept_lower, kept_upper = kept
             assert lower == kept_lower
             assert upper <= kept_upper <= 4 * _NEGLIGIBLE_WEIGHT
 

@@ -449,6 +449,37 @@ class TestRegistrySerializationSafety:
 # ----------------------------------------------------------------------
 
 
+class TestSerialRoute:
+    """``workers=1`` queries run the executor's serial kind, through table jobs."""
+
+    @pytest.mark.parametrize(
+        "changes", [{}, {"refine": "gap"}, {"stream": True}], ids=["batch", "refine", "stream"]
+    )
+    def test_serial_queries_run_table_jobs(self, changes, monkeypatch):
+        from repro.analysis import parallel
+
+        jobs = []
+        original = parallel.run_table_job
+        monkeypatch.setattr(
+            parallel, "run_table_job", lambda job: jobs.append(job) or original(job)
+        )
+        options = AnalysisOptions(
+            max_fixpoint_depth=6, score_splits=8, workers=1, executor=None,
+            stream=False, refine="off",
+        ).with_updates(**changes)
+        report = AnalysisReport()
+        with Model(simple_observe_model(), options) as model:
+            model.bounds([Interval(0.0, 1.0)], report=report)
+            (executor,) = model._executors.values()
+        assert executor.kind == "serial"
+        assert jobs
+        if changes.get("refine"):
+            assert report.refine_paths > 0
+        # Every analysed path (and every refinement re-analysis) went
+        # through the executor.
+        assert executor.paths_analyzed == report.path_count + report.refine_paths
+
+
 class TestExecutorLifecycle:
     def test_model_reuses_pool_across_queries(self):
         options = AnalysisOptions(workers=2, executor="thread", score_splits=8)

@@ -436,6 +436,7 @@ class TestBoundsServer:
                     ("vectorized_boxes", False),
                     ("vectorized_scores", False),
                     ("vectorized_transcendentals", True),
+                    ("prune_empty_paths", False),
                 ]:
                     with pytest.raises(ServiceError, match="unknown analysis options"):
                         client.bounds(BRANCHY_SRC, [(0.0, 1.0)], options={name: value})

@@ -260,11 +260,18 @@ class TestStreamedBatchEquivalence:
 class TestPeakPathBuffer:
     def test_serial_streaming_is_constant_memory(self):
         options = AnalysisOptions(max_fixpoint_depth=6, stream=True, workers=1, executor="serial")
+        # One path per chunk: one resident path.
+        report = AnalysisReport()
+        with Model(pedestrian_model(), options.with_updates(chunk_size=1)) as model:
+            model.bounds([Interval(0.0, 1.0)], report=report)
+        assert report.path_count > 50
+        assert report.peak_path_buffer == 1
+        # The default chunk: at most one chunk of paths resident.
         report = AnalysisReport()
         with Model(pedestrian_model(), options) as model:
             model.bounds([Interval(0.0, 1.0)], report=report)
         assert report.path_count > 50
-        assert report.peak_path_buffer == 1
+        assert 0 < report.peak_path_buffer <= 32
 
     @pytest.mark.slow
     @pytest.mark.parametrize("kind", ["thread", "process"])
