@@ -387,11 +387,6 @@ class AnalysisOptions:
         return "process" if self.workers > 1 else "serial"
 
     @property
-    def parallel(self) -> bool:
-        """Whether queries with these options run on a worker pool."""
-        return self.effective_executor != "serial"
-
-    @property
     def refine_enabled(self) -> bool:
         """Whether queries with these options run gap-directed refinement."""
         return self.refine == "gap"

@@ -15,13 +15,13 @@ This module fans that loop out as **table jobs**:
   the same workload always produces the same partition;
 * a :class:`~repro.analysis.transport.TableJob` — a path table, a query
   context and a ``[start, stop)`` range or an explicit index list — is the
-  only unit of work on every backend.  Process pools receive the name of a
-  shared-memory segment holding the ``PathTable`` image (or, where
-  publishing fails, the image itself), socket workers receive the image as
-  a content-addressed resource, and in-process backends receive the compiled
-  ``PathTable`` object.  Analyzers travel as registry *specs* inside the
-  context and are re-resolved by name in the worker (see
-  :func:`repro.analysis.registry.ensure_analyzers_registered`);
+  only unit of work on every backend.  Its table and context travel as
+  *carriers* that the executor picks in one table store and one context
+  store: shared-memory segment names on process pools (inline images once
+  publishing fails), content-addressed queue resource keys on the socket
+  tier, and the compiled objects in-process.  Analyzers travel as registry
+  *specs* inside the context and are re-resolved by name in the worker
+  (:func:`repro.analysis.transport.resolve_context`);
 * :func:`run_table_job` resolves a job and runs :func:`analyze_table_slice`,
   the one chunk body every backend and the socket workers share;
 * :class:`ParallelAnalysisExecutor` owns the pools and is the only
@@ -36,8 +36,9 @@ This module fans that loop out as **table jobs**:
 Exceptions raised inside a worker (including
 :class:`~repro.symbolic.PathExplosionError` and analyzer failures) are
 re-raised in the parent.  A socket job that exhausts its retries, or whose
-queue loses every worker, takes the degradation ladder: it is re-run as an
-inline-image job on a local process pool, then serially.
+queue loses every worker, takes the degradation ladder: it is re-run on
+its inline payloads on the executor's own local process pool, then
+serially.
 
 Backend guidance: the ``"process"`` executor is the right default for
 CPU-bound bound analysis (the per-path work is pure Python and NumPy, so the
@@ -54,6 +55,7 @@ from __future__ import annotations
 
 import atexit
 import concurrent.futures
+import dataclasses
 import functools
 import os
 import pickle
@@ -84,22 +86,14 @@ from .engine import (
     PathContribution,
     reduce_contributions,
 )
-from .registry import (
-    AnalyzerSpec,
-    analyzer_specs,
-    ensure_analyzers_registered,
-    resolve_analyzers,
-)
+from .registry import analyzer_specs
 from .transport import (
-    ArenaSegment,
-    ContextSegment,
     TableJob,
-    attach_context,
     create_arena_segment,
     create_context_segment,
     job_table,
     publish_arena_image,
-    register_worker_reset,
+    resolve_context,
 )
 
 __all__ = [
@@ -289,41 +283,6 @@ def analyze_table_slice(
     return contributions
 
 
-#: Worker-side cache of *resolved* query contexts, keyed by the context
-#: segment name (which uniquely identifies one query shape): the decoded
-#: targets/options plus the analyzer instances, with
-#: ``ensure_analyzers_registered`` already applied.  Without it every job of
-#: a query re-decoded the context and re-resolved the registry.  Context
-#: segments are published once per query shape and shared by every table of
-#: the query (batch *and* streamed per-chunk segments), so the context name
-#: alone is the right key.
-_RESOLVED_CONTEXTS: "OrderedDict[str, tuple]" = OrderedDict()
-_RESOLVED_CONTEXT_CAP = 16
-
-# The transport teardown helper is the documented full reset of per-worker
-# state; the resolved-context cache participates.
-register_worker_reset(_RESOLVED_CONTEXTS.clear)
-
-
-def _resolved_context(context) -> tuple:
-    """``(targets, options, analyzers)`` of a job's context (segments cached)."""
-    if not isinstance(context, str):
-        targets, options, specs = context
-        ensure_analyzers_registered(specs)
-        return targets, options, resolve_analyzers(options)
-    entry = _RESOLVED_CONTEXTS.get(context)
-    if entry is not None:
-        _RESOLVED_CONTEXTS.move_to_end(context)
-        return entry
-    targets, options, specs = attach_context(context)
-    ensure_analyzers_registered(specs)
-    entry = (targets, options, resolve_analyzers(options))
-    _RESOLVED_CONTEXTS[context] = entry
-    while len(_RESOLVED_CONTEXTS) > _RESOLVED_CONTEXT_CAP:
-        _RESOLVED_CONTEXTS.popitem(last=False)
-    return entry
-
-
 def run_table_job(job: TableJob) -> tuple[int, list[PathContribution]]:
     """Analyse one :class:`TableJob` (runs in the parent or in a worker).
 
@@ -335,7 +294,7 @@ def run_table_job(job: TableJob) -> tuple[int, list[PathContribution]]:
     exact-bytes keying returns identical float64s on a hit, so bounds do not
     depend on which jobs landed on which worker.
     """
-    targets, options, analyzers = _resolved_context(job.context)
+    targets, options, analyzers = resolve_context(job.context)
     return job.index, analyze_table_slice(
         job_table(job.table), job.start, job.stop, targets, options, analyzers,
         indices=job.indices,
@@ -350,13 +309,6 @@ def _run_inline(job: TableJob) -> concurrent.futures.Future:
     except Exception as error:  # noqa: BLE001 - re-raised by future.result()
         future.set_exception(error)
     return future
-
-
-def _deadline(options: AnalysisOptions) -> Optional[float]:
-    """The absolute socket-job deadline of ``options.time_budget`` (or None)."""
-    if options.time_budget is None:
-        return None
-    return time.monotonic() + options.time_budget
 
 
 def _worker_lost(queue):
@@ -431,6 +383,12 @@ class ParallelAnalysisExecutor:
     (a TCP work queue dispatching jobs to ``python -m repro.service.worker``
     processes — local ones it spawns itself and/or remote ones that connect
     to ``socket_endpoint``; see :mod:`repro.service.queue`).
+
+    Its one kind decides how tables and contexts travel: a table store and
+    a context store (small LRUs) publish each resource once — segments on
+    the process kind, queue resources on the socket kind — and release it
+    on eviction or :meth:`close`.  An executor owns at most one pool: the
+    socket kind's is the degradation ladder's local process pool.
     """
 
     def __init__(
@@ -460,31 +418,25 @@ class ParallelAnalysisExecutor:
         #: before walking down the degradation ladder.
         self.io_timeout = DEFAULT_IO_TIMEOUT if io_timeout is None else io_timeout
         #: The lazily-started work-queue server of the ``"socket"`` backend
-        #: (see :meth:`_ensure_queue`), plus LRU key caches mirroring the
-        #: arena/context segment caches of the shared-memory transport.
+        #: (see :meth:`_ensure_queue`).
         self._queue = None
-        self._socket_tables: "OrderedDict[int, tuple[tuple, str, bytes]]" = OrderedDict()
-        self._socket_contexts: "OrderedDict[tuple, str]" = OrderedDict()
+        #: The lazily-created pool of the thread and process kinds; on the
+        #: socket kind, the degradation ladder's local process pool.
         self._pool: Optional[concurrent.futures.Executor] = None
         self._closed = False
-        #: Published arena segments, keyed by ``id`` of the path tuple they
-        #: encode (each segment pins its tuple, so keys cannot alias).  The
-        #: cache is what lets repeated queries over the same compiled path
-        #: set dispatch with zero re-encoding and zero per-job path bytes.
-        self._arena_segments: "OrderedDict[int, ArenaSegment]" = OrderedDict()
-        #: Published query-context segments, keyed by the context value
-        #: (targets, options, specs — all hashable), so a repeated query
-        #: re-uses the published context just like it re-uses the arena.
-        self._context_segments: "OrderedDict[tuple, ContextSegment]" = OrderedDict()
+        #: The two published-resource stores (see :meth:`_stored`): path
+        #: tables keyed by ``id`` of the path tuple they encode (each entry
+        #: pins its tuple, so keys cannot alias), and query contexts keyed
+        #: by the ``(targets, options, specs)`` value.  They are what lets
+        #: repeated queries dispatch with zero re-encoding and zero per-job
+        #: path bytes.
+        self._tables: "OrderedDict[int, tuple]" = OrderedDict()
+        self._contexts: "OrderedDict[tuple, tuple]" = OrderedDict()
         #: Flipped when segment creation fails at runtime (e.g. exhausted
         #: /dev/shm): later queries skip straight to inline table images
         #: instead of re-encoding the image per query only to fail
         #: publishing it again.
         self._arena_degraded = False
-        #: The degradation ladder's local process pool, created lazily the
-        #: first time the socket backend has to hand work back (see
-        #: :meth:`_run_locally`).
-        self._fallback_pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self.chunks_dispatched = 0
         self.paths_analyzed = 0
         self.arena_segments_created = 0
@@ -549,20 +501,13 @@ class ParallelAnalysisExecutor:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
-        if self._fallback_pool is not None:
-            self._fallback_pool.shutdown(wait=True, cancel_futures=True)
-            self._fallback_pool = None
         if self._queue is not None:
             self._queue.close()
             self._queue = None
-        self._socket_tables.clear()
-        self._socket_contexts.clear()
-        while self._arena_segments:
-            _, segment = self._arena_segments.popitem(last=False)
-            segment.unlink()
-        while self._context_segments:
-            _, context = self._context_segments.popitem(last=False)
-            context.unlink()
+        for store in (self._tables, self._contexts):
+            while store:
+                _, (_, _, release) = store.popitem(last=False)
+                release()
 
     def __enter__(self) -> "ParallelAnalysisExecutor":
         return self
@@ -574,45 +519,118 @@ class ParallelAnalysisExecutor:
         state = "closed" if self._closed else ("warm" if self._pool else "cold")
         return (
             f"ParallelAnalysisExecutor(kind={self.kind!r}, workers={self.workers}, "
-            f"chunk_size={self.chunk_size}, arenas={len(self._arena_segments)}, {state})"
+            f"chunk_size={self.chunk_size}, tables={len(self._tables)}, {state})"
         )
 
     # ------------------------------------------------------------------
     # Table and context carriers
     # ------------------------------------------------------------------
-    #: How many per-query arena segments the executor keeps published.  One
-    #: per cached compiled program is the common case; the small LRU bounds
-    #: shared-memory usage when a model sweeps execution limits.
-    _ARENA_CACHE_CAP = 4
+    #: How many path tables stay published.  One per cached compiled
+    #: program is the common case; the small LRU bounds shared-memory (or
+    #: queue) usage when a model sweeps execution limits.
+    _TABLE_CACHE_CAP = 4
+    #: How many query contexts stay published (they are tiny — one pickled
+    #: (targets, options, specs) tuple each).
+    _CONTEXT_CACHE_CAP = 8
 
-    def _arena_for(self, execution: SymbolicExecutionResult) -> Optional[ArenaSegment]:
-        """The published segment of ``execution``'s table (created on miss).
+    def _stored(self, store: OrderedDict, cap: int, key, pin, publish):
+        """The carrier ``store`` holds under ``key``, published on a miss.
+
+        ``publish()`` returns ``(carrier, release)``; an inline carrier
+        (``release`` is None: nothing was published) is not stored.  The
+        entry pins ``pin``.  Past ``cap`` entries the least recently used
+        one is released, unless another entry shares its carrier (equal
+        tables share one content-addressed queue key).
+        """
+        entry = store.get(key)
+        if entry is not None:
+            store.move_to_end(key)
+            return entry[1]
+        carrier, release = publish()
+        if release is not None:
+            store[key] = (pin, carrier, release)
+            while len(store) > cap:
+                _, (_, old, old_release) = store.popitem(last=False)
+                if all(entry[1] != old for entry in store.values()):
+                    old_release()
+        return carrier
+
+    def _queue_resource(self, payload: bytes, kind: str) -> tuple:
+        """Register ``payload`` with the work queue: ``(key, release)``.
+
+        The content hash of the bytes is the key, so a payload ships at most
+        once per worker connection and equal payloads share one resource.
+        """
+        from ..service.protocol import hash_bytes
+
+        queue = self._ensure_queue()
+        key = hash_bytes(payload)
+        queue.add_resource(key, payload, kind)
+        return key, functools.partial(queue.discard_resource, key)
+
+    def _publish_table(self, paths: Sequence[SymbolicPath], image: Optional[bytes] = None):
+        """Publish one path table on this executor's kind: ``(carrier, release)``.
+
+        ``image`` is the table's byte image; without it ``paths`` are
+        encoded (a streamed chunk).  The process kind publishes a segment,
+        or carries the image inline once publishing has failed; the socket
+        kind registers the image with the work queue.
+        """
+        if self.kind == "process" and not self._arena_degraded:
+            segment = (
+                create_arena_segment(paths) if image is None
+                else publish_arena_image(image, paths)
+            )
+            if segment is not None:
+                self.arena_segments_created += 1
+                return segment.name, segment.unlink
+            self._arena_degraded = True
+        if image is None:
+            image = encode_paths(paths)
+        if self.kind == "socket":
+            return self._queue_resource(image, "table")
+        return image, None
+
+    def _table(self, execution: SymbolicExecutionResult, kind: str):
+        """The carrier of ``execution``'s table for ``kind``'s jobs.
 
         The compiled program's ``PathTable`` serialises straight to the
-        segment image — no re-interning, no encode walk.  Returns ``None``
-        (and stays degraded) once publishing has failed.
+        published image — no re-interning, no encode walk — and the table
+        store keeps it published for later queries.  In-process kinds get
+        the ``PathTable`` itself.
         """
-        if self._arena_degraded:
-            return None
+        if kind not in ("process", "socket"):
+            return execution.table()
         paths = execution.paths
-        key = id(paths)
-        segment = self._arena_segments.get(key)
-        if segment is not None and segment.paths is paths:
-            self._arena_segments.move_to_end(key)
-            return segment
-        segment = publish_arena_image(execution.table().to_bytes(), paths)
-        if segment is None:
-            self._arena_degraded = True
-            return None
-        self._arena_segments[key] = segment
-        self.arena_segments_created += 1
-        while len(self._arena_segments) > self._ARENA_CACHE_CAP:
-            _, old = self._arena_segments.popitem(last=False)
-            old.unlink()
-        return segment
+        return self._stored(
+            self._tables, self._TABLE_CACHE_CAP, id(paths), paths,
+            lambda: self._publish_table(paths, execution.table().to_bytes()),
+        )
+
+    def _context(self, context: tuple, kind: str):
+        """The carrier of one query shape's ``(targets, options, specs)``.
+
+        A context segment on the process kind (the tuple itself once
+        publishing has failed), a queue resource on the socket kind, and
+        the tuple in-process; the context store keeps it published.
+        """
+        if kind not in ("process", "socket"):
+            return context
+
+        def publish() -> tuple:
+            if self.kind == "socket":
+                image = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
+                return self._queue_resource(image, "context")
+            segment = None if self._arena_degraded else create_context_segment(*context)
+            if segment is None:
+                self._arena_degraded = True
+                return context, None
+            return segment.name, segment.unlink
+
+        return self._stored(self._contexts, self._CONTEXT_CACHE_CAP, context, None, publish)
 
     def prime_arena(self, execution: SymbolicExecutionResult) -> bool:
-        """Publish (and cache) the arena segment of ``execution`` ahead of a query.
+        """Publish (and store) the arena segment of ``execution`` ahead of a query.
 
         Used by the streamed-query cache tee: once a streamed query has
         materialised its path set into the compile cache, priming makes the
@@ -620,88 +638,15 @@ class ParallelAnalysisExecutor:
         attaches workers to it without re-encoding.  Returns False when
         this is no process pool or publishing is unavailable.
         """
-        if self.kind != "process" or self._closed:
+        if self.kind != "process" or self._closed or self._arena_degraded:
             return False
-        return self._arena_for(execution) is not None
+        return isinstance(self._table(execution, "process"), str)
 
     def arena_segment_names(self) -> tuple[str, ...]:
-        """Names of the currently published per-query segments (telemetry)."""
-        return tuple(segment.name for segment in self._arena_segments.values())
-
-    #: How many query-context segments stay published (they are tiny — one
-    #: pickled (targets, options, specs) tuple each).
-    _CONTEXT_CACHE_CAP = 8
-
-    def _process_context(self, context: tuple):
-        """A process job's context: its published segment's name (cached).
-
-        Falls back to the ``(targets, options, specs)`` tuple itself once
-        publishing has failed.
-        """
-        if self._arena_degraded:
-            return context
-        segment = self._context_segments.get(context)
-        if segment is not None:
-            self._context_segments.move_to_end(context)
-            return segment.name
-        segment = create_context_segment(*context)
-        if segment is None:
-            self._arena_degraded = True
-            return context
-        self._context_segments[context] = segment
-        while len(self._context_segments) > self._CONTEXT_CACHE_CAP:
-            _, old = self._context_segments.popitem(last=False)
-            old.unlink()
-        return segment.name
-
-    #: How many path-table resources stay registered with the work queue
-    #: (mirrors the arena segment cache: one per cached compiled program).
-    _SOCKET_TABLE_CAP = 4
-    #: How many query-context resources stay registered (tiny pickles).
-    _SOCKET_CONTEXT_CAP = 8
-
-    def _socket_table(self, execution: SymbolicExecutionResult, queue) -> tuple[str, bytes]:
-        """``(key, image)`` of ``execution``'s table, registered with the queue.
-
-        The content hash of the table bytes is the resource key, so the
-        image is encoded once per compiled path set, shipped at most once
-        per worker connection, and naturally deduplicated when two
-        executions encode equal tables.  The image doubles as the table of
-        the inline jobs the degradation ladder re-runs locally.
-        """
-        from ..service.protocol import hash_bytes
-
-        paths = execution.paths
-        ident = id(paths)
-        entry = self._socket_tables.get(ident)
-        if entry is not None and entry[0] is paths:
-            self._socket_tables.move_to_end(ident)
-            return entry[1], entry[2]
-        image = execution.table().to_bytes()
-        key = hash_bytes(image)
-        queue.add_resource(key, image, "table")
-        self._socket_tables[ident] = (paths, key, image)
-        while len(self._socket_tables) > self._SOCKET_TABLE_CAP:
-            _, (_, old_key, _) = self._socket_tables.popitem(last=False)
-            queue.discard_resource(old_key)
-        return key, image
-
-    def _socket_context_key(self, queue, context: tuple) -> str:
-        """Register one query shape's pickled context with the queue (cached)."""
-        from ..service.protocol import hash_bytes
-
-        key = self._socket_contexts.get(context)
-        if key is not None:
-            self._socket_contexts.move_to_end(context)
-            return key
-        payload = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
-        key = hash_bytes(payload)
-        queue.add_resource(key, payload, "context")
-        self._socket_contexts[context] = key
-        while len(self._socket_contexts) > self._SOCKET_CONTEXT_CAP:
-            _, old_key = self._socket_contexts.popitem(last=False)
-            queue.discard_resource(old_key)
-        return key
+        """Names of the currently published table segments (telemetry)."""
+        if self.kind != "process":
+            return ()
+        return tuple(carrier for _, carrier, _ in self._tables.values())
 
     # ------------------------------------------------------------------
     # Submit, the job loop, and the degradation ladder
@@ -713,22 +658,19 @@ class ParallelAnalysisExecutor:
         queue,
         options: AnalysisOptions,
         deadline: Optional[float] = None,
-        table_key: Optional[str] = None,
     ) -> concurrent.futures.Future:
         """Start ``job`` on the socket ``queue``, on ``pool``, or inline.
 
         Every future resolves to ``(job.index, contributions)``.  A socket
-        job carries its table as an image (``table_key`` is that image's
-        queue resource) and its context as a tuple, so the degradation
-        ladder can re-run the very same job locally.
+        job's table and context are queue resource keys.
         """
         if queue is not None:
             return queue.submit_chunk(
                 index=job.index,
-                table=table_key,
+                table=job.table,
                 start=job.start,
                 stop=job.stop,
-                context=self._socket_context_key(queue, job.context),
+                context=job.context,
                 timeout=options.job_timeout,
                 retries=options.job_retries,
                 indices=job.indices,
@@ -773,7 +715,6 @@ class ParallelAnalysisExecutor:
         jobs: Iterable[tuple[TableJob, Optional[Callable[[], None]]]],
         kind: str,
         options: AnalysisOptions,
-        table_key: Optional[str] = None,
         max_inflight: Optional[int] = None,
         on_result: Optional[Callable[[list], None]] = None,
         done_at: Optional[list[float]] = None,
@@ -789,9 +730,8 @@ class ParallelAnalysisExecutor:
         result is collected or the loop dies.
 
         ``options`` carries the socket knobs: job timeout, retries and one
-        deadline for the whole loop.  ``table_key`` names the queue
-        resource of the socket jobs' shared table; without it each socket
-        job's own table image is registered for the job's lifetime.
+        deadline for the whole loop.  Jobs arrive with their carriers
+        published (see :meth:`_table` and :meth:`_context`).
         ``on_result(results)`` (optional) runs after every collection, and
         ``done_at`` (optional) receives every job's completion time.
 
@@ -801,11 +741,10 @@ class ParallelAnalysisExecutor:
         """
         pool = self._ensure_pool() if kind in ("thread", "process") else None
         queue = self._ensure_queue() if kind == "socket" else None
-        if queue is not None:
-            from ..service.protocol import hash_bytes
         cap = 1 if pool is None and queue is None else max_inflight
         lost = _worker_lost(queue)
-        deadline = _deadline(options)
+        budget = options.time_budget
+        deadline = None if budget is None else time.monotonic() + budget
         results: list[tuple[int, list[PathContribution]]] = []
         inflight: dict[concurrent.futures.Future, tuple] = {}
         socket_dead = False
@@ -817,7 +756,7 @@ class ParallelAnalysisExecutor:
                 results.append(future.result())  # re-raises worker exceptions
             except lost as error:
                 socket_dead = queue.worker_count() == 0
-                results.extend(self._salvage([(job, future)], str(error)))
+                results.extend(self._salvage([(job, future)], str(error), queue))
             finally:
                 if cleanup is not None:
                     cleanup()
@@ -828,14 +767,15 @@ class ParallelAnalysisExecutor:
                 done = self._wait_any(tuple(inflight), queue)
             except lost as error:
                 socket_dead = True
-                stranded = list(inflight.items())
-                inflight.clear()
-                for _, (_, cleanup) in stranded:
+                # Salvage before the cleanups: the local re-runs read the
+                # jobs' payloads from the queue.
+                results.extend(self._salvage(
+                    [(job, future) for future, (job, _) in inflight.items()], str(error), queue
+                ))
+                for _, cleanup in inflight.values():
                     if cleanup is not None:
                         cleanup()
-                results.extend(self._salvage(
-                    [(job, future) for future, (job, _) in stranded], str(error)
-                ))
+                inflight.clear()
                 done = ()
             for future in done:
                 settle(future)
@@ -845,18 +785,15 @@ class ParallelAnalysisExecutor:
         try:
             for job, cleanup in jobs:
                 if socket_dead:
-                    results.extend(self._run_locally([job], "socket backend previously lost"))
+                    results.extend(
+                        self._run_locally([job], "socket backend previously lost", queue)
+                    )
                     if cleanup is not None:
                         cleanup()
                     if on_result is not None:
                         on_result(results)
                     continue
-                key = table_key
-                if queue is not None and key is None:
-                    key = hash_bytes(job.table)
-                    queue.add_resource(key, job.table, "table")
-                    cleanup = functools.partial(queue.discard_resource, key)
-                future = self._submit(job, pool, queue, options, deadline, key)
+                future = self._submit(job, pool, queue, options, deadline)
                 inflight[future] = (job, cleanup)
                 if done_at is not None:
                     future.add_done_callback(lambda _: done_at.append(time.perf_counter()))
@@ -878,7 +815,9 @@ class ParallelAnalysisExecutor:
         results.sort(key=lambda item: item[0])
         return results
 
-    def _salvage(self, pending: Sequence, reason: str) -> list[tuple[int, list[PathContribution]]]:
+    def _salvage(
+        self, pending: Sequence, reason: str, queue
+    ) -> list[tuple[int, list[PathContribution]]]:
         """Keep the socket results that landed; re-run the other jobs locally."""
         results, leftovers = [], []
         for job, future in pending:
@@ -887,31 +826,20 @@ class ParallelAnalysisExecutor:
                 results.append(future.result())
             else:
                 leftovers.append(job)
-        return results + self._run_locally(leftovers, reason)
-
-    def _ensure_fallback_pool(self) -> Optional[concurrent.futures.ProcessPoolExecutor]:
-        """The ladder's local process pool (lazily created, best-effort)."""
-        if self._closed:
-            return None
-        if self._fallback_pool is None:
-            try:
-                self._fallback_pool = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=self.workers
-                )
-            except OSError:  # pragma: no cover - no subprocess support
-                return None
-        return self._fallback_pool
+        return results + self._run_locally(leftovers, reason, queue)
 
     def _run_locally(
-        self, jobs: Sequence[TableJob], reason: str
+        self, jobs: Sequence[TableJob], reason: str, queue
     ) -> list[tuple[int, list[PathContribution]]]:
         """The degradation ladder: run socket jobs the queue failed, locally.
 
-        First the lazily-created local process pool, and when that is broken
-        too, the serial in-process loop.  Both rungs run the same inline-image
-        jobs through :func:`run_table_job`, and the caller merges the results
-        through the same canonical-order reduction as undisturbed ones — so a
-        degraded query's bounds are **bit-identical** to a fault-free run.
+        Each job is re-run on the payloads its queue keys name — an inline
+        table image and a pickled context.  First the executor's lazily
+        created process pool, and when the executor is closed or the pool
+        broken, the serial in-process loop.  Both rungs run the same jobs
+        through :func:`run_table_job`, and the caller merges the results
+        through the same canonical-order reduction as undisturbed ones — so
+        a degraded query's bounds are **bit-identical** to a fault-free run.
         """
         if not jobs:
             return []
@@ -924,15 +852,20 @@ class ParallelAnalysisExecutor:
             stacklevel=3,
         )
         self.degraded_chunks += len(jobs)
-        pool = self._ensure_fallback_pool()
-        if pool is not None:
-            try:
-                futures = [pool.submit(run_table_job, job) for job in jobs]
-                results = [future.result() for future in futures]
-                self.degraded_to = self.degraded_to or "process"
-                return results
-            except Exception:  # noqa: BLE001 - broken pool: take the last rung
-                pass
+        jobs = [
+            dataclasses.replace(
+                job, table=queue.resource(job.table), context=queue.resource(job.context)
+            )
+            for job in jobs
+        ]
+        try:
+            pool = self._ensure_pool()  # raises once the executor is closed
+            futures = [pool.submit(run_table_job, job) for job in jobs]
+            results = [future.result() for future in futures]
+            self.degraded_to = self.degraded_to or "process"
+            return results
+        except Exception:  # noqa: BLE001 - closed executor or broken pool: the last rung
+            pass
         self.degraded_to = "serial"
         return [run_table_job(job) for job in jobs]
 
@@ -956,21 +889,13 @@ class ParallelAnalysisExecutor:
         """
         if not work:
             return []
-        table_key = None
-        if kind == "socket":
-            table_key, table = self._socket_table(execution, self._ensure_queue())
-        elif kind == "process":
-            segment = self._arena_for(execution)
-            table = segment.name if segment is not None else execution.table().to_bytes()
-        else:
-            table = execution.table()
+        table = self._table(execution, kind)
         jobs = []
         for index, (start, stop, indices, options) in enumerate(work):
-            context = (targets, options, analyzer_specs(options.analyzer_names))
-            if kind == "process":
-                context = self._process_context(context)
+            specs = analyzer_specs(options.analyzer_names)
+            context = self._context((targets, options, specs), kind)
             jobs.append((TableJob(index, table, context, start, stop, indices), None))
-        return self._job_loop(jobs, kind, work[0][3], table_key=table_key)
+        return self._job_loop(jobs, kind, work[0][3])
 
     def analyze(
         self,
@@ -1055,14 +980,14 @@ class ParallelAnalysisExecutor:
     # ------------------------------------------------------------------
     # Streaming analysis
     # ------------------------------------------------------------------
-    def _stream_job(self, index: int, chunk_paths: tuple, context: tuple):
+    def _stream_job(self, index: int, chunk_paths: tuple, context):
         """The ``(job, cleanup)`` pair of one streamed chunk.
 
-        A process pool gets a short-lived per-chunk segment (the full path
-        set is unknown while the stream is live), unlinked by the cleanup;
-        the socket tier and failed publishes get the chunk's table image.
-        In-process backends get the chunk's ``PathTable``, built without
-        the interning walk: nothing is serialised, so sharing equal
+        The process and socket kinds publish each chunk on its own (the
+        full path set is unknown while the stream is live) as a short-lived
+        segment or queue resource, and the cleanup releases it once the
+        result lands.  In-process kinds get the chunk's ``PathTable``, built
+        without the interning walk: nothing is serialised, so sharing equal
         sub-expressions would only cost time.
         """
         self.chunks_dispatched += 1
@@ -1070,16 +995,11 @@ class ParallelAnalysisExecutor:
         if self.kind in ("serial", "thread"):
             table = PathTable.from_paths(chunk_paths, intern=False)
             return TableJob(index, table, context, 0, count), None
-        if self.kind == "process":
-            context = self._process_context(context)
-            segment = None if self._arena_degraded else create_arena_segment(chunk_paths)
-            if segment is not None:
-                return TableJob(index, segment.name, context, 0, count), segment.unlink
-            self._arena_degraded = True
-        return TableJob(index, encode_paths(chunk_paths), context, 0, count), None
+        table, release = self._publish_table(chunk_paths)
+        return TableJob(index, table, context, 0, count), release
 
     def _stream_jobs(
-        self, paths: Iterable[SymbolicPath], chunk_size: int, context: tuple
+        self, paths: Iterable[SymbolicPath], chunk_size: int, context
     ) -> Iterator[tuple[TableJob, Optional[Callable[[], None]]]]:
         """Chunk a path stream into table jobs, each as soon as it fills."""
         fault_plan = faults.active()
@@ -1142,17 +1062,18 @@ class ParallelAnalysisExecutor:
         (contribution records are a few floats per path, so retaining them
         does not undo the bounded path buffer).
 
-        Under the ``"socket"`` backend each chunk's table image is
-        registered with the work queue under its content hash and discarded
-        the moment its result lands — the TCP analogue of the per-chunk
-        segments.
+        Each chunk's table is published on its own and released the moment
+        its result lands: a segment on the process kind, a work-queue
+        resource on the socket kind.  The query context is published once.
         """
         if self._closed:
             raise RuntimeError("ParallelAnalysisExecutor is closed")
         options = options or AnalysisOptions()
         target_tuple = tuple(targets)
         chunk_size = options.chunk_size if options.chunk_size is not None else self.chunk_size
-        context = (target_tuple, options, analyzer_specs(options.analyzer_names))
+        context = self._context(
+            (target_tuple, options, analyzer_specs(options.analyzer_names)), self.kind
+        )
         #: Completion timestamps recorded by done-callbacks (which fire the
         #: moment a worker finishes) — collecting a result later would
         #: overstate time-to-first-bound when the in-flight cap is never

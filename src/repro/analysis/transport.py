@@ -1,30 +1,36 @@
-"""How path tables reach process workers: shared-memory segments and table jobs.
+"""How path tables and query contexts reach workers: carriers and table jobs.
 
 Every backend of the parallel engine analyses :class:`TableJob` units — a
 path table, a query context and an index range (or an explicit index
-list).  This module owns what a job's table and context can be, and the
-lifecycle of the shared-memory segments behind them:
+list).  A table or context travels as a *carrier*: a shared-memory segment
+name, an inline byte image, a socket-queue resource key, or in-process the
+object itself.  The executor picks carriers in its two stores (see
+:class:`~repro.analysis.parallel.ParallelAnalysisExecutor`); this module
+owns the segments behind them and the worker-side decoding:
 
 * **parent** — :func:`publish_arena_image` writes a
   :class:`~repro.symbolic.arena.PathTable` byte image into one
   ``multiprocessing.shared_memory`` segment (:func:`create_arena_segment`
   encodes paths first); :func:`create_context_segment` publishes one
-  query's ``(targets, options, specs)``.  :class:`ArenaSegment` pins the
-  path tuple it encodes (so the id-keyed executor cache can never alias)
-  and unlinks idempotently.  Unlinking while workers are still attached is
-  safe on POSIX: the segment persists until the last attachment closes.
+  query's ``(targets, options, specs)``.  Handles unlink idempotently;
+  unlinking while workers are still attached is safe on POSIX: the segment
+  persists until the last attachment closes.
 * **worker** — :func:`job_table` turns a job's table into a ``PathTable``:
   a segment name attaches through a small per-process LRU
   (:func:`attach_arena`; the attachment and its decoded-node memo survive
-  across jobs and queries), a byte image is viewed in place.  Attachments
-  are unregistered from the ``multiprocessing`` resource tracker (attaching
-  registers them again on CPython ≤ 3.12, which would otherwise produce
-  spurious leak warnings — the *parent* remains the tracked owner).
+  across jobs and queries), a byte image is viewed in place.
+  :func:`resolve_context` is the one context decoder of process workers,
+  socket workers and in-process jobs, with one per-process LRU keyed by
+  segment name; :func:`release_worker_arenas` resets both caches.
+  Attachments are unregistered from the ``multiprocessing`` resource
+  tracker (attaching registers them again on CPython ≤ 3.12, which would
+  otherwise produce spurious leak warnings — the *parent* remains the
+  tracked owner).
 
 When ``multiprocessing.shared_memory`` is unavailable, or publishing fails
 at runtime (e.g. an exhausted ``/dev/shm``), the engine warns once and its
-jobs carry the table image and the context tuple inline — the same bytes
-the socket tier ships.  Only how bytes move changes, never the bounds.
+jobs carry the table image and the context tuple inline.  Only how bytes
+move changes, never the bounds.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from .. import faults as _faults
 from ..intervals import Interval
 from ..symbolic import SymbolicPath
 from ..symbolic.arena import PathTable, encode_paths
+from .registry import ensure_analyzers_registered, resolve_analyzers
 
 try:  # pragma: no cover - import guard exercised only on exotic platforms
     from multiprocessing import shared_memory as _shared_memory
@@ -49,16 +56,14 @@ except ImportError:  # pragma: no cover
 
 __all__ = [
     "ArenaSegment",
-    "ContextSegment",
     "TableJob",
     "attach_arena",
-    "attach_context",
     "create_arena_segment",
     "create_context_segment",
     "job_table",
     "publish_arena_image",
-    "register_worker_reset",
     "release_worker_arenas",
+    "resolve_context",
     "shared_memory_available",
 ]
 
@@ -92,11 +97,11 @@ def _warn_unavailable(reason: str) -> None:
 class TableJob:
     """One unit of analysis work, on every backend.
 
-    ``table`` is a shared-memory segment name (``str``), a path-table byte
-    image (``bytes``) or, in-process, the :class:`PathTable` itself;
-    ``context`` is a context-segment name or the ``(targets, options,
-    specs)`` tuple.  With segment names a job pickles to ~150 bytes
-    regardless of its size.
+    ``table`` and ``context`` are carriers: shared-memory segment names or
+    socket-queue resource keys (``str``), inline images (``bytes``; a
+    context image is the pickled ``(targets, options, specs)`` tuple) or
+    the in-process objects — a :class:`PathTable` and that tuple.  With
+    names or keys a job pickles to ~150 bytes regardless of its size.
 
     ``indices`` (optional) replaces the contiguous ``[start, stop)`` range
     with an explicit path-index list — the refinement scheduler's scattered
@@ -105,7 +110,7 @@ class TableJob:
 
     index: int
     table: Union[str, bytes, PathTable]
-    context: Union[str, tuple]
+    context: Union[str, bytes, tuple]
     start: int = 0
     stop: int = 0
     indices: Optional[Tuple[int, ...]] = None
@@ -162,9 +167,8 @@ class ArenaSegment(_SegmentHandle):
 
     def __init__(self, shm, nbytes: int, paths: Tuple[SymbolicPath, ...]) -> None:
         super().__init__(shm, nbytes)
-        #: Strong reference to the encoded path tuple: the executor caches
-        #: segments keyed by ``id(paths)``, and pinning the tuple here is
-        #: what makes that key stable for the segment's lifetime.
+        #: Strong reference to the encoded path tuple, so the ``id(paths)``
+        #: a segment was published for cannot be reused while it is live.
         self.paths = paths
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -224,27 +228,19 @@ def publish_arena_image(
     return ArenaSegment(shm, len(image), tuple(paths))
 
 
-class ContextSegment(_SegmentHandle):
-    """Parent-side handle of one published query-context segment.
-
-    The context — ``(targets, options, analyzer specs)`` — is identical for
-    every job of a query, so it is pickled **once**, published as a tiny
-    segment, and referenced by name from every :class:`TableJob`.
-    Executors cache context segments keyed by the context value itself, so a
-    repeated query re-uses the published context just like it re-uses the
-    arena.
-    """
-
-
 def create_context_segment(
     targets: Tuple[Interval, ...], options, specs: tuple
-) -> Optional[ContextSegment]:
-    """Publish one query's ``(targets, options, specs)`` as a shared segment."""
+) -> Optional[_SegmentHandle]:
+    """Publish one query's ``(targets, options, specs)`` as a shared segment.
+
+    The context is identical for every job of a query, so it is pickled
+    once and referenced by name from every :class:`TableJob`.
+    """
     image = pickle.dumps((targets, options, specs), protocol=pickle.HIGHEST_PROTOCOL)
     shm = _publish(image)
     if shm is None:
         return None
-    return ContextSegment(shm, len(image))
+    return _SegmentHandle(shm, len(image))
 
 
 # ---------------------------------------------------------------------------
@@ -306,55 +302,53 @@ def job_table(table: Union[str, bytes, PathTable]) -> PathTable:
     return table
 
 
-#: Per-process cache of unpickled query contexts, keyed by segment name.
-_WORKER_CONTEXTS: "OrderedDict[str, tuple]" = OrderedDict()
-_WORKER_CONTEXT_CAP = 8
+#: Per-process LRU of resolved query contexts, keyed by segment name: the
+#: decoded targets and options plus the analyzer instances, with
+#: ``ensure_analyzers_registered`` already applied.  Segments are published
+#: once per query shape and shared by every job of the query, so each
+#: worker decodes a context once rather than once per job.
+_CONTEXT_CACHE: "OrderedDict[str, tuple]" = OrderedDict()
+_CONTEXT_CACHE_CAP = 8
 
 
-def attach_context(name: str) -> tuple:
-    """The (cached) unpickled query context of segment ``name``.
+def resolve_context(context: Union[str, bytes, tuple]) -> tuple:
+    """``(targets, options, analyzers)`` of a job's query context.
 
-    Contexts are copied out of the segment (they are tiny), so the mapping
-    is closed immediately — only the decoded tuple is cached.
+    The one context decoder of process workers, socket workers and the
+    in-process kinds.  ``context`` is a context-segment name (attached,
+    decoded and resolved once per process, then cached), a pickled
+    ``(targets, options, specs)`` image (the socket tier's resource payload
+    and the degradation ladder's inline form) or that tuple itself.
+    Resolving primes the analyzer registry with the specs first, so
+    analyzers registered only in the parent resolve by name here too.
+    Segment contexts are copied out (they are tiny) and the mapping closed.
     """
-    context = _WORKER_CONTEXTS.get(name)
-    if context is not None:
-        _WORKER_CONTEXTS.move_to_end(name)
-        return context
-    shm = _attach_untracked(name)
-    try:
-        context = pickle.loads(bytes(shm.buf))
-    finally:
-        shm.close()
-    _WORKER_CONTEXTS[name] = context
-    while len(_WORKER_CONTEXTS) > _WORKER_CONTEXT_CAP:
-        _WORKER_CONTEXTS.popitem(last=False)
-    return context
-
-
-#: Extra per-process caches to drop on :func:`release_worker_arenas` —
-#: modules that key worker state on segment names (e.g. the resolved-context
-#: cache in :mod:`repro.analysis.parallel`) register their reset here, so
-#: the teardown helper stays the single full-reset entry point without a
-#: circular import.
-_WORKER_RESET_CALLBACKS: list = []
-
-
-def register_worker_reset(callback) -> None:
-    """Register a callable to run on :func:`release_worker_arenas`."""
-    _WORKER_RESET_CALLBACKS.append(callback)
+    if isinstance(context, str):
+        entry = _CONTEXT_CACHE.get(context)
+        if entry is not None:
+            _CONTEXT_CACHE.move_to_end(context)
+            return entry
+        shm = _attach_untracked(context)
+        try:
+            image = bytes(shm.buf)
+        finally:
+            shm.close()
+        entry = _CONTEXT_CACHE[context] = resolve_context(image)
+        while len(_CONTEXT_CACHE) > _CONTEXT_CACHE_CAP:
+            _CONTEXT_CACHE.popitem(last=False)
+        return entry
+    targets, options, specs = pickle.loads(context) if isinstance(context, bytes) else context
+    ensure_analyzers_registered(specs)
+    return targets, options, resolve_analyzers(options)
 
 
 def release_worker_arenas() -> None:
     """Reset every per-process worker cache (tests / teardown).
 
-    Closes all cached segment attachments, drops decoded query contexts and
-    runs every registered reset callback.
+    Closes all cached segment attachments and drops resolved query contexts.
     """
     while _WORKER_ARENAS:
         _, (arena, shm) = _WORKER_ARENAS.popitem(last=False)
         arena.release()
         shm.close()
-    _WORKER_CONTEXTS.clear()
-    for callback in _WORKER_RESET_CALLBACKS:
-        callback()
+    _CONTEXT_CACHE.clear()

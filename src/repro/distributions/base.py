@@ -65,11 +65,6 @@ class Distribution(abc.ABC):
             return 0.0
         return max(0.0, self.cdf(values.hi) - self.cdf(values.lo))
 
-    def measure_interval(self, values: Interval) -> Interval:
-        """Probability mass of ``values`` as a (point) interval."""
-        mass = self.measure(values)
-        return Interval.point(mass)
-
     # ------------------------------------------------------------------
     def params(self) -> tuple[float, ...]:
         """Parameters used for equality and hashing; override as needed."""

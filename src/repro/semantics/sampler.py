@@ -112,10 +112,6 @@ class ExecutionResult:
     trace: Trace
     log_weight: float
 
-    @property
-    def is_feasible(self) -> bool:
-        return self.weight > 0.0
-
 
 @dataclass
 class _Context:

@@ -53,9 +53,5 @@ class TraceReader:
         return value
 
     @property
-    def fully_consumed(self) -> bool:
-        return self.position == len(self.trace)
-
-    @property
     def consumed(self) -> int:
         return self.position

@@ -312,6 +312,11 @@ class WorkQueueServer:
         with self._lock:
             self._resources.pop(key, None)
 
+    def resource(self, key: str) -> bytes:
+        """The payload registered under ``key`` (raises ``KeyError`` if unknown)."""
+        with self._lock:
+            return self._resources[key][1]
+
     def submit_chunk(
         self,
         index: int,

@@ -6,11 +6,10 @@ announces its resource-cache capacity, and then serves jobs one at a time:
 * ``resource`` frames populate a small LRU of decoded payloads — path
   tables reconstructed zero-copy with
   :meth:`~repro.symbolic.arena.PathTable.from_buffer` over the received
-  bytes, and query contexts unpickled into
-  ``(targets, options, resolved analyzers)`` with the analyzer registry
-  primed (:func:`~repro.analysis.registry.ensure_analyzers_registered`) —
-  exactly the per-process caches a shared-memory pool worker keeps, one
-  network hop out;
+  bytes, and query contexts decoded into
+  ``(targets, options, resolved analyzers)`` by
+  :func:`~repro.analysis.transport.resolve_context`, the decoder
+  shared-memory pool workers run too, one network hop out;
 * ``chunk`` jobs run :func:`repro.analysis.parallel.analyze_table_slice`
   over the referenced ``[start, stop)`` table range (or over an explicit
   ``indices`` list — the refinement scheduler's scattered worst-gap
@@ -126,11 +125,9 @@ class BoundWorker:
             # views alias them directly, no copy.
             value: object = PathTable.from_buffer(memoryview(blob), keep_alive=blob)
         elif kind == "context":
-            from ..analysis.registry import ensure_analyzers_registered, resolve_analyzers
+            from ..analysis.transport import resolve_context
 
-            targets, options, specs = pickle.loads(blob)
-            ensure_analyzers_registered(specs)
-            value = (targets, options, resolve_analyzers(options))
+            value = resolve_context(blob)
         else:
             raise ProtocolError(f"unknown resource kind {kind!r}")
         self._cache[key] = (kind, value)

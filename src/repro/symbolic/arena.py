@@ -41,7 +41,6 @@ compare equal to the originals and the bound engine's results stay
 
 from __future__ import annotations
 
-import hashlib
 import pickle
 import struct
 from dataclasses import dataclass
@@ -118,7 +117,6 @@ _BUFFERS = (
 _NODE_BYTES = 32
 _CHILD_BYTES = 4
 _PATH_BYTES = 64
-_DIST_BYTES = 96
 
 
 class ArenaFormatError(ValueError):
@@ -476,28 +474,12 @@ class PathTable:
         """Serialise the table to its flat byte image (the wire format)."""
         return _image_from_columns(self._columns, self.path_count, self._ops, self._dists)
 
-    def content_hash(self) -> str:
-        """A digest of the byte image — the table's identity on the wire.
-
-        The socket work queue ships a path table to each worker **once** and
-        keys every subsequent chunk job on this digest, exactly like the
-        shared-memory transport keys attachments on segment names.  Cached on
-        first call (the table is immutable once built; ``release`` drops the
-        cache along with the columns).
-        """
-        cached = getattr(self, "_content_hash", None)
-        if cached is None:
-            cached = hashlib.blake2b(self.to_bytes(), digest_size=16).hexdigest()
-            self._content_hash = cached
-        return cached
-
     def release(self) -> None:
         """Drop every buffer view (required before closing a shm segment)."""
         self._columns = {}
         self._nodes = {}
         self.scratch = {}
         self._keep_alive = None
-        self._content_hash = None
 
     # ------------------------------------------------------------------
     # Columnar accessors (the analyzer fast-path surface)

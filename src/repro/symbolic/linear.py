@@ -56,10 +56,6 @@ class LinearForm:
     def is_constant(self) -> bool:
         return not self.coeffs
 
-    @property
-    def has_interval_constant(self) -> bool:
-        return not self.constant.is_point
-
     def variables(self) -> set[int]:
         return {index for index, _ in self.coeffs}
 

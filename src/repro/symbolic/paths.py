@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..distributions import Distribution, Uniform
+from ..distributions import Distribution
 from ..intervals import Interval
 from .linear import LinearForm, extract_linear
 from .value import (
@@ -102,11 +102,6 @@ class SymConstraint:
             return values.hi > 0.0
         return values.hi >= 0.0
 
-    @property
-    def upper_bounding(self) -> bool:
-        """True for ``<=`` / ``<`` constraints (the expression is bounded above by 0)."""
-        return self.relation in (Relation.LEQ, Relation.LT)
-
 
 @dataclass(frozen=True)
 class SymbolicPath:
@@ -129,14 +124,6 @@ class SymbolicPath:
     def variable_domains(self) -> list[Interval]:
         """Support of every sample variable (the integration domain)."""
         return [dist.support() for dist in self.distributions]
-
-    def non_uniform_variables(self) -> list[int]:
-        """Indices of sample variables with a non-uniform(0,1) prior."""
-        return [
-            index
-            for index, dist in enumerate(self.distributions)
-            if not (isinstance(dist, Uniform) and dist.low == 0.0 and dist.high == 1.0)
-        ]
 
     @property
     def is_linear(self) -> bool:

@@ -578,12 +578,11 @@ class TestColumnarEndToEnd:
         assert results == list(range(6))
 
     def test_release_worker_arenas_clears_resolved_contexts(self):
-        from repro.analysis.parallel import _RESOLVED_CONTEXTS
-        from repro.analysis.transport import release_worker_arenas
+        from repro.analysis import transport
 
-        _RESOLVED_CONTEXTS["context-segment-name"] = ((), None, ())
-        release_worker_arenas()
-        assert not _RESOLVED_CONTEXTS
+        transport._CONTEXT_CACHE["context-segment-name"] = ((), None, ())
+        transport.release_worker_arenas()
+        assert not transport._CONTEXT_CACHE
 
     def test_streamed_columnar_matches(self, reference):
         model, expected = reference

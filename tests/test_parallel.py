@@ -235,8 +235,6 @@ class TestParallelOptionValidation:
     def test_executor_derived_from_workers(self):
         assert AnalysisOptions(workers=1, executor=None).effective_executor == "serial"
         assert AnalysisOptions(workers=2, executor=None).effective_executor == "process"
-        assert not AnalysisOptions(workers=1, executor=None).parallel
-        assert AnalysisOptions(workers=1, executor="thread").parallel
 
     def test_executor_key_identifies_pools(self):
         first = AnalysisOptions(workers=2, executor="thread")
@@ -573,6 +571,58 @@ class TestExecutorLifecycle:
             expected = serial.analyze(execution, _TARGETS, AnalysisOptions(score_splits=8))
             actual = executor.analyze(execution, _TARGETS, AnalysisOptions(score_splits=8))
             assert_bits_equal(expected, actual)
+
+
+class TestStoreEviction:
+    """The table store keeps at most 4 tables published and releases the rest."""
+
+    _OPTIONS = AnalysisOptions(max_fixpoint_depth=4, score_splits=8, chunk_size=1)
+
+    def _check_bounds(self, executor, execution):
+        serial = ParallelAnalysisExecutor(workers=1, kind="serial")
+        expected = serial.analyze(execution, _TARGETS, self._OPTIONS)
+        assert_bits_equal(expected, executor.analyze(execution, _TARGETS, self._OPTIONS))
+
+    def _executions(self, stops):
+        limits = self._OPTIONS.execution_limits()
+        return [symbolic_paths(geometric_program(stop), limits) for stop in stops]
+
+    def test_process_store_unlinks_evicted_segments(self):
+        from multiprocessing import shared_memory
+
+        published = []
+        with ParallelAnalysisExecutor(workers=2, kind="process") as executor:
+            for execution in self._executions((0.1, 0.2, 0.3, 0.4, 0.5)):
+                self._check_bounds(executor, execution)
+                names = executor.arena_segment_names()
+                assert len(names) <= 4
+                published.append(names[-1])
+            assert published[0] not in names
+            assert published[1:] == list(names)
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=published[0])
+
+    @pytest.mark.slow
+    def test_socket_store_discards_evicted_resources(self):
+        with ParallelAnalysisExecutor(workers=2, kind="socket") as executor:
+            for count, execution in enumerate(
+                self._executions((0.1, 0.2, 0.3, 0.4, 0.5)), start=1
+            ):
+                self._check_bounds(executor, execution)
+                # The stored tables plus the one live context.
+                assert executor._queue.stats()["resources"] == min(count, 4) + 1
+
+    @pytest.mark.slow
+    def test_socket_store_keeps_a_key_another_table_shares(self):
+        # The first two path sets encode equal tables: one queue resource.
+        first, twin, *rest = self._executions((0.5, 0.5, 0.1, 0.2, 0.3))
+        assert first.paths is not twin.paths
+        assert first.table().to_bytes() == twin.table().to_bytes()
+        with ParallelAnalysisExecutor(workers=2, kind="socket") as executor:
+            for execution in (first, twin, *rest):
+                self._check_bounds(executor, execution)
+            # Evicting ``first`` left the shared key registered for ``twin``.
+            self._check_bounds(executor, twin)
 
 
 # ----------------------------------------------------------------------
