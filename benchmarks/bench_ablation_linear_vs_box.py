@@ -61,7 +61,8 @@ def test_ablation_observe_model(use_linear, bench_once):
     _rows.append(
         f"observe-model   {'linear' if use_linear else 'box   '}  "
         f"bounds=[{bounds.lower:.4f}, {bounds.upper:.4f}] width={bounds.width:.4f} "
-        f"time={seconds:.2f}s paths(linear/box)={report.linear_paths}/{report.box_paths}"
+        f"time={seconds:.2f}s paths(linear/box)="
+        f"{report.analyzer_paths.get('linear', 0)}/{report.analyzer_paths.get('box', 0)}"
     )
     emit("ablation_linear_vs_box", _rows)
     assert bounds.lower <= bounds.upper

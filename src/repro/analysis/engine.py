@@ -86,17 +86,14 @@ class QueryBounds:
 class AnalysisReport:
     """Statistics of one engine run (useful for benchmarks and debugging).
 
-    ``analyzer_paths`` counts how many paths each registered analyzer handled;
-    ``linear_paths`` / ``box_paths`` mirror the built-in analyzers for
-    backwards compatibility.  ``compile_cache_hits`` counts queries served
+    ``analyzer_paths`` counts how many paths each registered analyzer
+    handled.  ``compile_cache_hits`` counts queries served
     from a :class:`~repro.analysis.model.Model`'s compiled-program cache
     without re-running symbolic execution.
     """
 
     path_count: int = 0
     truncated_paths: int = 0
-    linear_paths: int = 0
-    box_paths: int = 0
     seconds: float = 0.0
     analyzer_paths: dict[str, int] = field(default_factory=dict)
     compile_cache_hits: int = 0
@@ -114,10 +111,6 @@ class AnalysisReport:
 
     def record_path(self, analyzer_name: str) -> None:
         self.analyzer_paths[analyzer_name] = self.analyzer_paths.get(analyzer_name, 0) + 1
-        if analyzer_name == "linear":
-            self.linear_paths += 1
-        elif analyzer_name == "box":
-            self.box_paths += 1
 
 
 @dataclass(frozen=True)
@@ -206,7 +199,7 @@ def analyze_execution(
     report = report if report is not None else AnalysisReport()
     start = time.perf_counter()
     # All report counters accumulate, so a report reused across queries stays
-    # self-consistent (path_count covers the same runs as linear_paths etc.).
+    # self-consistent (path_count covers the same runs as analyzer_paths).
     report.path_count += len(execution.paths)
     report.truncated_paths += execution.truncated_paths
     pool = executor or shared_executor(options)

@@ -16,10 +16,12 @@ over a convex polytope:
 
 Separate polytopes ``𝔓_lb`` / ``𝔓_ub`` realise the universal / existential
 reading of constraints containing interval constants (introduced by
-``approxFix``).
+``approxFix``); each target cuts both, and the lower / upper bound
+integrates over the cut of ``𝔓_lb`` / ``𝔓_ub``.
 
-Several engineering refinements keep the geometry computations cheap without
-affecting soundness:
+All cuts of one path are integrated in one pass (:func:`_integrate`), and
+several engineering refinements keep its geometry cheap without affecting
+soundness:
 
 * **variable elimination** — a sample variable that occurs only in
   single-variable constraints (e.g. the ``⊕_p`` branching draws) is factored
@@ -33,23 +35,24 @@ affecting soundness:
   the cache across the paths of a chunk (and, on the columnar route, across
   chunks and queries of a table attachment) without bounds depending on how
   paths are partitioned;
-* **base-first flatness** — an empty or flat base polytope (Chebyshev
-  radius ``≤ 1e-9``, the rule :meth:`~repro.polytope.Polytope.volume_bounds`
+* **one sweep per polytope** — a cut shared by both readings (every cut
+  without interval constants) gets one flatness check, one batched atom-LP
+  sweep on the low-overhead HiGHS kernel (:mod:`repro.polytope.highs`,
+  :class:`~repro.polytope.batch.BatchPolytope`) and one factor sweep over
+  the chunk-combination grid, which yields both readings' weights;
+* **base-first flatness** — an empty or flat scored cut (Chebyshev radius
+  ``≤ 1e-9``, the rule :meth:`~repro.polytope.Polytope.volume_bounds`
   applies to every parent) integrates to 0 at once: each combination cell is
   cut from it, so every cell volume would be 0 too, and the atom LPs and
-  cell volumes are skipped;
-* **volumes from the parent** — a combination cell is its base cut by an
-  atom chunk's slab, so it is measured from the base's triangulation
-  (:class:`~repro.polytope.polytope.SlabProfile`), computed once per base:
-  all chunk volumes of one base along one atom come from one batched
-  ``V(t)`` call (:func:`~repro.polytope.polytope.cell_volumes`), and a
-  refinement round that splits the atom more finely runs no new Qhull; and
-* **batched LP kernels** — each polytope's constraint system is prepared
-  once on the low-overhead HiGHS kernel (:mod:`repro.polytope.highs`) and
-  all atom objectives sweep it in one batch (:class:`~repro.polytope.batch.
-  BatchPolytope`); the score-combination loop pre-computes its constraint
-  rows per atom chunk instead of per combination and looks volumes up by the
-  restricted polytope's byte key without materialising it on a hit.
+  cell volumes are skipped; and
+* **volumes from the parent, in one batch** — every cell of every cut is
+  looked up by its byte key (assembled from per-chunk row bytes, never
+  materialised on a hit) and the misses are measured together
+  (:func:`~repro.polytope.polytope.cell_volumes`): one batched ``V(t)``
+  call per parent polytope and direction, from the parent's triangulation
+  (:class:`~repro.polytope.polytope.SlabProfile`).  So a score-free path's
+  bounded targets share one profile of the path polytope, and a refinement round
+  that splits an atom more finely runs no new Qhull.
 """
 
 from __future__ import annotations
@@ -131,23 +134,21 @@ def _lower_row(form: LinearForm, limit: float, dimension: int, universal: bool) 
     return [-c for c in dense], rhs
 
 
-def _rows_for_relation(
-    form: LinearForm, relation: str, dimension: int, universal: bool
-) -> Optional[list[tuple[list[float], float]]]:
-    """Rows for ``form ⊲⊳ 0`` under the requested reading (``None`` = unsat)."""
-    if relation in (Relation.LEQ, Relation.LT):
-        row = _upper_row(form, 0.0, dimension, universal)
-    else:
-        row = _lower_row(form, 0.0, dimension, universal)
-    if row is None:
-        return None
-    return [row] if row[0] else []
+#: ``form ⊲⊳ 0`` as ``form ∈ half-line``, per relation.
+_RELATION_RANGES = {
+    Relation.LEQ: Interval(-math.inf, 0.0),
+    Relation.LT: Interval(-math.inf, 0.0),
+    Relation.GT: Interval(0.0, math.inf),
+    Relation.GEQ: Interval(0.0, math.inf),
+}
 
 
 def _rows_for_target(
     form: LinearForm, target: Interval, dimension: int, universal: bool
 ) -> Optional[list[tuple[list[float], float]]]:
-    """Rows restricting the result value to ``target`` (⊆ for lb, ∩≠∅ for ub)."""
+    """Rows restricting ``form`` to ``target`` (⊆ under the universal
+    reading, ∩≠∅ under the existential one); ``None`` = unsatisfiable, the
+    ``form ≤ hi`` row first."""
     rows: list[tuple[list[float], float]] = []
     if math.isfinite(target.hi):
         row = _upper_row(form, target.hi, dimension, universal)
@@ -362,8 +363,9 @@ class GeometryCache:
     writers insert identical values, and each store's lookups and evictions
     are serialised by its lock.
 
-    ``volume_hits`` / ``volume_misses`` (and the aggregate ``hits`` /
-    ``misses``) feed the perf benchmarks; they have no semantic role.
+    ``volume_hits`` / ``volume_misses`` count volume lookups for the tests
+    and :meth:`stats`; nothing else reads them, and they have no semantic
+    role.
     """
 
     __slots__ = (
@@ -375,8 +377,6 @@ class GeometryCache:
         "programs",
         "volume_hits",
         "volume_misses",
-        "hits",
-        "misses",
     )
 
     def __init__(self) -> None:
@@ -388,17 +388,11 @@ class GeometryCache:
         self.programs = _BoundedStore()
         self.volume_hits = 0
         self.volume_misses = 0
-        self.hits = 0
-        self.misses = 0
 
     def _memo(self, store: _BoundedStore, key, compute):
         """``store``'s value under ``key``, computed by ``compute()`` on a miss."""
         value = store.lookup(key)
-        if value is _MISSING:
-            self.misses += 1
-            return store.remember(key, compute())
-        self.hits += 1
-        return value
+        return store.remember(key, compute()) if value is _MISSING else value
 
     def volume(self, polytope: Polytope) -> Interval:
         """Volume bounds of ``polytope`` (:meth:`Polytope.volume_bounds`), memoised."""
@@ -413,40 +407,44 @@ class GeometryCache:
     ) -> Interval:
         """Volume bounds of ``base ∩ {rows·x ≤ rhs}`` under a precomputed key
         (:meth:`restricted_volumes` for one cell)."""
-        return self.restricted_volumes(base, [(key, rows, rhs)])[0]
+        return self.restricted_volumes([(base, key, rows, rhs)])[0]
 
     def restricted_volumes(
         self,
-        base: Polytope,
-        cells: Sequence[tuple[_GeometryKey, Sequence[Sequence[float]], Sequence[float]]],
+        cells: Sequence[
+            tuple[Polytope, _GeometryKey, Sequence[Sequence[float]], Sequence[float]]
+        ],
     ) -> list[Interval]:
         """Volume bounds of ``base ∩ {rows·x ≤ rhs}`` for every
-        ``(key, rows, rhs)`` in ``cells``.
+        ``(base, key, rows, rhs)`` in ``cells``.
 
         Each ``key`` must equal ``base.add_constraints(rows, rhs).cache_key()``
         — callers assemble it by concatenating the base polytope's bytes with
         the rows' float64 bytes (``np.vstack``/``np.concatenate`` preserve
         C-order, so the concatenation is exactly the restricted
         H-representation's bytes).  A hit never materialises its cell; the
-        misses are measured together (:func:`cell_volumes`), one batched
-        ``V(t)`` call per parent and direction.
+        misses are measured together (:func:`cell_volumes`), each distinct
+        key once, in one batched ``V(t)`` call per parent and direction.
         """
         results: list = [None] * len(cells)
-        missing: list[int] = []
-        for index, (key, _, _) in enumerate(cells):
+        missing: dict[_GeometryKey, list[int]] = {}
+        for index, (_, key, _, _) in enumerate(cells):
             value = self.volumes.lookup(key)
             if value is _MISSING:
-                missing.append(index)
+                missing.setdefault(key, []).append(index)
             else:
                 results[index] = value
-        self.hits += len(cells) - len(missing)
         self.volume_hits += len(cells) - len(missing)
-        self.misses += len(missing)
         self.volume_misses += len(missing)
         if missing:
-            restricted = [base.add_constraints(*cells[index][1:]) for index in missing]
-            for index, volume in zip(missing, cell_volumes(restricted, self)):
-                results[index] = self.volumes.remember(cells[index][0], volume)
+            restricted = [
+                cells[indices[0]][0].add_constraints(*cells[indices[0]][2:])
+                for indices in missing.values()
+            ]
+            for (key, indices), volume in zip(missing.items(), cell_volumes(restricted, self)):
+                self.volumes.remember(key, volume)
+                for index in indices:
+                    results[index] = volume
         return results
 
     def full_dimensional(self, polytope: Polytope) -> bool:
@@ -514,10 +512,8 @@ class GeometryCache:
         return entry[1]
 
     def stats(self) -> Dict[str, int]:
-        """Counter snapshot for the perf benchmarks."""
+        """Counter and store-size snapshot (diagnostics; no semantic role)."""
         return {
-            "hits": self.hits,
-            "misses": self.misses,
             "volume_hits": self.volume_hits,
             "volume_misses": self.volume_misses,
             "unique_volumes": len(self.volumes),
@@ -590,134 +586,186 @@ def _analyze_linear_forms(
     ]
     atoms = [_remap(atom, reduction.index_map) for atom in atoms]
 
+    # ``polytopes[universal]``: 𝔓_lb under ``True``, 𝔓_ub under ``False``
+    # (``None`` = unsatisfiable).
     base = Polytope.from_box(reduction.supports)
-    lower_poly: Optional[Polytope] = base
-    upper_poly: Optional[Polytope] = base
+    polytopes: Dict[bool, Optional[Polytope]] = {True: base, False: base}
     for form, relation in constraint_forms:
         for universal in (True, False):
-            rows = _rows_for_relation(form, relation, dimension, universal)
-            if universal:
-                if rows is None:
-                    lower_poly = None
-                elif rows and lower_poly is not None:
-                    lower_poly = lower_poly.add_constraints(
-                        [r for r, _ in rows], [b for _, b in rows]
-                    )
+            polytope = polytopes[universal]
+            rows = _rows_for_target(form, _RELATION_RANGES[relation], dimension, universal)
+            if rows is None or polytope is None:
+                polytopes[universal] = None
             else:
-                if rows is None:
-                    upper_poly = None
-                elif rows and upper_poly is not None:
-                    upper_poly = upper_poly.add_constraints(
-                        [r for r, _ in rows], [b for _, b in rows]
-                    )
+                polytopes[universal] = polytope.add_constraints(
+                    [r for r, _ in rows], [b for _, b in rows]
+                )
 
-    lower = [0.0] * len(targets)
-    upper = [0.0] * len(targets)
+    bounds = [[0.0, 0.0] for _ in targets]
+    upper_poly = polytopes[False]
     if upper_poly is not None and not cache.full_dimensional(upper_poly):
         # Flat or empty: every target polytope lies inside ``upper_poly`` (and
         # ``lower_poly`` inside it), so every volume below would be 0.
-        return list(zip(lower, upper))
+        return [tuple(bound) for bound in bounds]
 
+    # One cut per (target, reading); ``slots`` says where its total goes.
+    cuts: list[tuple[Polytope, bool]] = []
+    slots: list[tuple[int, int, float]] = []
+    readings = ((True, reduction.factor_lower), (False, reduction.factor_upper))
     for index, target in enumerate(targets):
-        if lower_poly is not None and reduction.factor_lower > 0.0:
-            rows = _rows_for_target(result_form, target, dimension, universal=True)
-            if rows is not None:
-                restricted = (
-                    lower_poly.add_constraints([r for r, _ in rows], [b for _, b in rows])
-                    if rows
-                    else lower_poly
-                )
-                lower[index] = reduction.factor_lower * _integrate(
-                    restricted, templates, atoms, reduction.density, options, cache, is_lower=True
-                )
-        if upper_poly is not None:
-            rows = _rows_for_target(result_form, target, dimension, universal=False)
-            if rows is not None:
-                restricted = (
-                    upper_poly.add_constraints([r for r, _ in rows], [b for _, b in rows])
-                    if rows
-                    else upper_poly
-                )
-                upper[index] = reduction.factor_upper * _integrate(
-                    restricted, templates, atoms, reduction.density, options, cache, is_lower=False
-                )
-    return list(zip(lower, upper))
+        for position, (universal, factor) in enumerate(readings):
+            polytope = polytopes[universal]
+            if polytope is None or factor <= 0.0:
+                continue
+            rows = _rows_for_target(result_form, target, dimension, universal)
+            if rows is None:
+                continue
+            cuts.append((
+                polytope.add_constraints([r for r, _ in rows], [b for _, b in rows]),
+                universal,
+            ))
+            slots.append((index, position, factor))
+    totals = _integrate(cuts, templates, atoms, reduction.density, options, cache)
+    for (index, position, factor), total in zip(slots, totals):
+        bounds[index][position] = factor * total
+    return [tuple(bound) for bound in bounds]
 
 
 def _chunk_entry(
-    atom: LinearForm, chunk: Interval, dimension: int, is_lower: bool
+    atom: LinearForm, chunk: Interval, dimension: int, universal: bool
 ) -> Optional[tuple]:
     """Constraint rows pinning ``atom`` into ``chunk``, with their cache bytes.
 
-    Returns ``None`` when the chunk is unsatisfiable under the requested
-    reading, ``()`` when it holds trivially (no rows), and otherwise
-    ``(rows, rhs, a_bytes, b_bytes)`` where the byte strings are the exact
-    float64 encoding the rows append to a polytope's H-representation — the
-    combination loop concatenates them into geometry-cache keys without
-    materialising the restricted polytope.  The row construction (and its
-    upper-then-lower order) is exactly the one the per-combination loop used,
-    just hoisted: the rows depend only on ``(atom, chunk)``, never on which
-    combination the chunk appears in.
+    ``None`` or ``[]`` as :func:`_rows_for_target` (unsatisfiable, trivially
+    true), otherwise ``(rows, rhs, a_bytes, b_bytes)``: the byte strings are
+    the exact float64 encoding the rows append to a polytope's
+    H-representation, so the combination loop concatenates them into
+    geometry-cache keys without materialising the restricted polytope.
     """
-    rows: list[list[float]] = []
-    rhs: list[float] = []
-    if math.isfinite(chunk.hi):
-        row = _upper_row(atom, chunk.hi, dimension, universal=is_lower)
-        if row is None:
-            return None
-        if row[0]:
-            rows.append(row[0])
-            rhs.append(row[1])
-    if math.isfinite(chunk.lo):
-        row = _lower_row(atom, chunk.lo, dimension, universal=is_lower)
-        if row is None:
-            return None
-        if row[0]:
-            rows.append(row[0])
-            rhs.append(row[1])
-    if not rows:
-        return ()
+    cut = _rows_for_target(atom, chunk, dimension, universal)
+    if not cut:
+        return cut
+    rows = [row for row, _ in cut]
+    rhs = [value for _, value in cut]
     a_bytes = b"".join(np.asarray(row, dtype=float).tobytes() for row in rows)
-    b_bytes = np.asarray(rhs, dtype=float).tobytes()
-    return rows, rhs, a_bytes, b_bytes
+    return rows, rhs, a_bytes, np.asarray(rhs, dtype=float).tobytes()
 
 
 def _integrate(
-    polytope: Polytope,
+    cuts: Sequence[tuple[Polytope, bool]],
     templates,
     atoms: list[LinearForm],
     density: float,
     options: AnalysisOptions,
     cache: GeometryCache,
-    is_lower: bool,
-) -> float:
-    """Bound ``∫_polytope ∏ templates(atoms) dα`` from below or above.
+) -> list[float]:
+    """Bound ``∫_polytope ∏ templates(atoms) dα`` for every ``(polytope,
+    universal)`` cut: from below under the universal reading, from above
+    under the existential one.
 
-    The combination sweep is batched: all atom objectives are bounded over
-    the polytope in one prepared-LP sweep, the constraint rows are built once
-    per atom chunk instead of once per combination, and every volume is
-    looked up in the shared :class:`GeometryCache` by the restricted
-    polytope's byte key (assembled from the precomputed row bytes) so a hit
-    never materialises the polytope.  The cells that miss are measured
-    together (:meth:`GeometryCache.restricted_volumes`) before the terms
-    are summed in combination order.
-
-    An empty or flat polytope returns 0 before any atom LP: every cell is
-    cut from it, so every cell volume is 0.  ``tests/test_linear_fast_path.py``
-    pins this loop against the pre-batching scalar original
-    (``tests/helpers.py``): bit for bit on full-dimensional polytopes; on
-    flat ones the reference may add negligible-weight terms (``< 1e-10`` per
-    cell) to its upper bound that this shortcut drops.
+    Each distinct polytope gets one :func:`_atom_grid` (both readings'
+    weights); each cut builds its cells from its own reading's chunk rows,
+    every cell of every cut is measured in one
+    :meth:`GeometryCache.restricted_volumes` call, and each cut's terms are
+    then summed in combination order.  A score-free cut is one cell, the
+    polytope itself.  ``tests/test_linear_fast_path.py`` pins each cut
+    against the scalar original (``tests/helpers.py::integrate_reference``):
+    bit for bit on full-dimensional polytopes; on flat ones the reference
+    may add negligible-weight terms (``< 1e-10`` per cell) to its upper
+    bound that :func:`_atom_grid`'s flatness shortcut drops.
     """
-    if not templates:
-        volume = cache.volume(polytope)
-        return density * (volume.lo if is_lower else volume.hi)
-    if not cache.full_dimensional(polytope):
-        return 0.0
+    grids: dict = {}
+    cells: list[tuple] = []
+    # Per cut, ``(factor, cell)`` terms in combination order; ``cell``
+    # indexes ``cells``, or is ``None`` for a bare negligible weight.
+    plans: list[list[tuple[float, Optional[int]]]] = []
+    for polytope, universal in cuts:
+        key = polytope.cache_key()
+        if not templates:
+            plans.append([(1.0, len(cells))])
+            cells.append((polytope, key, (), ()))
+            continue
+        if key not in grids:
+            grids[key] = _atom_grid(polytope, templates, atoms, options, cache)
+        grid = grids[key]
+        terms: list[tuple[float, Optional[int]]] = []
+        plans.append(terms)
+        if grid is None:
+            continue
+        atom_ranges, (factors_lo, factors_hi) = grid
+        factors = factors_lo if universal else factors_hi
+        per_atom = [
+            [_chunk_entry(atom, chunk, polytope.dimension, universal) for chunk in chunks]
+            for atom, chunks in zip(atoms, atom_ranges)
+        ]
+        for combo_index, combination in enumerate(itertools.product(*per_atom)):
+            factor = float(factors[combo_index])
+            if factor == 0.0 or any(entry is None for entry in combination):
+                # A zero weight annihilates the chunk's contribution
+                # regardless of feasibility, so no rows or volume are built.
+                continue
+            if not universal and math.isfinite(factor) and factor < _NEGLIGIBLE_WEIGHT:
+                # ``density · volume`` never exceeds the prior mass 1 of the
+                # chunk, so adding the weight itself is a sound (and cheap)
+                # upper bound — this skips a volume for far-tail chunks.
+                terms.append((factor, None))
+                continue
+            rows: list[list[float]] = []
+            rhs: list[float] = []
+            a_parts = [key[0]]
+            b_parts = [key[1]]
+            for entry in combination:
+                if entry:
+                    rows.extend(entry[0])
+                    rhs.extend(entry[1])
+                    a_parts.append(entry[2])
+                    b_parts.append(entry[3])
+            terms.append((factor, len(cells)))
+            cells.append((polytope, (b"".join(a_parts), b"".join(b_parts)), rows, rhs))
 
-    # Bound every atom over the polytope — one batched LP sweep over the
-    # polytope's prepared constraint system — and split each range into
-    # chunks.
+    volumes = cache.restricted_volumes(cells)
+    totals: list[float] = []
+    for (_, universal), terms in zip(cuts, plans):
+        if not templates:
+            volume = volumes[terms[0][1]]
+            totals.append(density * (volume.lo if universal else volume.hi))
+            continue
+        total = 0.0
+        for factor, cell in terms:
+            if cell is None:
+                total += factor
+                continue
+            volume = volumes[cell]
+            volume_value = volume.lo if universal else volume.hi
+            if volume_value <= 0.0:
+                continue
+            total += density * volume_value * factor
+            if math.isinf(total):
+                total = math.inf
+                break
+        totals.append(total)
+    return totals
+
+
+def _atom_grid(
+    polytope: Polytope,
+    templates,
+    atoms: list[LinearForm],
+    options: AnalysisOptions,
+    cache: GeometryCache,
+) -> Optional[tuple]:
+    """``(atom_ranges, (factors_lo, factors_hi))`` of a scored polytope, or
+    ``None`` when it integrates to 0 (empty or flat).
+
+    All atom objectives are bounded over the polytope in one batched LP
+    sweep over its prepared constraint system; each range is split into
+    chunks (coarsened until the combination budget fits), and the weight
+    of every chunk combination comes from one sweep over the product grid
+    (:func:`_vectorized_factors`), else from the scalar interval evaluator
+    (:func:`_scalar_factors`) — the same floats either way.
+    """
+    if not cache.full_dimensional(polytope):
+        return None
     dimension = polytope.dimension
     dense_rows = [atom.dense_row(dimension) for atom in atoms]
     rows_key = b"".join(np.asarray(row, dtype=float).tobytes() for row in dense_rows)
@@ -725,7 +773,7 @@ def _integrate(
     atom_ranges: list[list[Interval]] = []
     for atom, base in zip(atoms, bases):
         if base is None:
-            return 0.0
+            return None
         atom_ranges.append(_split_interval(base + atom.constant, options.score_splits))
 
     # Respect the combination budget by coarsening atoms until it fits.
@@ -736,99 +784,46 @@ def _integrate(
         hull = Interval(atom_ranges[widest][0].lo, atom_ranges[widest][-1].hi)
         atom_ranges[widest] = _split_interval(hull, max(1, len(atom_ranges[widest]) // 2))
 
-    # Pre-compute the weight factor of every atom-range combination in one
-    # sweep over the whole product grid.  ``None`` (a template the program
-    # cannot express, or an anomaly mid-sweep) leaves the per-combination
-    # branch below to compute each weight with the scalar interval
-    # evaluator; the sweep reproduces its floats bit-for-bit.
     factors = None
     if atoms:
-        factors = _vectorized_factors(atom_ranges, cache.template_program(templates), is_lower)
-
-    # Pre-compute each chunk's constraint rows and their cache-key bytes once
-    # per (atom, chunk) — the product loop then only concatenates.
-    per_atom = [
-        [(chunk, _chunk_entry(atom, chunk, dimension, is_lower)) for chunk in chunks]
-        for atom, chunks in zip(atoms, atom_ranges)
-    ]
-
-    base_a_key, base_b_key = polytope.cache_key()
-    # ``(factor, cell)`` terms in combination order; ``cell`` indexes
-    # ``cells``, or is ``None`` for a bare negligible weight.
-    terms: list[tuple[float, Optional[int]]] = []
-    cells: list[tuple] = []
-    for combo_index, combination in enumerate(itertools.product(*per_atom)):
-        if factors is not None and factors[combo_index] == 0.0:
-            # A zero weight annihilates the chunk's contribution regardless of
-            # feasibility, so the constraint rows and the volume computation
-            # can both be skipped.  (The scalar branch below cannot hoist this
-            # check: computing the weight is what the sweep made cheap.)
-            continue
-        if any(entry is None for _, entry in combination):
-            continue
-        if factors is not None:
-            factor = float(factors[combo_index])
-        else:
-            weight = Interval.point(1.0)
-            for template in templates:
-                score_bounds = evaluate_with_atoms(
-                    template.template, [chunk for chunk, _ in combination]
-                )
-                score_bounds = score_bounds.meet(_NON_NEGATIVE)
-                if score_bounds.is_empty:
-                    score_bounds = Interval.point(0.0)
-                weight = weight * score_bounds
-            factor = max(0.0, weight.lo if is_lower else weight.hi)
-        if factor == 0.0:
-            continue
-        if not is_lower and math.isfinite(factor) and factor < _NEGLIGIBLE_WEIGHT:
-            # ``density · volume`` never exceeds the prior mass 1 of the chunk,
-            # so adding the weight itself is a sound (and cheap) upper bound —
-            # this skips a volume computation for far-tail chunks.
-            terms.append((factor, None))
-            continue
-        rows: list[list[float]] = []
-        rhs: list[float] = []
-        a_parts = [base_a_key]
-        b_parts = [base_b_key]
-        for _, entry in combination:
-            if entry:
-                rows.extend(entry[0])
-                rhs.extend(entry[1])
-                a_parts.append(entry[2])
-                b_parts.append(entry[3])
-        terms.append((factor, len(cells)))
-        cells.append(((b"".join(a_parts), b"".join(b_parts)), rows, rhs))
-
-    volumes = cache.restricted_volumes(polytope, cells)
-    total = 0.0
-    for factor, cell in terms:
-        if cell is None:
-            total += factor
-            continue
-        volume = volumes[cell]
-        volume_value = volume.lo if is_lower else volume.hi
-        if volume_value <= 0.0:
-            continue
-        total += density * volume_value * factor
-        if math.isinf(total):
-            return math.inf
-    return total
+        factors = _vectorized_factors(atom_ranges, cache.template_program(templates))
+    if factors is None:
+        factors = _scalar_factors(atom_ranges, templates)
+    return atom_ranges, factors
 
 
-def _vectorized_factors(atom_ranges: list[list[Interval]], program, is_lower: bool):
-    """Weight factor of every atom-range combination, in one meshgrid sweep.
+def _scalar_factors(atom_ranges: list[list[Interval]], templates) -> tuple[list, list]:
+    """``(lo, hi)`` weight factors of every atom-range combination, each
+    template evaluated with the scalar interval evaluator."""
+    lo: list[float] = []
+    hi: list[float] = []
+    for combination in itertools.product(*atom_ranges):
+        weight = Interval.point(1.0)
+        for template in templates:
+            score_bounds = evaluate_with_atoms(template.template, list(combination))
+            score_bounds = score_bounds.meet(_NON_NEGATIVE)
+            if score_bounds.is_empty:
+                score_bounds = Interval.point(0.0)
+            weight = weight * score_bounds
+        lo.append(max(0.0, weight.lo))
+        hi.append(max(0.0, weight.hi))
+    return lo, hi
+
+
+def _vectorized_factors(atom_ranges: list[list[Interval]], program):
+    """``(lo, hi)`` weight factors of every atom-range combination, in one
+    meshgrid sweep.
 
     Builds the full product grid of atom chunks (in :func:`itertools.product`
     order: the last atom varies fastest) as ``(combinations × atoms)`` bound
     arrays and runs ``program`` — the score templates compiled by
     :func:`~repro.analysis.vectorize.compile_expr_roots`
     (:meth:`GeometryCache.template_program` caches it) — over it.  The
-    result is bit-identical to the scalar per-combination loop: exact IEEE
+    result is bit-identical to :func:`_scalar_factors`: exact IEEE
     operations are lifted wholesale and everything else takes the scalar
     interval lifting per cell.  Returns ``None`` when there is no program,
     at most one combination, or the sweep cannot express a cell (the caller
-    then runs the scalar loop).
+    then takes the scalar route).
     """
     count = _combination_count(atom_ranges)
     if program is None or count <= 1:
@@ -860,7 +855,7 @@ def _vectorized_factors(atom_ranges: list[list[Interval]], program, is_lower: bo
             raise ScalarFallback
     except ScalarFallback:
         return None
-    return np.maximum(0.0, weight_lo if is_lower else weight_hi)
+    return np.maximum(0.0, weight_lo), np.maximum(0.0, weight_hi)
 
 
 # ----------------------------------------------------------------------

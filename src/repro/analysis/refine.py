@@ -280,9 +280,11 @@ class RefinementScheduler:
             return None
         elif contribution.analyzer_name == "linear":
             # Same idea for linear paths, whose only level-scaled knobs are
-            # the score-atom budgets: once the ceilings freeze both, further
-            # levels would re-run the identical (and expensive) polytope
-            # sweep.
+            # the score-atom budgets: a score-free path has none, and once
+            # the ceilings freeze both, further levels would re-run the
+            # identical (and expensive) polytope sweep.
+            if not len(self.execution.table().score_ids(index)):
+                return None
             current_options = level_options(self.options, current)
             next_options = level_options(self.options, level)
             if (

@@ -33,7 +33,6 @@ class TestBoundDenotation:
         report = AnalysisReport()
         Model(b.if_leq(b.sample(), 0.5, 1.0, 2.0)).bounds([Interval(0.0, 3.0)], report=report)
         assert report.path_count == 2
-        assert report.linear_paths == 2
         assert report.analyzer_paths == {"linear": 2}
         assert report.seconds > 0
 
@@ -49,7 +48,7 @@ class TestBoundDenotation:
         model = Model(b.mul(b.sample(), b.sample()))
         report = AnalysisReport()
         bounds = model.bound(Interval(0.0, 0.25), report=report)
-        assert report.box_paths == 1
+        assert report.analyzer_paths.get("box", 0) == 1
         # P(U·V <= 1/4) = 1/4 (1 + ln 4)
         truth = 0.25 * (1 + math.log(4.0))
         assert bounds.lower <= truth <= bounds.upper
@@ -62,8 +61,8 @@ class TestBoundDenotation:
             AnalysisOptions(analyzers=("box",)),
             report=report,
         )
-        assert report.linear_paths == 0
-        assert report.box_paths == 1
+        assert report.analyzer_paths.get("linear", 0) == 0
+        assert report.analyzer_paths.get("box", 0) == 1
 
     def test_analyzer_selected_by_name(self):
         model = Model(b.add(b.sample(), b.sample()))

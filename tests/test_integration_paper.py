@@ -31,7 +31,7 @@ class TestPedestrianEndToEnd:
         histogram = pedestrian_model.histogram(0.0, 3.0, 4, report=report)
 
         assert report.truncated_paths > 0
-        assert report.linear_paths == report.path_count  # every pedestrian path is linear
+        assert report.analyzer_paths.get("linear", 0) == report.path_count  # every pedestrian path is linear
 
         is_result = Model(pedestrian_bounded_program()).sample(4_000, method="importance", rng=rng)
         samples = is_result.resample(4_000, rng)

@@ -5,10 +5,12 @@ The PR that introduced the batched LP kernels, the cross-path
 density liftings claims every one of them is a pure reorganisation: the
 floats cannot move.  This suite makes each claim a property:
 
-* :func:`repro.analysis.linear_analyzer._integrate` (batched sweep, cached
-  and batched volumes, compiled templates) is bit-identical to
-  ``helpers.integrate_reference``, the pre-batching per-combination loop
-  kept as the oracle;
+* :func:`repro.analysis.linear_analyzer._integrate` (one pass over every
+  cut of a path: one atom-LP and factor sweep per distinct polytope, cached
+  and batched volumes, compiled templates) is bit-identical, reading by
+  reading, to ``helpers.integrate_reference``, the pre-batching
+  per-combination loop kept as the oracle — on interval-constant paths
+  (``𝔓_lb ≠ 𝔓_ub``) and thin score-free target slabs too;
 * the prepared HiGHS kernel returns the exact floats of the
   ``scipy.optimize.linprog`` wrapper it replaces, its directly built CSC
   arrays equal ``scipy.sparse``'s, and a Chebyshev LP re-solved on a shared
@@ -45,6 +47,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis import AnalysisOptions, Model, analyze_path_linear, histogram_buckets
 from repro.analysis import box_analyzer, linear_analyzer
+from repro.analysis.engine import AnalysisReport
 from repro.analysis.linear_analyzer import (
     _NEGLIGIBLE_WEIGHT,
     GeometryCache,
@@ -105,6 +108,13 @@ def _score_exprs(mu: float, sigma: float, width: float):
     ]
 
 
+def _both_readings(polytope, templates, atoms, options, cache):
+    """``[lower, upper]`` of one polytope from one :func:`_integrate` pass."""
+    return _integrate(
+        [(polytope, True), (polytope, False)], templates, list(atoms), 1.0, options, cache
+    )
+
+
 class TestIntegrateMatchesReference:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -126,41 +136,33 @@ class TestIntegrateMatchesReference:
         ]
         options = AnalysisOptions(score_splits=splits, max_score_combinations=64)
         cache = GeometryCache()
-        for is_lower in (True, False):
+        batched = _both_readings(polytope, templates, atoms, options, cache)
+        # A warm cache must reproduce the same floats exactly — hits return
+        # the identical float64s a fresh computation would.
+        warm = _both_readings(polytope, templates, atoms, options, cache)
+        for is_lower, got, again in zip((True, False), batched, warm):
             reference = integrate_reference(
                 polytope, templates, list(atoms), 1.0, options, is_lower
             )
-            batched = _integrate(
-                polytope, templates, list(atoms), 1.0, options, cache, is_lower
-            )
-            assert batched == reference or (math.isnan(batched) and math.isnan(reference))
-            # A warm cache must reproduce the same float exactly — hits return
-            # the identical float64s a fresh computation would.
-            warm = _integrate(
-                polytope, templates, list(atoms), 1.0, options, cache, is_lower
-            )
-            assert warm == batched or (math.isnan(warm) and math.isnan(batched))
+            assert got == reference or (math.isnan(got) and math.isnan(reference))
+            assert again == got or (math.isnan(again) and math.isnan(got))
 
     def test_scalar_fallback_route_matches(self, monkeypatch):
-        # A factor sweep that returns None forces the scalar per-combination
-        # weights inside _integrate; the skips differ but the floats may not.
+        # A factor sweep that returns None forces the scalar weights
+        # (``_scalar_factors``); the route differs but the floats may not.
         polytope = Polytope.from_box([Interval(0.0, 1.0)] * 2)
         atoms = []
         templates = [decompose_score(_score_exprs(0.0, 1.0, 1.0)[0][0], atoms)]
         options = AnalysisOptions(score_splits=4)
-        for is_lower in (True, False):
+        swept = _both_readings(polytope, templates, atoms, options, GeometryCache())
+        with monkeypatch.context() as patch:
+            patch.setattr(linear_analyzer, "_vectorized_factors", lambda *args: None)
+            scalar = _both_readings(polytope, templates, atoms, options, GeometryCache())
+        for is_lower, got, fallback in zip((True, False), swept, scalar):
             reference = integrate_reference(
                 polytope, templates, list(atoms), 1.0, options, is_lower
             )
-            swept = _integrate(
-                polytope, templates, list(atoms), 1.0, options, GeometryCache(), is_lower
-            )
-            with monkeypatch.context() as patch:
-                patch.setattr(linear_analyzer, "_vectorized_factors", lambda *args: None)
-                scalar = _integrate(
-                    polytope, templates, list(atoms), 1.0, options, GeometryCache(), is_lower
-                )
-            assert swept == scalar == reference
+            assert got == fallback == reference
 
     def test_vectorized_scores_on_off_agree_on_a_path(self, monkeypatch):
         # Two piecewise max(0, ·) scores over two linear atoms: most of the
@@ -179,6 +181,114 @@ class TestIntegrateMatchesReference:
         swept = analyze_path_linear(path, list(TARGETS), options)
         monkeypatch.setattr(linear_analyzer, "_vectorized_factors", lambda *args: None)
         assert analyze_path_linear(path, list(TARGETS), options) == swept
+
+
+def _per_reading_reference(polytopes, result_form, targets, templates, atoms, options):
+    """Each target's ``(lower, upper)`` as one reference integration per
+    reading: ``polytopes`` is ``(𝔓_lb, 𝔓_ub)``, cut by the target's rows."""
+    bounds = []
+    for target in targets:
+        pair = []
+        for is_lower, polytope in zip((True, False), polytopes):
+            rows = _rows_for_target(result_form, target, 2, universal=is_lower)
+            cut = polytope.add_constraints([r for r, _ in rows], [b for _, b in rows])
+            pair.append(integrate_reference(cut, templates, list(atoms), 1.0, options, is_lower))
+        bounds.append(tuple(pair))
+    return bounds
+
+
+class TestOnePassPerPath:
+    """All targets and both readings of a path share one integration pass."""
+
+    SQUARE = Polytope.from_box([Interval(0.0, 1.0)] * 2)
+    TARGETS = (
+        Interval(0.0, 1.0), Interval(0.5, 1.5), Interval.reals(),
+        Interval(1.0, math.inf), Interval(-math.inf, 0.4),
+    )
+
+    @pytest.mark.parametrize("scored", [True, False])
+    @pytest.mark.parametrize("constant", [(-1.1, -0.9), (-1.3, -0.6)])
+    def test_interval_constants_match_reference_per_reading(self, scored, constant):
+        # ``x + y + [a, b] ≤ 0`` reads ``x + y ≤ -b`` for 𝔓_lb and
+        # ``x + y ≤ -a`` for 𝔓_ub; the result and the score atom carry
+        # interval constants too, so every chunk row depends on the reading.
+        low, high = constant
+        total = LinearForm.from_dict({0: 1.0, 1: 1.0}, Interval(low, high))
+        result_form = LinearForm.from_dict({0: 1.0, 1: 1.0}, Interval(-0.1, 0.1))
+        atoms = []
+        exprs = [
+            SPrim("normal_pdf", (_point(0.5), _point(0.3), SPrim("add", (SVar(0), SConst(Interval(0.0, 0.1)))))),
+            SPrim("add", (SVar(0), SVar(1))),
+        ] if scored else []
+        templates = [decompose_score(expr, atoms) for expr in exprs]
+        options = AnalysisOptions(score_splits=5)
+        got = _analyze_linear_forms(
+            result_form, [(total, Relation.LEQ)], atoms, templates,
+            [Uniform(0.0, 1.0)] * 2, list(self.TARGETS), options, GeometryCache(),
+        )
+        polytopes = tuple(
+            self.SQUARE.add_constraints([[1.0, 1.0]], [0.0 - limit]) for limit in (high, low)
+        )
+        assert got == _per_reading_reference(
+            polytopes, result_form, self.TARGETS, templates, atoms, options
+        )
+        assert all(lower < upper for lower, upper in got[:3])
+
+    def test_thin_score_free_target_slab_is_measured(self):
+        # ``1 ≤ x + y ≤ 1 + 1e-10`` is flat by its own Chebyshev radius, but a
+        # score-free cut is measured from its parent, not zeroed.
+        result_form = LinearForm.from_dict({0: 1.0, 1: 1.0}, Interval.point(0.0))
+        target = Interval(1.0, 1.0 + 1e-10)
+        got = _analyze_linear_forms(
+            result_form, [], [], [], [Uniform(0.0, 1.0)] * 2, [target],
+            AnalysisOptions(), GeometryCache(),
+        )
+        reference = _per_reading_reference(
+            (self.SQUARE, self.SQUARE), result_form, [target], [], [], AnalysisOptions()
+        )
+        assert got == reference
+        ((lower, upper),) = got
+        assert 0.0 < lower <= upper < 1e-9
+        rows = _rows_for_target(result_form, target, 2, universal=True)
+        cut = self.SQUARE.add_constraints([r for r, _ in rows], [b for _, b in rows])
+        assert not cut.is_full_dimensional()
+
+    def test_pedestrian_sweeps_each_polytope_and_parent_once(self, monkeypatch):
+        # Per path: one ``_integrate`` pass; inside it every distinct cut is
+        # swept once and every parent (and direction) measured in one batch.
+        passes = []
+        integrate, atom_grid = linear_analyzer._integrate, linear_analyzer._atom_grid
+        slab_volumes = polytope_module._slab_volumes
+
+        def counted_integrate(cuts, *args):
+            passes.append({"cuts": len(cuts), "grids": [], "parents": []})
+            return integrate(cuts, *args)
+
+        def counted_grid(polytope, *args):
+            passes[-1]["grids"].append(polytope.cache_key())
+            return atom_grid(polytope, *args)
+
+        def counted_slabs(parent, direction, *args):
+            key = (parent.cache_key(), None if direction is None else direction.tobytes())
+            passes[-1]["parents"].append(key)
+            return slab_volumes(parent, direction, *args)
+
+        monkeypatch.setattr(linear_analyzer, "_integrate", counted_integrate)
+        monkeypatch.setattr(linear_analyzer, "_atom_grid", counted_grid)
+        monkeypatch.setattr(polytope_module, "_slab_volumes", counted_slabs)
+        options = AnalysisOptions(
+            max_fixpoint_depth=3, score_splits=4, workers=1, executor="serial", refine="off"
+        )
+        report = AnalysisReport()
+        Model(pedestrian_program(), options).histogram(0.0, 3.0, 6, report=report)
+        assert 0 < len(passes) <= report.analyzer_paths["linear"]
+        for sweep in passes:
+            assert len(set(sweep["grids"])) == len(sweep["grids"])
+            assert len(set(sweep["parents"])) == len(sweep["parents"])
+        # No interval constants here: both readings share every cut.
+        assert 2 * sum(len(sweep["grids"]) for sweep in passes) == sum(
+            sweep["cuts"] for sweep in passes
+        )
 
 
 class TestFlatBaseShortcut:
@@ -204,12 +314,10 @@ class TestFlatBaseShortcut:
         options = AnalysisOptions(score_splits=splits, max_score_combinations=64)
         cells = splits ** len(atoms)
         cache = GeometryCache()
-        for is_lower in (True, False):
+        shortcuts = _both_readings(polytope, templates, atoms, options, cache)
+        for is_lower, shortcut in zip((True, False), shortcuts):
             reference = integrate_reference(
                 polytope, templates, list(atoms), 1.0, options, is_lower
-            )
-            shortcut = _integrate(
-                polytope, templates, list(atoms), 1.0, options, cache, is_lower
             )
             if is_lower:
                 assert shortcut == reference
@@ -276,10 +384,7 @@ class TestAtomLPFailure:
         options = AnalysisOptions(score_splits=8)
 
         def bounds():
-            return [
-                _integrate(base, templates, list(atoms), 1.0, options, GeometryCache(), is_lower)
-                for is_lower in (True, False)
-            ]
+            return _both_readings(base, templates, atoms, options, GeometryCache())
 
         healthy_lower, healthy_upper = bounds()
         optimise = Polytope._optimise

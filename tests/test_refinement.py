@@ -301,6 +301,18 @@ class TestEngineIntegration:
         assert off_report.refine_paths == 0
         assert off_report.refine_seconds == 0.0
 
+    def test_score_free_linear_paths_retire_unswept(self):
+        # No level-scaled knob reaches a linear path without scores, so a
+        # round would reproduce its record bit for bit: it retires instead.
+        source = "(let x (sample) (let y (sample) (+ x (* 2 y))))"
+        targets = [Interval(0.0, 1.0), Interval(0.5, 2.5), Interval(-math.inf, math.inf)]
+        report = AnalysisReport()
+        refined = Model.parse(source, AnalysisOptions(refine="gap")).bounds(targets, report=report)
+        assert report.refine_paths == 0
+        off = Model.parse(source, AnalysisOptions(refine="off")).bounds(targets)
+        assert as_pairs(refined) == as_pairs(off)
+        assert refined[0].upper > refined[0].lower  # a positive gap was on offer
+
     def test_progress_fires_per_round_with_narrowing_bounds(self):
         program = compiled("branchy")
         seen = []
