@@ -28,31 +28,38 @@ soundness:
   out analytically as an exact probability mass instead of adding a polytope
   dimension;
 * **cross-path geometry caching** — LP results, flatness checks and
-  volumes are memoised in a :class:`GeometryCache` keyed on the polytope's
-  *exact* H-representation bytes.  Every cached computation is a
-  deterministic pure function of those bytes, so a hit returns the identical
-  float64s a fresh computation would — which is what makes it sound to share
-  the cache across the paths of a chunk (and, on the columnar route, across
-  chunks and queries of a table attachment) without bounds depending on how
-  paths are partitioned;
+  volumes are memoised in a :class:`GeometryCache` keyed on *exact* floats:
+  a polytope's H-representation bytes, or a cell's slab.  Every cached
+  computation is a deterministic pure function of its key, so a hit returns
+  the identical float64s a fresh computation would — which is what makes it
+  sound to share the cache across the paths of a chunk (and, on the
+  columnar route, across chunks and queries of a table attachment) without
+  bounds depending on how paths are partitioned;
 * **one sweep per polytope** — a cut shared by both readings (every cut
-  without interval constants) gets one flatness check, one batched atom-LP
-  sweep on the low-overhead HiGHS kernel (:mod:`repro.polytope.highs`,
+  without interval constants) gets one batched atom-LP sweep on the
+  low-overhead HiGHS kernel (:mod:`repro.polytope.highs`,
   :class:`~repro.polytope.batch.BatchPolytope`) and one factor sweep over
-  the chunk-combination grid, which yields both readings' weights;
-* **base-first flatness** — an empty or flat scored cut (Chebyshev radius
-  ``≤ 1e-9``, the rule :meth:`~repro.polytope.Polytope.volume_bounds`
-  applies to every parent) integrates to 0 at once: each combination cell is
-  cut from it, so every cell volume would be 0 too, and the atom LPs and
-  cell volumes are skipped; and
-* **volumes from the parent, in one batch** — every cell of every cut is
-  looked up by its byte key (assembled from per-chunk row bytes, never
-  materialised on a hit) and the misses are measured together
-  (:func:`~repro.polytope.polytope.cell_volumes`): one batched ``V(t)``
+  the chunk-combination grid, which yields both readings' weights.  An atom
+  LP is solved only for a side of the atom's range its interval constant
+  leaves finite (``α₁ + … + α₄ + [0, ∞)`` needs no maximum);
+* **one flatness rule** — a scored cut is not checked for flatness
+  itself.  Its cells are measured by the volume layer, whose parent rule
+  (Chebyshev radius ``≤ 1e-9``, see
+  :meth:`~repro.polytope.Polytope.volume_bounds`) zeroes every cell of a
+  flat parent — a flat cut that is the parent of its cells shares that one
+  Chebyshev LP — while a cell that is a slab of the full-dimensional path
+  polytope is measured from that polytope, however thin.  Only a flat or
+  empty path polytope is pruned before any atom LP, since every cut of it
+  is flat too; and
+* **cells as slabs of a known parent, in one batch** — each cell is
+  described as ``(parent, d, lo, hi)`` (:func:`_cell`,
+  :meth:`~repro.polytope.Polytope.slab_split` with the cell's chunk rows):
+  never built, looked up by its slab, and the misses are measured together
+  (:func:`~repro.polytope.polytope.slab_volumes`): one batched ``V(t)``
   call per parent polytope and direction, from the parent's triangulation
   (:class:`~repro.polytope.polytope.SlabProfile`).  So a score-free path's
-  bounded targets share one profile of the path polytope, and a refinement round
-  that splits an atom more finely runs no new Qhull.
+  bounded targets share one profile of the path polytope, and a refinement
+  round that splits an atom more finely runs no new Qhull.
 """
 
 from __future__ import annotations
@@ -69,7 +76,7 @@ import numpy as np
 from ..distributions import Uniform
 from ..intervals import Interval
 from ..polytope import BatchPolytope, Polytope
-from ..polytope.polytope import cell_volumes
+from ..polytope.polytope import slab_volumes
 from ..symbolic.linear import LinearForm, decompose_score, extract_linear
 from ..symbolic.paths import Relation, SymbolicPath
 from ..symbolic.value import evaluate_with_atoms
@@ -266,9 +273,13 @@ def _remap(form: LinearForm, index_map: Dict[int, int]) -> LinearForm:
 # Cross-path geometry caching
 # ----------------------------------------------------------------------
 
-#: A geometry-cache key: the exact ``(A.tobytes(), b.tobytes())`` of a
-#: polytope's H-representation (:meth:`Polytope.cache_key`).
-_GeometryKey = tuple[bytes, bytes]
+def _volume_key(parent: Polytope, direction: Optional[np.ndarray], lo: float, hi: float):
+    """The ``volumes`` key of the slab cell ``parent ∩ {lo ≤ d·x ≤ hi}``:
+    the parent's exact H-representation bytes (:meth:`Polytope.cache_key`)
+    when it is uncut, else ``(parent key, d bytes, lo, hi)``."""
+    if direction is None:
+        return parent.cache_key()
+    return parent.cache_key(), direction.tobytes(), lo, hi
 
 #: Entries kept per :class:`GeometryCache` store (least recently used
 #: evicted).  A long-lived ``Model`` keeps its table's cache across queries;
@@ -322,17 +333,19 @@ class _BoundedStore(OrderedDict):
 
 
 class GeometryCache:
-    """Memoises geometry computations keyed on exact H-representation bytes.
+    """Memoises geometry computations keyed on exact floats.
 
-    Its stores share one keying discipline — the raw float64 bytes of the
+    Its stores share one keying discipline — the raw float64 bytes of a
     polytope's ``(A, b)``, never rounded (an earlier revision rounded the key
     to 12 decimals, which can collide *distinct* polytopes and hand one the
     other's volume):
 
-    * ``volumes`` — :meth:`Polytope.volume_bounds` results,
+    * ``volumes`` — volume bounds of slab cells, keyed on the slab
+      (:func:`_volume_key`): ``(parent key, d bytes, lo, hi)`` for the cell
+      ``parent ∩ {lo ≤ d·x ≤ hi}``, the polytope's own key for an uncut one,
     * ``full_dimension`` — :meth:`Polytope.is_full_dimensional` results:
-      whether a polytope is empty or flat (volume 0, for it and for every
-      cell cut from it),
+      whether a path polytope is empty or flat (volume 0, for it and for
+      every cell cut from it),
     * ``centers`` — :meth:`Polytope.chebyshev_center` results, so the
       flatness check of a polytope and the triangulation its cells are
       measured from share one Chebyshev LP,
@@ -340,7 +353,7 @@ class GeometryCache:
       triangulation per parent polytope, which every slab cell of the
       parent is measured from, in every refinement round,
     * ``atom_bounds`` — batched atom LP sweeps (keyed additionally on the
-      dense objective bytes), and
+      dense objective bytes and the sides solved), and
     * ``programs`` — compiled score-template programs (keyed on the template
       tuple's identity; entries keep the templates alive so a recycled
       ``id()`` can never alias).
@@ -348,13 +361,15 @@ class GeometryCache:
     **Purity rule**: every cached computation is a deterministic pure
     function of its key, computed the same way with or without a cache, so
     a hit returns the identical float64s a fresh computation would.  In
-    particular a cell's volume depends on the cell's own bytes only: its
-    parent and slab are read off its rows, the parent's profile off the
-    parent's rows, and ``V(t)`` at one cut value is the same float
-    whichever cells share its batch.  That makes one cache safe to share
-    across the paths of a chunk, across chunks, and across queries —
-    bounds never depend on which path populated an entry, hence not on
-    chunk boundaries either (pinned by ``tests/test_linear_fast_path.py``).
+    particular a cell's volume depends on its slab only: the parent's
+    profile is read off the parent's rows, ``V(t)`` at one cut value is the
+    same float whichever cells share its batch, and the fallbacks measure
+    ``parent ∩ slab``.  However the cell's rows were written, equal slabs
+    get equal volumes (:meth:`Polytope.slab_split` reads the slab off
+    them).  That makes one cache safe to share across the paths of a chunk,
+    across chunks, and across queries — bounds never depend on which path
+    populated an entry, hence not on chunk boundaries either (pinned by
+    ``tests/test_linear_fast_path.py``).
 
     **Bounded stores**: each store keeps its :data:`_GEOMETRY_CACHE_ENTRIES`
     most recently used entries (``profiles``: a :data:`_PROFILE_SHARE`-th
@@ -396,39 +411,30 @@ class GeometryCache:
 
     def volume(self, polytope: Polytope) -> Interval:
         """Volume bounds of ``polytope`` (:meth:`Polytope.volume_bounds`), memoised."""
-        return self.volume_restricted(polytope, polytope.cache_key(), (), ())
+        return self.volume_restricted(*polytope.slab_split())
 
     def volume_restricted(
-        self,
-        base: Polytope,
-        key: _GeometryKey,
-        rows: Sequence[Sequence[float]],
-        rhs: Sequence[float],
+        self, parent: Polytope, direction: Optional[np.ndarray], lo: float, hi: float
     ) -> Interval:
-        """Volume bounds of ``base ∩ {rows·x ≤ rhs}`` under a precomputed key
+        """Volume bounds of the slab cell ``parent ∩ {lo ≤ d·x ≤ hi}``
         (:meth:`restricted_volumes` for one cell)."""
-        return self.restricted_volumes([(base, key, rows, rhs)])[0]
+        return self.restricted_volumes([(parent, direction, lo, hi)])[0]
 
-    def restricted_volumes(
-        self,
-        cells: Sequence[
-            tuple[Polytope, _GeometryKey, Sequence[Sequence[float]], Sequence[float]]
-        ],
-    ) -> list[Interval]:
-        """Volume bounds of ``base ∩ {rows·x ≤ rhs}`` for every
-        ``(base, key, rows, rhs)`` in ``cells``.
+    def restricted_volumes(self, cells: Sequence[tuple]) -> list[Interval]:
+        """Volume bounds of every slab cell ``(parent, d, lo, hi)`` in
+        ``cells``: ``parent ∩ {lo ≤ d·x ≤ hi}`` as
+        :meth:`Polytope.slab_split` describes it (``d`` ``None``: the uncut
+        parent).
 
-        Each ``key`` must equal ``base.add_constraints(rows, rhs).cache_key()``
-        — callers assemble it by concatenating the base polytope's bytes with
-        the rows' float64 bytes (``np.vstack``/``np.concatenate`` preserve
-        C-order, so the concatenation is exactly the restricted
-        H-representation's bytes).  A hit never materialises its cell; the
-        misses are measured together (:func:`cell_volumes`), each distinct
-        key once, in one batched ``V(t)`` call per parent and direction.
+        A cell is looked up by its slab (:func:`_volume_key`), never built;
+        the misses are measured together
+        (:func:`~repro.polytope.polytope.slab_volumes`), each distinct slab
+        once, in one batched ``V(t)`` call per parent and direction.
         """
         results: list = [None] * len(cells)
-        missing: dict[_GeometryKey, list[int]] = {}
-        for index, (_, key, _, _) in enumerate(cells):
+        missing: dict = {}
+        for index, cell in enumerate(cells):
+            key = _volume_key(*cell)
             value = self.volumes.lookup(key)
             if value is _MISSING:
                 missing.setdefault(key, []).append(index)
@@ -437,11 +443,8 @@ class GeometryCache:
         self.volume_hits += len(cells) - len(missing)
         self.volume_misses += len(missing)
         if missing:
-            restricted = [
-                cells[indices[0]][0].add_constraints(*cells[indices[0]][2:])
-                for indices in missing.values()
-            ]
-            for (key, indices), volume in zip(missing.items(), cell_volumes(restricted, self)):
+            measured = slab_volumes([cells[indices[0]] for indices in missing.values()], self)
+            for (key, indices), volume in zip(missing.items(), measured):
                 self.volumes.remember(key, volume)
                 for index in indices:
                     results[index] = volume
@@ -480,19 +483,25 @@ class GeometryCache:
         )
 
     def bound_atom_rows(
-        self, polytope: Polytope, dense_rows: Sequence[Sequence[float]], rows_key: bytes
+        self,
+        polytope: Polytope,
+        dense_rows: Sequence[Sequence[float]],
+        rows_key: bytes,
+        sides: tuple[tuple[bool, bool], ...],
     ) -> tuple:
         """Batched ranges of the atom objectives over ``polytope``, memoised.
 
         ``rows_key`` is the concatenated float64 bytes of ``dense_rows``;
-        the full key pairs it with the polytope's H-representation bytes.
-        ``None`` entries mean the polytope is empty; an atom whose LP fails
-        gets its wider range over the polytope's axis box instead, so a
-        solver error never zeroes a bound.
+        the full key pairs it with the polytope's H-representation bytes
+        and ``sides``, which says per row whether its minimum and maximum
+        are solved (:meth:`BatchPolytope.bound_rows`).  ``None`` entries
+        mean the polytope is empty; an atom whose LP fails gets its wider
+        range over the polytope's axis box instead, so a solver error never
+        zeroes a bound.
         """
         return self._memo(
-            self.atom_bounds, (polytope.cache_key(), rows_key),
-            lambda: tuple(BatchPolytope(polytope).bound_rows(dense_rows)),
+            self.atom_bounds, (polytope.cache_key(), rows_key, sides),
+            lambda: tuple(BatchPolytope(polytope).bound_rows(dense_rows, sides)),
         )
 
     def template_program(self, templates):
@@ -608,8 +617,9 @@ def _analyze_linear_forms(
         # ``lower_poly`` inside it), so every volume below would be 0.
         return [tuple(bound) for bound in bounds]
 
-    # One cut per (target, reading); ``slots`` says where its total goes.
-    cuts: list[tuple[Polytope, bool]] = []
+    # One cut per (target, reading), as its reading's polytope and the
+    # target's rows; ``slots`` says where its total goes.
+    cuts: list[tuple[Polytope, list, list, bool]] = []
     slots: list[tuple[int, int, float]] = []
     readings = ((True, reduction.factor_lower), (False, reduction.factor_upper))
     for index, target in enumerate(targets):
@@ -620,10 +630,7 @@ def _analyze_linear_forms(
             rows = _rows_for_target(result_form, target, dimension, universal)
             if rows is None:
                 continue
-            cuts.append((
-                polytope.add_constraints([r for r, _ in rows], [b for _, b in rows]),
-                universal,
-            ))
+            cuts.append((polytope, [r for r, _ in rows], [b for _, b in rows], universal))
             slots.append((index, position, factor))
     totals = _integrate(cuts, templates, atoms, reduction.density, options, cache)
     for (index, position, factor), total in zip(slots, totals):
@@ -631,78 +638,111 @@ def _analyze_linear_forms(
     return [tuple(bound) for bound in bounds]
 
 
-def _chunk_entry(
-    atom: LinearForm, chunk: Interval, dimension: int, universal: bool
-) -> Optional[tuple]:
-    """Constraint rows pinning ``atom`` into ``chunk``, with their cache bytes.
+def _chunk_rows(
+    atoms: Sequence[LinearForm],
+    atom_ranges: list[list[Interval]],
+    dimension: int,
+    universal: bool,
+    memo: dict,
+) -> list[list]:
+    """Per atom and chunk, the ``(rows, rhs)`` arrays pinning the atom into
+    the chunk under one reading; ``None`` or ``[]`` as
+    :func:`_rows_for_target` (unsatisfiable, trivially true).
 
-    ``None`` or ``[]`` as :func:`_rows_for_target` (unsatisfiable, trivially
-    true), otherwise ``(rows, rhs, a_bytes, b_bytes)``: the byte strings are
-    the exact float64 encoding the rows append to a polytope's
-    H-representation, so the combination loop concatenates them into
-    geometry-cache keys without materialising the restricted polytope.
+    An atom with a point constant has the same rows under both readings;
+    ``memo`` hands the second reading the first one's arrays, so the
+    cells built from them are described once (:func:`_cell`).
     """
-    cut = _rows_for_target(atom, chunk, dimension, universal)
-    if not cut:
-        return cut
-    rows = [row for row, _ in cut]
-    rhs = [value for _, value in cut]
-    a_bytes = b"".join(np.asarray(row, dtype=float).tobytes() for row in rows)
-    return rows, rhs, a_bytes, np.asarray(rhs, dtype=float).tobytes()
+    per_atom = []
+    for index, (atom, chunks) in enumerate(zip(atoms, atom_ranges)):
+        key = (index, None if atom.constant.is_point else universal)
+        if key not in memo:
+            cuts = [_rows_for_target(atom, chunk, dimension, universal) for chunk in chunks]
+            memo[key] = [
+                cut and (np.array([row for row, _ in cut]), np.array([b for _, b in cut]))
+                for cut in cuts
+            ]
+        per_atom.append(memo[key])
+    return per_atom
+
+
+def _cell(polytope: Polytope, combination: Sequence, heads: dict, cells: dict) -> tuple:
+    """The slab cell ``(parent, d, lo, hi)`` of ``polytope`` cut by every
+    chunk's rows in ``combination`` (:meth:`Polytope.slab_split`).
+
+    The last chunk with rows is the slab; the rows of the chunks before it
+    cut the polytope it is split from, which is built once per prefix
+    (``heads``).  The cell itself is never built, and ``cells`` describes
+    each combination of row arrays once.
+    """
+    present = [entry for entry in combination if entry]
+    key = tuple(map(id, present))
+    cell = cells.get(key)
+    if cell is not None:
+        return cell
+    head = polytope
+    if len(present) > 1:
+        head = heads.get(key[:-1])
+        if head is None:
+            head = heads[key[:-1]] = polytope.add_constraints(
+                np.vstack([rows for rows, _ in present[:-1]]),
+                np.concatenate([rhs for _, rhs in present[:-1]]),
+            )
+    cell = cells[key] = head.slab_split(*present[-1]) if present else polytope.slab_split()
+    return cell
 
 
 def _integrate(
-    cuts: Sequence[tuple[Polytope, bool]],
+    cuts: Sequence[tuple[Polytope, Sequence, Sequence, bool]],
     templates,
     atoms: list[LinearForm],
     density: float,
     options: AnalysisOptions,
     cache: GeometryCache,
 ) -> list[float]:
-    """Bound ``∫_polytope ∏ templates(atoms) dα`` for every ``(polytope,
-    universal)`` cut: from below under the universal reading, from above
-    under the existential one.
+    """Bound ``∫_polytope ∏ templates(atoms) dα`` for every ``(base, rows,
+    rhs, universal)`` cut, ``polytope = base ∩ {rows·x ≤ rhs}``: from below
+    under the universal reading, from above under the existential one.
 
     Each distinct polytope gets one :func:`_atom_grid` (both readings'
-    weights); each cut builds its cells from its own reading's chunk rows,
-    every cell of every cut is measured in one
-    :meth:`GeometryCache.restricted_volumes` call, and each cut's terms are
-    then summed in combination order.  A score-free cut is one cell, the
-    polytope itself.  ``tests/test_linear_fast_path.py`` pins each cut
-    against the scalar original (``tests/helpers.py::integrate_reference``):
-    bit for bit on full-dimensional polytopes; on flat ones the reference
-    may add negligible-weight terms (``< 1e-10`` per cell) to its upper
-    bound that :func:`_atom_grid`'s flatness shortcut drops.
+    weights); each cut describes its cells as slabs (:func:`_cell`) from
+    its own reading's chunk rows, every cell of every cut is measured in
+    one :meth:`GeometryCache.restricted_volumes` call, and each cut's terms
+    are then summed in combination order.  A score-free cut is one cell,
+    the polytope itself, described as a slab of ``base`` and never built.
+    ``tests/test_linear_fast_path.py`` pins each cut
+    against the scalar original (``tests/helpers.py::integrate_reference``)
+    bit for bit.
     """
     grids: dict = {}
     cells: list[tuple] = []
     # Per cut, ``(factor, cell)`` terms in combination order; ``cell``
     # indexes ``cells``, or is ``None`` for a bare negligible weight.
     plans: list[list[tuple[float, Optional[int]]]] = []
-    for polytope, universal in cuts:
-        key = polytope.cache_key()
+    for base, rows, rhs, universal in cuts:
         if not templates:
             plans.append([(1.0, len(cells))])
-            cells.append((polytope, key, (), ()))
+            cells.append(base.slab_split(rows, rhs))
             continue
+        polytope = base.add_constraints(rows, rhs)
+        key = polytope.cache_key()
         if key not in grids:
-            grids[key] = _atom_grid(polytope, templates, atoms, options, cache)
-        grid = grids[key]
+            # The atom grid, and the memos both readings of the polytope
+            # share: chunk rows, parents and slab cells.
+            grids[key] = (_atom_grid(polytope, templates, atoms, options, cache), {}, {}, {})
+        grid, rows_memo, heads, slabs = grids[key]
         terms: list[tuple[float, Optional[int]]] = []
         plans.append(terms)
         if grid is None:
             continue
         atom_ranges, (factors_lo, factors_hi) = grid
         factors = factors_lo if universal else factors_hi
-        per_atom = [
-            [_chunk_entry(atom, chunk, polytope.dimension, universal) for chunk in chunks]
-            for atom, chunks in zip(atoms, atom_ranges)
-        ]
+        per_atom = _chunk_rows(atoms, atom_ranges, polytope.dimension, universal, rows_memo)
         for combo_index, combination in enumerate(itertools.product(*per_atom)):
             factor = float(factors[combo_index])
             if factor == 0.0 or any(entry is None for entry in combination):
                 # A zero weight annihilates the chunk's contribution
-                # regardless of feasibility, so no rows or volume are built.
+                # regardless of feasibility, so no cell is described.
                 continue
             if not universal and math.isfinite(factor) and factor < _NEGLIGIBLE_WEIGHT:
                 # ``density · volume`` never exceeds the prior mass 1 of the
@@ -710,22 +750,12 @@ def _integrate(
                 # upper bound — this skips a volume for far-tail chunks.
                 terms.append((factor, None))
                 continue
-            rows: list[list[float]] = []
-            rhs: list[float] = []
-            a_parts = [key[0]]
-            b_parts = [key[1]]
-            for entry in combination:
-                if entry:
-                    rows.extend(entry[0])
-                    rhs.extend(entry[1])
-                    a_parts.append(entry[2])
-                    b_parts.append(entry[3])
             terms.append((factor, len(cells)))
-            cells.append((polytope, (b"".join(a_parts), b"".join(b_parts)), rows, rhs))
+            cells.append(_cell(polytope, combination, heads, slabs))
 
     volumes = cache.restricted_volumes(cells)
     totals: list[float] = []
-    for (_, universal), terms in zip(cuts, plans):
+    for (_, _, _, universal), terms in zip(cuts, plans):
         if not templates:
             volume = volumes[terms[0][1]]
             totals.append(density * (volume.lo if universal else volume.hi))
@@ -755,21 +785,27 @@ def _atom_grid(
     cache: GeometryCache,
 ) -> Optional[tuple]:
     """``(atom_ranges, (factors_lo, factors_hi))`` of a scored polytope, or
-    ``None`` when it integrates to 0 (empty or flat).
+    ``None`` when its atom LPs find it empty.
 
-    All atom objectives are bounded over the polytope in one batched LP
-    sweep over its prepared constraint system; each range is split into
+    Flatness is not checked here: every cell is measured by the volume
+    layer, whose parent rule zeroes the cells of a flat parent.  All atom
+    objectives are bounded over the polytope in one batched LP sweep over
+    its prepared constraint system (each side that can matter, see
+    :meth:`GeometryCache.bound_atom_rows`); each range is split into
     chunks (coarsened until the combination budget fits), and the weight
     of every chunk combination comes from one sweep over the product grid
     (:func:`_vectorized_factors`), else from the scalar interval evaluator
     (:func:`_scalar_factors`) — the same floats either way.
     """
-    if not cache.full_dimensional(polytope):
-        return None
     dimension = polytope.dimension
     dense_rows = [atom.dense_row(dimension) for atom in atoms]
     rows_key = b"".join(np.asarray(row, dtype=float).tobytes() for row in dense_rows)
-    bases = cache.bound_atom_rows(polytope, dense_rows, rows_key)
+    # A side of an atom's range that its interval constant makes infinite
+    # stays infinite whatever the LP says, so it is not solved.
+    sides = tuple(
+        (atom.constant.lo > -math.inf, atom.constant.hi < math.inf) for atom in atoms
+    )
+    bases = cache.bound_atom_rows(polytope, dense_rows, rows_key, sides)
     atom_ranges: list[list[Interval]] = []
     for atom, base in zip(atoms, bases):
         if base is None:

@@ -32,6 +32,7 @@ import hashlib
 
 from ..intervals import Interval
 from ..lang.ast import Term
+from ..lang.parser import require_closed
 from ..symbolic import (
     ExecutionLimits,
     PathTableBuilder,
@@ -152,8 +153,10 @@ class Model:
     """Facade over one probabilistic program: bounds, baselines, caching.
 
     A ``Model`` owns an SPCF :class:`~repro.lang.ast.Term` plus default
-    :class:`~repro.analysis.config.AnalysisOptions`.  Query methods accept
-    per-call option overrides; queries whose options share the same
+    :class:`~repro.analysis.config.AnalysisOptions`; a term with free
+    variables is refused with a :class:`~repro.lang.parser.ParseError`
+    naming them (:func:`~repro.lang.parser.require_closed`).  Query methods
+    accept per-call option overrides; queries whose options share the same
     :class:`~repro.symbolic.ExecutionLimits` share one cached
     :class:`CompiledProgram` (changing analysis-only knobs such as
     ``score_splits`` or the analyzer selection never re-runs symbolic
@@ -169,7 +172,7 @@ class Model:
     def __init__(self, term: Term, options: Optional[AnalysisOptions] = None) -> None:
         if not isinstance(term, Term):
             raise TypeError(f"Model expects an SPCF Term, got {type(term).__name__}")
-        self._term = term
+        self._term = require_closed(term)
         self._options = options if options is not None else AnalysisOptions()
         self._compiled: dict[ExecutionLimits, CompiledProgram] = {}
         self._compile_count = 0

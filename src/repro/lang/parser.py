@@ -23,10 +23,12 @@ from typing import Iterator, Sequence
 
 from ..distributions import Beta, Cauchy, Distribution, Exponential, Gamma, Normal, Uniform
 from ..intervals import REGISTRY, Interval
-from .ast import App, Const, Fix, If, IntervalConst, Lam, Prim, Sample, Score, Term, Var
+from .ast import (
+    App, Const, Fix, If, IntervalConst, Lam, Prim, Sample, Score, Term, Var, free_variables,
+)
 from .builder import choice, let, observe, to_term
 
-__all__ = ["parse", "ParseError"]
+__all__ = ["parse", "ParseError", "require_closed"]
 
 
 class ParseError(Exception):
@@ -192,3 +194,17 @@ def parse(source: str) -> Term:
     if position != len(tokens):
         raise ParseError("trailing tokens after the first expression")
     return _build(node)
+
+
+def require_closed(term: Term) -> Term:
+    """``term``, if it has no free variables; else :class:`ParseError`
+    naming them.
+
+    An operator the parser does not know, such as ``<=`` in
+    ``(<= x 0.5)``, reads as an application of a variable of that name, so
+    a program using one is open and has no meaning to analyse.
+    """
+    free = free_variables(term)
+    if free:
+        raise ParseError(f"unbound variable(s): {', '.join(sorted(free))}")
+    return term

@@ -1,7 +1,9 @@
 """Batched LP bounding of many linear forms over one polytope.
 
 The linear analyzer bounds every score atom over every target-restricted
-polytope — 2 LPs per atom per polytope.  Issued through
+polytope — up to 2 LPs per atom per polytope: one per side of the atom's
+range that can matter (a side its interval constant makes infinite is not
+solved).  Issued through
 ``scipy.optimize.linprog`` each of those pays the full wrapper cost (option
 validation, input cleaning, sparse construction); issued through
 :class:`BatchPolytope` the polytope's constraint system is prepared once and
@@ -35,25 +37,34 @@ class BatchPolytope:
     def __init__(self, polytope: Polytope) -> None:
         self.polytope = polytope
 
-    def bound_rows(self, rows: Sequence[Sequence[float]]) -> list[Optional[Interval]]:
+    def bound_rows(
+        self,
+        rows: Sequence[Sequence[float]],
+        sides: Optional[Sequence[tuple[bool, bool]]] = None,
+    ) -> list[Optional[Interval]]:
         """``[polytope.bound_linear(row) for row in rows]``, batched.
 
-        One prepared model serves all ``2 * len(rows)`` solves.  Each entry
-        is the range of ``row · x`` over the polytope, or ``None`` when the
-        polytope is empty (every later entry is then ``None`` too, as an
-        empty polytope bounds nothing).  Unlike ``bound_linear``, a failed
-        LP is not read as emptiness: that row's entry widens to its range
-        over the polytope's axis box (:meth:`Polytope.axis_box_range`).
+        One prepared model serves every solve.  Each entry is the range of
+        ``row · x`` over the polytope, or ``None`` when the polytope is
+        empty (every later entry is then ``None`` too, as an empty polytope
+        bounds nothing).  ``sides[i]`` says which of row ``i``'s minimum
+        and maximum to solve for (both by default); an unsolved side reads
+        ``-inf`` / ``inf``, so a row with neither costs no LP and proves no
+        emptiness.  Unlike ``bound_linear``, a failed LP is not read as
+        emptiness: that row's entry widens to its range over the polytope's
+        axis box (:meth:`Polytope.axis_box_range`).
         """
         polytope = self.polytope
         results: list[Optional[Interval]] = []
         infeasible = False
-        for row in rows:
+        for index, row in enumerate(rows):
             if infeasible:
                 results.append(None)
                 continue
             try:
-                bound = polytope._linear_range(row)
+                bound = polytope._linear_range(
+                    row, sides=(True, True) if sides is None else sides[index]
+                )
             except LPFailure:
                 bound = polytope.axis_box_range(row)
             if bound is None:

@@ -45,16 +45,20 @@ every cell cut from it have volume exactly 0
 (:meth:`Polytope.is_full_dimensional`).  A cell of a full-dimensional parent
 is measured however thin it is.
 
-**Purity.**  A cell's volume is a pure function of its own ``(A, b)``: the
-parent and the slab are read off its rows, the parent's Chebyshev centre
-and profile are computed from the parent's rows, and ``V(t)`` at one cut
-value is the same float whichever other cut values share its batch.  A
-geometry cache (any object with ``chebyshev(polytope)`` and
-``profile(polytope, center_radius)``, e.g. the linear analyzer's
-``GeometryCache``) may memoise those but never changes them.
+**Purity.**  A cell's volume is a pure function of its slab ``(parent, d,
+lo, hi)``: the parent's Chebyshev centre and profile are computed from the
+parent's rows, and ``V(t)`` at one cut value is the same float whichever
+other cut values share its batch.  A caller that knows a cell's parent
+describes the cell as that slab without building it
+(:meth:`Polytope.slab_split` with the cell's trailing rows,
+:func:`slab_volumes`); a built cell has the slab read off its rows
+(:func:`cell_volumes`), to the same floats.  A geometry cache (any object
+with ``chebyshev(polytope)`` and ``profile(polytope, center_radius)``, e.g.
+the linear analyzer's ``GeometryCache``) may memoise those but never
+changes them.
 
 When Qhull fails on a parent, each of its cells widens to
-``[0, volume of the cell's bounding box]``.
+``[0, volume of the bounding box of parent ∩ slab]``.
 
 All LPs run on the low-overhead HiGHS kernel (:mod:`repro.polytope.highs`)
 when its binding is available, with presolve off: each polytope lazily
@@ -97,6 +101,7 @@ __all__ = [
     "SlabProfile",
     "VOLUME_SLACK",
     "cell_volumes",
+    "slab_volumes",
 ]
 
 #: Chebyshev radius at or below which a polytope counts as lower-dimensional
@@ -248,15 +253,24 @@ class Polytope:
         except LPFailure:
             return None
 
-    def _linear_range(self, coefficients: Sequence[float], constant: float = 0.0) -> Optional[Interval]:
-        """:meth:`bound_linear`, raising :class:`LPFailure` when an LP fails."""
+    def _linear_range(
+        self,
+        coefficients: Sequence[float],
+        constant: float = 0.0,
+        sides: tuple[bool, bool] = (True, True),
+    ) -> Optional[Interval]:
+        """:meth:`bound_linear`, raising :class:`LPFailure` when an LP fails.
+
+        ``sides`` says which of the minimum and the maximum to solve for; an
+        unsolved side is reported as ``-inf`` / ``inf``.
+        """
         if self.dimension == 0:
             return None if self.is_empty() else Interval.point(constant)
         coefficients = np.asarray(coefficients, dtype=float)
-        lower = self._optimise(coefficients, minimise=True)
+        lower = self._optimise(coefficients, minimise=True) if sides[0] else -math.inf
         if lower is None:
             return None
-        upper = self._optimise(coefficients, minimise=False)
+        upper = self._optimise(coefficients, minimise=False) if sides[1] else math.inf
         if upper is None:
             return None
         lo, hi = lower + constant, upper + constant
@@ -390,36 +404,83 @@ class Polytope:
             return True
         return center_radius is not None and center_radius[1] > FLATNESS_RADIUS
 
-    def slab_split(self) -> tuple["Polytope", Optional[np.ndarray], float, float]:
-        """``(parent, d, lo, hi)`` with ``self = parent ∩ {lo ≤ d·x ≤ hi}``.
+    def slab_split(
+        self, rows: Sequence[Sequence[float]] = (), rhs: Sequence[float] = ()
+    ) -> tuple["Polytope", Optional[np.ndarray], float, float]:
+        """``(parent, d, lo, hi)`` with ``cell = parent ∩ {lo ≤ d·x ≤ hi}``,
+        where ``cell`` is ``self ∩ {rows·x ≤ rhs}`` (``self`` without rows).
 
-        The slab is the run of trailing rows ``±``-equal to the last row
-        ``d``, which must bound ``d·x`` from both sides; the rows before it
-        form the parent, whose axis-aligned rows must bound every axis from
-        both sides (so the parent is bounded, as every path polytope's
-        support box makes it).  A polytope without such a slab and parent
-        is its own uncut parent: ``(self, None, -inf, inf)``.
+        The slab is the run of the cell's trailing rows ``±``-equal to its
+        last row ``d``, which must bound ``d·x`` from both sides; the rows
+        before it form the parent, whose axis-aligned rows must bound every
+        axis from both sides (so the parent is bounded, as every path
+        polytope's support box makes it).  A cell without such a slab and
+        parent is its own uncut parent: ``(cell, None, -inf, inf)``.
+
+        The cell itself is built only in that uncut case: the run is read
+        off ``rows`` and ``self``'s trailing rows (memoised per direction),
+        and the parent is ``self`` whenever the run covers ``rows``, so the
+        cells of one polytope share their parent instance.
         """
-        uncut = (self, None, -math.inf, math.inf)
-        a, b = self.a, self.b
-        direction = a[-1]
+        tail_a = np.asarray(rows, dtype=float).reshape(len(rows), self.dimension)
+        tail_b = np.asarray(rhs, dtype=float).reshape(-1)
+        direction = tail_a[-1] if len(tail_a) else self.a[-1]
+
+        def uncut():
+            return self.add_constraints(tail_a, tail_b), None, -math.inf, math.inf
+
         if not direction.any():
-            return uncut
-        upper = (a == direction).all(axis=1)
-        parallel = upper | (a == -direction).all(axis=1)
-        if parallel.all():
-            return uncut
-        split = len(a) - int(np.argmin(parallel[::-1]))
-        upper = upper[split:]
-        if upper.all() or not upper.any():
-            return uncut
-        rest = a[:split]
-        aligned = rest[(rest != 0.0).sum(axis=1) == 1]
-        if not ((aligned > 0.0).any(axis=0) & (aligned < 0.0).any(axis=0)).all():
-            return uncut
-        hi = float(b[split:][upper].min())
-        lo = float(-b[split:][~upper].min())
-        return Polytope(rest, b[:split]), direction, lo, hi
+            return uncut()
+        upper = (tail_a == direction).all(axis=1)
+        parallel = upper | (tail_a == -direction).all(axis=1)
+        if not parallel.all():
+            # The run starts inside ``rows``: the rows before it cut the parent.
+            split = len(tail_a) - int(np.argmin(parallel[::-1]))
+            head = self.add_constraints(tail_a[:split], tail_b[:split])
+            return head.slab_split(tail_a[split:], tail_b[split:])
+        # The run covers ``rows`` and goes on into ``self``'s own rows.
+        parent, head_ends = self._trailing_run(direction)
+        if parent is None:
+            return uncut()
+        ends = head_ends + _slab_ends(upper, tail_b)
+        highs = [value for value, is_upper in ends if is_upper]
+        negated_lows = [value for value, is_upper in ends if not is_upper]
+        if not highs or not negated_lows or not parent._bounds_every_axis():
+            return uncut()
+        return parent, direction, -min(negated_lows), min(highs)
+
+    def _trailing_run(self, direction: np.ndarray) -> tuple[Optional["Polytope"], tuple]:
+        """``(rest, ends)`` of the run of trailing rows ``±``-equal to
+        ``direction``: the polytope of the rows before it (``self`` for an
+        empty run, ``None`` when every row is in it) and the run's
+        :func:`_slab_ends`.  Memoised per instance and direction."""
+        runs = self.__dict__.get("_runs")
+        if runs is None:
+            runs = {}
+            object.__setattr__(self, "_runs", runs)
+        key = direction.tobytes()
+        run = runs.get(key)
+        if run is None:
+            upper = (self.a == direction).all(axis=1)
+            parallel = upper | (self.a == -direction).all(axis=1)
+            start = 0 if parallel.all() else len(self.a) - int(np.argmin(parallel[::-1]))
+            rest = (
+                None if start == 0
+                else self if start == len(self.a)
+                else Polytope(self.a[:start], self.b[:start])
+            )
+            run = runs[key] = (rest, _slab_ends(upper[start:], self.b[start:]))
+        return run
+
+    def _bounds_every_axis(self) -> bool:
+        """Whether the axis-aligned rows bound every axis from both sides
+        (memoised per instance)."""
+        bounded = self.__dict__.get("_bounded")
+        if bounded is None:
+            aligned = self.a[(self.a != 0.0).sum(axis=1) == 1]
+            bounded = bool(((aligned > 0.0).any(axis=0) & (aligned < 0.0).any(axis=0)).all())
+            object.__setattr__(self, "_bounded", bounded)
+        return bounded
 
     # ------------------------------------------------------------------
     # Volume
@@ -669,46 +730,60 @@ def _near_share(near: np.ndarray, far: np.ndarray, cut: np.ndarray) -> np.ndarra
 
 
 def cell_volumes(cells: Sequence[Polytope], cache=None) -> list[Interval]:
-    """``[cell.volume_bounds(cache) for cell in cells]``, measured in batches.
+    """``[cell.volume_bounds(cache) for cell in cells]``: :func:`slab_volumes`
+    of the cells' :meth:`Polytope.slab_split`."""
+    return slab_volumes([cell.slab_split() for cell in cells], cache)
 
-    Cells are grouped by their parent and slab direction
-    (:meth:`Polytope.slab_split`); each group's cut values go through one
-    :meth:`SlabProfile.cut_volumes` call.  Polytopes of dimension 0 or 1
-    need no parent and are measured on their own.
+
+def slab_volumes(slabs: Sequence[tuple], cache=None) -> list[Interval]:
+    """Volume bounds of the slab cells ``parent ∩ {lo ≤ d·x ≤ hi}`` given
+    as ``(parent, d, lo, hi)`` (:meth:`Polytope.slab_split`; ``d`` ``None``:
+    the uncut parent), measured in batches.
+
+    Cells are grouped by their parent and direction; each group's cut
+    values go through one :func:`_slab_volumes` call.  Cells of dimension
+    0 or 1 need no parent and are measured on their own.
     """
-    results: list[Optional[Interval]] = [None] * len(cells)
+    results: list[Optional[Interval]] = [None] * len(slabs)
     groups: dict = {}
-    for index, cell in enumerate(cells):
-        if cell.dimension <= 1:
-            results[index] = cell._own_volume()
+    for index, (parent, direction, lo, hi) in enumerate(slabs):
+        if parent.dimension <= 1:
+            results[index] = _slab_cell(parent, direction, lo, hi)._own_volume()
             continue
-        parent, direction, lo, hi = cell.slab_split()
         key = (parent.cache_key(), None if direction is None else direction.tobytes())
         groups.setdefault(key, (parent, direction, []))[2].append((index, lo, hi))
     for parent, direction, members in groups.values():
-        volumes = _slab_volumes(
-            parent, direction, [(lo, hi) for _, lo, hi in members],
-            [cells[index] for index, _, _ in members], cache,
-        )
+        volumes = _slab_volumes(parent, direction, [(lo, hi) for _, lo, hi in members], cache)
         for (index, _, _), volume in zip(members, volumes):
             results[index] = volume
     return results
+
+
+def _slab_cell(
+    parent: Polytope, direction: Optional[np.ndarray], lo: float, hi: float
+) -> Polytope:
+    """The cell ``parent ∩ {lo ≤ d·x ≤ hi}`` as a polytope (``parent``
+    itself when uncut): built only to measure it on its own."""
+    if direction is None:
+        return parent
+    return parent.add_constraints([direction, -direction], [hi, -lo])
 
 
 def _slab_volumes(
     parent: Polytope,
     direction: Optional[np.ndarray],
     slabs: list[tuple[float, float]],
-    cells: list[Polytope],
     cache=None,
 ) -> list[Interval]:
     """Volumes of ``parent ∩ {lo ≤ d·x ≤ hi}`` for the ``(lo, hi)`` in
-    ``slabs`` (``direction`` ``None``: the uncut parent); ``cells`` are
-    those polytopes as given, for the fallback bounds."""
+    ``slabs`` (``direction`` ``None``: the uncut parent)."""
     try:
         center_radius = parent._chebyshev(cache)
     except LPFailure:
-        return [Interval(0.0, cell._axis_box_volume()) for cell in cells]
+        return [
+            Interval(0.0, _slab_cell(parent, direction, lo, hi)._axis_box_volume())
+            for lo, hi in slabs
+        ]
     if center_radius is None or center_radius[1] <= FLATNESS_RADIUS:
         return [Interval.point(0.0)] * len(slabs)
     profile = (
@@ -716,7 +791,10 @@ def _slab_volumes(
         else cache.profile(parent, center_radius)
     )
     if profile is None:
-        return [Interval(0.0, cell._bounding_box_volume()) for cell in cells]
+        return [
+            Interval(0.0, _slab_cell(parent, direction, lo, hi)._bounding_box_volume())
+            for lo, hi in slabs
+        ]
     slack = VOLUME_SLACK * profile.total
     if direction is None:
         return [_padded(profile.total, slack)] * len(slabs)
@@ -727,6 +805,12 @@ def _slab_volumes(
         _padded(at[hi] - at[lo], slack) if lo < hi else Interval.point(0.0)
         for lo, hi in slabs
     ]
+
+
+def _slab_ends(upper: np.ndarray, rhs: np.ndarray) -> tuple:
+    """``(rhs, is_upper)`` of each row of a slab run; ``upper`` says which
+    rows equal the slab's direction (the others equal its negation)."""
+    return tuple(zip(rhs.tolist(), upper.tolist()))
 
 
 def _padded(volume: float, slack: float) -> Interval:

@@ -79,7 +79,7 @@ from ..analysis.config import AnalysisOptions, parse_endpoint
 from ..analysis.engine import AnalysisReport
 from ..analysis.model import Model, program_hash
 from ..analysis.refine import RefinementCheckpoint
-from ..lang import ParseError, Term, parse
+from ..lang import ParseError, Term, parse, require_closed
 from .journal import Journal, NullJournal
 from .protocol import (
     DeadlineExceeded,
@@ -712,6 +712,9 @@ class BoundsServer:
             )
             return
 
+        # A stored result proves its program closed; any other program is
+        # refused here if it is open, before it takes a slot or compiles.
+        require_closed(term)
         # Backpressure: reject rather than queue without bound.  The slot is
         # held until the engine thread finishes — even when a deadline makes
         # us abandon the reply early, the thread is still busy.

@@ -303,6 +303,9 @@ class SymbolicExecutor:
     def __init__(self, limits: ExecutionLimits | None = None) -> None:
         self.limits = limits or ExecutionLimits()
         self._pruned = 0
+        # ``_summarise``'s typings of one run, keyed on (fixpoint term,
+        # argument term, environment types).
+        self._summaries: dict = {}
 
     # ------------------------------------------------------------------
     # Streaming exploration (the primary engine)
@@ -319,6 +322,7 @@ class SymbolicExecutor:
         """
         stats = stats if stats is not None else StreamStats()
         self._pruned = 0
+        self._summaries = {}
         max_paths = self.limits.max_paths
         completed = 0
         stack: list[tuple] = [(_EVAL, term, _EMPTY_SENV, None, _PathState())]
@@ -492,27 +496,29 @@ class SymbolicExecutor:
         return SConst(Interval(-math.inf, math.inf)), result_state
 
     def _summarise(self, closure: _SFixClosure, argument: SymValue, state: _PathState) -> WeightedIType:
-        conservative = WeightedIType(
-            BaseIType(Interval(-math.inf, math.inf)), Interval(0.0, math.inf)
-        )
+        """The weighted interval type of applying ``closure`` to ``argument``.
+
+        Typing is a pure function of the fixpoint term, the argument's
+        interval and the environment's types, so each distinct application
+        is typed once per run (``_summaries``).
+        """
         domains = state.domains()
         fix_term = Fix(closure.fname, closure.param, closure.body)
         try:
             if isinstance(argument, SymExpr):
-                argument_term: Term = IntervalConst(evaluate_interval(argument, domains))
+                argument_term: Optional[Term] = IntervalConst(evaluate_interval(argument, domains))
             else:
                 # A function-valued argument: type the bare fixpoint and apply
                 # its arrow type conservatively below.
-                argument_term = None  # type: ignore[assignment]
+                argument_term = None
             env_types = self._environment_types(fix_term, closure.env, domains, depth=2)
-            if argument_term is None:
-                weighted = infer_weighted_type(fix_term, env_types)
-                if isinstance(weighted.wtype, ArrowIType):
-                    return weighted.wtype.res
-                return conservative
-            return infer_weighted_type(App(fix_term, argument_term), env_types)
         except Exception:
-            return conservative
+            return _CONSERVATIVE
+        key = (fix_term, argument_term, frozenset(env_types.items()))
+        weighted = self._summaries.get(key)
+        if weighted is None:
+            weighted = self._summaries[key] = _type_application(fix_term, argument_term, env_types)
+        return weighted
 
     def _environment_types(
         self, term: Term, env: _SEnv, domains: list[Interval], depth: int
@@ -570,6 +576,26 @@ class SymbolicExecutor:
         if isinstance(value, SymExpr):
             return value
         raise TypeError(f"expected a ground symbolic value, got {value!r}")
+
+
+#: The summary of a fixpoint application that could not be typed.
+_CONSERVATIVE = WeightedIType(BaseIType(Interval(-math.inf, math.inf)), Interval(0.0, math.inf))
+
+
+def _type_application(
+    fix_term: Fix, argument_term: Optional[Term], env_types: Dict[str, IntervalType]
+) -> WeightedIType:
+    """``fix_term`` applied to ``argument_term`` (``None``: a function-valued
+    argument, applied conservatively), typed under ``env_types``."""
+    try:
+        if argument_term is None:
+            weighted = infer_weighted_type(fix_term, env_types)
+            if isinstance(weighted.wtype, ArrowIType):
+                return weighted.wtype.res
+            return _CONSERVATIVE
+        return infer_weighted_type(App(fix_term, argument_term), env_types)
+    except Exception:
+        return _CONSERVATIVE
 
 
 def _is_zero(expr: SymExpr) -> bool:

@@ -15,9 +15,10 @@ floats cannot move.  This suite makes each claim a property:
   ``scipy.optimize.linprog`` wrapper it replaces, its directly built CSC
   arrays equal ``scipy.sparse``'s, and a Chebyshev LP re-solved on a shared
   skeleton returns the floats of a fresh one;
-* the flat-base shortcut (an empty or flat polytope integrates to 0 before
-  any atom LP) keeps the lower bound of the reference loop exactly and only
-  drops its negligible-weight upper terms;
+* one flatness rule: a flat scored cut is left to the volume layer, whose
+  parent rule zeroes every cell cut from it (a flat path polytope is still
+  pruned before any atom LP), while a thin cut measured as a slab of the
+  full-dimensional path polytope keeps its exact volume inside its bound;
 * the ``uniform_pdf`` / ``beta_pdf`` array liftings agree cell by cell with
   the generic per-Interval lifting (including the agreement on *when* to
   abandon the sweep);
@@ -40,6 +41,7 @@ import concurrent.futures
 import math
 import pickle
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -73,6 +75,7 @@ from repro.models import pedestrian_program
 from repro.polytope import BatchPolytope, Polytope, kernel_available
 from repro.polytope import highs, polytope as polytope_module
 from repro.symbolic import LinearForm, symbolic_paths
+from repro.symbolic import execute as execute_module
 from repro.symbolic.execute import ExecutionLimits
 from repro.symbolic.linear import decompose_score
 from repro.symbolic.paths import Relation
@@ -111,7 +114,8 @@ def _score_exprs(mu: float, sigma: float, width: float):
 def _both_readings(polytope, templates, atoms, options, cache):
     """``[lower, upper]`` of one polytope from one :func:`_integrate` pass."""
     return _integrate(
-        [(polytope, True), (polytope, False)], templates, list(atoms), 1.0, options, cache
+        [(polytope, [], [], True), (polytope, [], [], False)],
+        templates, list(atoms), 1.0, options, cache,
     )
 
 
@@ -325,9 +329,31 @@ class TestFlatBaseShortcut:
                 # Only the reference's negligible-weight terms may be dropped.
                 assert shortcut <= reference
                 assert reference - shortcut <= cells * _NEGLIGIBLE_WEIGHT
-        # One Chebyshev solve settled the base: no atom LP, no cell volume.
-        assert cache.full_dimension == {polytope.cache_key(): False}
-        assert not cache.volumes and not cache.atom_bounds
+        # The volume layer's parent rule settled every cell: the flat base
+        # got no profile, and every cell cut from it (or a zero-width slab
+        # of the square, for an atom parallel to the base) is exactly 0.
+        assert polytope.cache_key() not in cache.profiles
+        assert all(volume == Interval.point(0.0) for volume in cache.volumes.values())
+
+    @pytest.mark.parametrize("width", [1e-10, 1e-9])
+    def test_thin_scored_target_slab_holds_its_exact_value(self, width):
+        # ``score(x + y)`` on ``1 ≤ x + y ≤ 1 + w``: the cut is flat by its own
+        # Chebyshev radius, and its one chunk is a slab of the unit square,
+        # so it is measured from the square's profile instead of zeroed.
+        # Exactly: ∫₁^{1+w} s·(2 − s) ds over the density 2 − s of x + y.
+        options = AnalysisOptions(score_splits=1, workers=1, executor="serial", refine="off")
+        model = Model.parse("(let x (sample) (let y (sample) (let _ (score (+ x y)) (+ x y))))", options)
+        (bound,) = model.bounds([Interval(1.0, 1.0 + width)])
+
+        def antiderivative(s):
+            return s * s - s**3 / 3
+
+        exact = antiderivative(Fraction(1.0 + width)) - antiderivative(Fraction(1))
+        assert 0.0 < bound.lower and Fraction(bound.lower) <= exact <= Fraction(bound.upper)
+        cut = TestOnePassPerPath.SQUARE.add_constraints(
+            [[1.0, 1.0], [-1.0, -1.0]], [1.0 + width, -1.0]
+        )
+        assert not cut.is_full_dimensional()
 
     def test_flat_upper_path_is_pruned(self):
         # α₀ + α₁ ≤ 1 and α₀ + α₁ ≥ 1: the path polytope is a segment.
@@ -528,17 +554,17 @@ class TestSerialTableRoute:
 
     @pytest.fixture
     def volume_calls(self, monkeypatch):
-        # Every polytope measured, one at a time (``volume_bounds``) or in a
-        # batch of cells (``cell_volumes``).
+        # Every cell measured, one at a time (``volume_bounds``) or in a
+        # batch of slab cells (``slab_volumes``).
         calls = []
-        cell_volumes = polytope_module.cell_volumes
+        slab_volumes = polytope_module.slab_volumes
 
         def counted(cells, *args):
             calls.extend(cells)
-            return cell_volumes(cells, *args)
+            return slab_volumes(cells, *args)
 
-        monkeypatch.setattr(polytope_module, "cell_volumes", counted)
-        monkeypatch.setattr(linear_analyzer, "cell_volumes", counted)
+        monkeypatch.setattr(polytope_module, "slab_volumes", counted)
+        monkeypatch.setattr(linear_analyzer, "slab_volumes", counted)
         return calls
 
     def test_fewer_volumes_than_path_by_path(self, volume_calls):
@@ -600,6 +626,54 @@ class TestSerialTableRoute:
 
 
 @pytest.mark.skipif(not kernel_available(), reason="direct HiGHS kernel unavailable")
+@pytest.mark.skipif(not kernel_available(), reason="direct HiGHS kernel unavailable")
+class TestColdQueryCounts:
+    """One cold depth-4 pedestrian histogram (the ``cold_linear`` query
+    shape) runs a pinned number of LP solves and fixpoint typings, and
+    measures its cells without rebuilding any."""
+
+    def test_counts_are_pinned(self, monkeypatch):
+        counts = dict.fromkeys(("solves", "typings", "rebuilds"), 0)
+        measuring = []
+        solve, infer = highs.PreparedLP.solve, execute_module.infer_weighted_type
+        add_constraints, slab_split = Polytope.add_constraints, Polytope.slab_split
+        restricted_volumes = GeometryCache.restricted_volumes
+
+        def counted_solve(self, *args, **kwargs):
+            counts["solves"] += 1
+            return solve(self, *args, **kwargs)
+
+        def counted_infer(*args, **kwargs):
+            counts["typings"] += 1
+            return infer(*args, **kwargs)
+
+        def rebuilding(original):
+            def wrapped(self, *args, **kwargs):
+                counts["rebuilds"] += bool(measuring)
+                return original(self, *args, **kwargs)
+            return wrapped
+
+        def watched_volumes(self, cells):
+            measuring.append(True)
+            try:
+                return restricted_volumes(self, cells)
+            finally:
+                measuring.pop()
+
+        monkeypatch.setattr(highs.PreparedLP, "solve", counted_solve)
+        monkeypatch.setattr(execute_module, "infer_weighted_type", counted_infer)
+        monkeypatch.setattr(Polytope, "add_constraints", rebuilding(add_constraints))
+        monkeypatch.setattr(Polytope, "slab_split", rebuilding(slab_split))
+        monkeypatch.setattr(GeometryCache, "restricted_volumes", watched_volumes)
+        Model(pedestrian_program(), TestSerialTableRoute.OPTIONS).histogram(0.0, 3.0, 6)
+        # Before the atom LPs were sided, flat cuts were left to the volume
+        # layer and cells were measured as slabs of a known parent, this
+        # query ran 287 solves (113 of them Chebyshev LPs), 16 typings, and
+        # 608 cell rebuilds (``add_constraints``/``slab_split``) while
+        # measuring volumes.
+        assert counts == {"solves": 195, "typings": 5, "rebuilds": 0}
+
+
 class TestPreparedKernelMatchesLinprog:
     @settings(max_examples=30, deadline=None)
     @given(

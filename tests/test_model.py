@@ -44,6 +44,22 @@ def counted_execution(monkeypatch):
     return calls
 
 
+class TestOpenTerms:
+    """A term with free variables is refused before symbolic execution."""
+
+    SOURCE = "(let x (sample) (<= x 0.5))"  # ``<=`` is no operator: a free variable
+
+    def test_free_variables_raise_a_parse_error(self, counted_execution):
+        from repro.lang import ParseError, parse
+
+        for build in (lambda: Model(parse(self.SOURCE)), lambda: Model.parse(self.SOURCE)):
+            with pytest.raises(ParseError, match=r"^unbound variable\(s\): <=$"):
+                build()
+        with pytest.raises(ParseError, match=r"^unbound variable\(s\): w, y$"):
+            Model(b.add(b.var("y"), b.let("x", b.sample(), b.mul(b.var("x"), b.var("w")))))
+        assert counted_execution["count"] == 0
+
+
 class TestCompiledProgramCache:
     def test_one_execution_across_bound_histogram_probability(self, counted_execution):
         model = Model(simple_observe_model(), AnalysisOptions(score_splits=16))

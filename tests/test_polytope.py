@@ -416,8 +416,12 @@ class TestSlabProfile:
         measured = []
         slab_volumes = polytope_module._slab_volumes
 
-        def recorded(parent, direction, slabs, cells, cache=None):
-            volumes = slab_volumes(parent, direction, slabs, cells, cache)
+        def recorded(parent, direction, slabs, cache=None):
+            volumes = slab_volumes(parent, direction, slabs, cache)
+            cells = [
+                parent if direction is None else _slab_cell(parent, direction, lo, hi)
+                for lo, hi in slabs
+            ]
             measured.append((parent, cells, volumes))
             return volumes
 
@@ -432,6 +436,91 @@ class TestSlabProfile:
             for cell, volume in zip(cells, volumes):
                 assert _encloses(volume, exact_volume(cell), exact_parent)
 
+
+
+#: Chunk shapes of the linear analyzer: a bounded chunk, the half-infinite
+#: outer chunks (one row), a zero-width chunk and a trivially true one.
+_CHUNKS = ("bounded", "upper", "lower", "zero", "reals")
+
+
+class TestSlabCells:
+    """A cell described as a slab of a known parent
+    (:meth:`Polytope.slab_split` with the cell's own rows, as the linear
+    analyzer's ``_cell`` builds it) measures bit for bit what the
+    materialised cell does."""
+
+    @staticmethod
+    def _chunk(kind: str, span: Interval, rng) -> Interval:
+        lo, hi = sorted(float(t) for t in rng.uniform(span.lo - 0.1, span.hi + 0.1, size=2))
+        return {
+            "bounded": Interval(lo, hi), "upper": Interval(-math.inf, hi),
+            "lower": Interval(lo, math.inf), "zero": Interval.point(lo),
+            "reals": Interval.reals(),
+        }[kind]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dimension=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        target=st.sampled_from(["none", "oblique", "parallel", "antiparallel"]),
+        kinds=st.lists(st.sampled_from(_CHUNKS), min_size=1, max_size=2),
+    )
+    # Half-infinite chunks: the cell is its own uncut parent.
+    @example(dimension=3, seed=1, target="none", kinds=["lower"])
+    @example(dimension=2, seed=2, target="oblique", kinds=["upper"])
+    # Zero-width slabs.
+    @example(dimension=4, seed=3, target="none", kinds=["zero"])
+    # Target rows ±parallel to the atom fold into its slab.
+    @example(dimension=3, seed=4, target="parallel", kinds=["bounded"])
+    @example(dimension=2, seed=5, target="antiparallel", kinds=["upper"])
+    @example(dimension=5, seed=6, target="parallel", kinds=["lower"])
+    # Cells of dimension 1 are measured on their own.
+    @example(dimension=1, seed=7, target="parallel", kinds=["bounded"])
+    @example(dimension=1, seed=8, target="none", kinds=["upper", "bounded"])
+    # Two atoms: the parent is the cut plus the first atom's rows.
+    @example(dimension=3, seed=9, target="oblique", kinds=["bounded", "bounded"])
+    @example(dimension=4, seed=10, target="none", kinds=["bounded", "reals"])
+    @example(dimension=2, seed=11, target="parallel", kinds=["lower", "zero"])
+    def test_matches_the_materialised_cell(self, dimension, seed, target, kinds):
+        rng = np.random.default_rng(seed)
+        cut = unit_cube(dimension).add_constraints(
+            [rng.normal(size=dimension)], [float(rng.uniform(0.2, 1.5))]
+        )
+        atoms = [
+            LinearForm.from_dict(
+                dict(enumerate(rng.normal(size=dimension).tolist())), Interval.point(0.0)
+            )
+            for _ in kinds
+        ]
+        if target != "none":
+            result = (
+                rng.normal(size=dimension) if target == "oblique"
+                else np.asarray(atoms[-1].dense_row(dimension), dtype=float)
+                * (1.0 if target == "parallel" else -1.0)
+            )
+            span = cut.bound_linear(result)
+            lo, hi = sorted(float(t) for t in rng.uniform(span.lo, span.hi, size=2))
+            cut = cut.add_constraints([result, -result], [hi, -lo])
+        chunks = [
+            [self._chunk(kind, cut.bound_linear(atom.dense_row(dimension)), rng)]
+            for kind, atom in zip(kinds, atoms)
+        ]
+        for universal in (True, False):
+            per_atom = linear_analyzer._chunk_rows(atoms, chunks, dimension, universal, {})
+            combination = [entries[0] for entries in per_atom]
+            heads, cells = {}, {}
+            slab = linear_analyzer._cell(cut, combination, heads, cells)
+            assert linear_analyzer._cell(cut, combination, heads, cells) is slab
+            rows = [row for entry in combination if entry for row in entry[0]]
+            rhs = [value for entry in combination if entry for value in entry[1]]
+            expected = cut.add_constraints(rows, rhs).volume_bounds()
+            cache = GeometryCache()
+            for got in (cache.restricted_volumes([slab])[0], cache.volume_restricted(*slab)):
+                assert (got.lo.hex(), got.hi.hex()) == (expected.lo.hex(), expected.hi.hex())
+
+    def test_zero_dimensional_cell(self):
+        point = Polytope.from_box([])
+        assert GeometryCache().restricted_volumes([point.slab_split()]) == [point.volume_bounds()]
 
 
 class TestEnclosures:

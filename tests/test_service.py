@@ -424,6 +424,19 @@ class TestBoundsServer:
                     client.bounds(BRANCHY_SRC, [(0.0, 1.0)], options={"bogus_knob": 1})
                 assert client.ping()
 
+    def test_free_variable_gets_a_parse_error_frame(self, serve):
+        # ``<=`` is no operator, so the program applies a free variable: the
+        # request is refused before symbolic execution with a ParseError
+        # frame, and the connection stays usable.
+        with serve() as handle:
+            with ServiceClient(handle.endpoint) as client:
+                with pytest.raises(
+                    ServiceError, match=r"^ParseError: unbound variable\(s\): <=$"
+                ) as caught:
+                    client.bounds("(let x (sample) (<= x 0.5))", [(0.0, 1.0)])
+                assert type(caught.value) is ServiceError and caught.value.code is None
+                assert client.ping()
+
     def test_bad_option_values_get_error_frames(self, serve):
         # JSON accepts NaN; a tenant must not be able to hang the socket tier
         # with it.  A removed knob is an unknown option now.
