@@ -53,7 +53,8 @@ soundness:
   is flat too; and
 * **cells as slabs of a known parent, in one batch** — each cell is
   described as ``(parent, d, lo, hi)`` (:func:`_cell`,
-  :meth:`~repro.polytope.Polytope.slab_split` with the cell's chunk rows):
+  :meth:`~repro.polytope.Polytope.pair_slab` with the cell's chunk rows,
+  which reads a ``±d`` row pair straight from its right-hand sides):
   never built, looked up by its slab, and the misses are measured together
   (:func:`~repro.polytope.polytope.slab_volumes`): one batched ``V(t)``
   call per parent polytope and direction, from the parent's triangulation
@@ -596,19 +597,21 @@ def _analyze_linear_forms(
     atoms = [_remap(atom, reduction.index_map) for atom in atoms]
 
     # ``polytopes[universal]``: 𝔓_lb under ``True``, 𝔓_ub under ``False``
-    # (``None`` = unsatisfiable).
+    # (``None`` = unsatisfiable), each built with one ``add_constraints``.
     base = Polytope.from_box(reduction.supports)
-    polytopes: Dict[bool, Optional[Polytope]] = {True: base, False: base}
-    for form, relation in constraint_forms:
-        for universal in (True, False):
-            polytope = polytopes[universal]
-            rows = _rows_for_target(form, _RELATION_RANGES[relation], dimension, universal)
-            if rows is None or polytope is None:
-                polytopes[universal] = None
-            else:
-                polytopes[universal] = polytope.add_constraints(
-                    [r for r, _ in rows], [b for _, b in rows]
-                )
+    polytopes: Dict[bool, Optional[Polytope]] = {}
+    for universal in (True, False):
+        per_form = [
+            _rows_for_target(form, _RELATION_RANGES[relation], dimension, universal)
+            for form, relation in constraint_forms
+        ]
+        if any(rows is None for rows in per_form):
+            polytopes[universal] = None
+        else:
+            polytopes[universal] = base.add_constraints(
+                [row for rows in per_form for row, _ in rows],
+                [rhs for rows in per_form for _, rhs in rows],
+            )
 
     bounds = [[0.0, 0.0] for _ in targets]
     upper_poly = polytopes[False]
@@ -668,7 +671,7 @@ def _chunk_rows(
 
 def _cell(polytope: Polytope, combination: Sequence, heads: dict, cells: dict) -> tuple:
     """The slab cell ``(parent, d, lo, hi)`` of ``polytope`` cut by every
-    chunk's rows in ``combination`` (:meth:`Polytope.slab_split`).
+    chunk's rows in ``combination`` (:meth:`Polytope.pair_slab`).
 
     The last chunk with rows is the slab; the rows of the chunks before it
     cut the polytope it is split from, which is built once per prefix
@@ -688,7 +691,7 @@ def _cell(polytope: Polytope, combination: Sequence, heads: dict, cells: dict) -
                 np.vstack([rows for rows, _ in present[:-1]]),
                 np.concatenate([rhs for _, rhs in present[:-1]]),
             )
-    cell = cells[key] = head.slab_split(*present[-1]) if present else polytope.slab_split()
+    cell = cells[key] = head.pair_slab(*present[-1]) if present else polytope.slab_split()
     return cell
 
 
@@ -722,7 +725,7 @@ def _integrate(
     for base, rows, rhs, universal in cuts:
         if not templates:
             plans.append([(1.0, len(cells))])
-            cells.append(base.slab_split(rows, rhs))
+            cells.append(base.pair_slab(rows, rhs))
             continue
         polytope = base.add_constraints(rows, rhs)
         key = polytope.cache_key()

@@ -6,14 +6,15 @@ range that can matter (a side its interval constant makes infinite is not
 solved).  Issued through
 ``scipy.optimize.linprog`` each of those pays the full wrapper cost (option
 validation, input cleaning, sparse construction); issued through
-:class:`BatchPolytope` the polytope's constraint system is prepared once and
-all objectives run against it on the direct HiGHS kernel
-(:mod:`repro.polytope.highs`).
+:class:`BatchPolytope` all objectives run on the direct HiGHS kernel
+(:mod:`repro.polytope.highs`) against the model prepared once for the
+polytope's constraint matrix ``A``, which every polytope with the same
+``A`` shares (per thread), each solve passing the polytope's own ``b``.
 
 The results are bit-identical to calling :meth:`Polytope.bound_linear` per
-form — :class:`BatchPolytope` goes through the exact same per-polytope
-prepared model and result mapping, it just amortises the setup across the
-batch — except that a failed LP widens to a sound range instead of ``None``.
+form — :class:`BatchPolytope` goes through the exact same prepared model
+and result mapping — except that a failed LP widens to a sound range
+instead of ``None``.
 When the kernel binding is unavailable every solve degrades to the
 ``linprog`` fallback inside :meth:`Polytope._optimise` automatically (with
 presolve off, like the kernel).
@@ -44,7 +45,7 @@ class BatchPolytope:
     ) -> list[Optional[Interval]]:
         """``[polytope.bound_linear(row) for row in rows]``, batched.
 
-        One prepared model serves every solve.  Each entry is the range of
+        One prepared model (per constraint matrix) serves every solve.  Each entry is the range of
         ``row · x`` over the polytope, or ``None`` when the polytope is
         empty (every later entry is then ``None`` too, as an empty polytope
         bounds nothing).  ``sides[i]`` says which of row ``i``'s minimum

@@ -16,11 +16,13 @@ This module drives the *same* vendored HiGHS binding that scipy ships
   about as much as the solve it simplifies, and turning it off moves no
   status and no optimum beyond 1e-12 relative (pinned by
   ``tests/test_linear_fast_path.py``);
-* a :class:`PreparedLP` per constraint system ``A x ≤ b``: the CSC structure
-  is built once (directly with numpy, see :func:`csc_arrays`) and many
-  objectives — or, for a shared constraint matrix, many right-hand sides —
-  are solved against it by mutating the model's cost (and row-bound) vector
-  and re-passing the model.
+* a :class:`PreparedLP` per constraint matrix ``A``: the CSC structure is
+  built once (directly with numpy, see :func:`csc_arrays`) and many
+  objectives and right-hand sides are solved against it by mutating the
+  model's cost and row-bound vectors and re-passing the model.  The
+  polytope layer keeps one per matrix and kind of LP (objective or
+  Chebyshev) in a per-thread LRU, so every polytope sharing ``A`` — the
+  cuts and cells of one path — shares one prepared model.
 
 **Bit-identity contract**: every solve replaces the full model via
 ``passModel`` — exactly the cold-start path ``linprog`` takes — so the

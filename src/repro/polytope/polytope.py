@@ -50,9 +50,10 @@ lo, hi)``: the parent's Chebyshev centre and profile are computed from the
 parent's rows, and ``V(t)`` at one cut value is the same float whichever
 other cut values share its batch.  A caller that knows a cell's parent
 describes the cell as that slab without building it
-(:meth:`Polytope.slab_split` with the cell's trailing rows,
-:func:`slab_volumes`); a built cell has the slab read off its rows
-(:func:`cell_volumes`), to the same floats.  A geometry cache (any object
+(:meth:`Polytope.slab_split` with the cell's trailing rows, or
+:meth:`Polytope.pair_slab` for one ``±d`` row pair; :func:`slab_volumes`);
+a built cell has the slab read off its rows (:func:`cell_volumes`), to
+the same floats.  A geometry cache (any object
 with ``chebyshev(polytope)`` and ``profile(polytope, center_radius)``, e.g.
 the linear analyzer's ``GeometryCache``) may memoise those but never
 changes them.
@@ -61,11 +62,12 @@ When Qhull fails on a parent, each of its cells widens to
 ``[0, volume of the bounding box of parent ∩ slab]``.
 
 All LPs run on the low-overhead HiGHS kernel (:mod:`repro.polytope.highs`)
-when its binding is available, with presolve off: each polytope lazily
-prepares its constraint system once and solves every objective (atom
-bounds, feasibility) against it, and the Chebyshev LP ``[A | ‖aᵢ‖]`` is
-prepared once per constraint matrix ``A`` (per thread) and re-solved for
-each right-hand side ``b``.  The kernel is bit-identical to
+when its binding is available, with presolve off.  Both kinds of LP — the
+objective LP ``A x ≤ b`` (atom bounds, feasibility) and the Chebyshev LP
+``[A | ‖aᵢ‖]`` — are prepared once per constraint matrix ``A`` (per
+thread, :func:`_skeleton`) and re-solved for each objective and
+right-hand side ``b``, so the cells and cuts of a path that share ``A``
+share one prepared model.  The kernel is bit-identical to
 ``scipy.optimize.linprog(..., options={"presolve": False})`` by
 construction, and that ``linprog`` call remains the automatic fallback.
 
@@ -115,11 +117,12 @@ VOLUME_SLACK = 1e-12
 #: ``linprog`` options of every fallback LP: the kernel's option set.
 _LINPROG_OPTIONS = {"presolve": False}
 
-#: Chebyshev LP skeletons kept per thread (least recently used evicted).
-_CHEBYSHEV_SKELETONS = 64
+#: Prepared LP skeletons kept per thread (least recently used evicted).  A
+#: cold depth-4 pedestrian query prepares about 60 distinct ones.
+_LP_SKELETONS = 256
 
-#: Per-thread skeleton store: a prepared ``[A | ‖aᵢ‖]`` system has its
-#: right-hand side swapped on every solve, so it must not cross threads.
+#: Per-thread skeleton store: a prepared system has its right-hand side
+#: swapped on every solve, so it must not cross threads.
 _SKELETONS = threading.local()
 
 
@@ -131,27 +134,34 @@ class LPFailure(PolytopeError):
     """The LP solver returned neither an optimum nor a proof of infeasibility."""
 
 
-def _chebyshev_skeleton(a: np.ndarray) -> "_highs.PreparedLP":
-    """The prepared Chebyshev LP ``[A | ‖aᵢ‖] (x, r) ≤ b, r ≥ 0`` of ``A``.
+def _skeleton(polytope: "Polytope", chebyshev: bool) -> "_highs.PreparedLP":
+    """The prepared LP of ``polytope``'s constraint matrix ``A``: the
+    objective LP ``A x ≤ b`` (free ``x``), or with ``chebyshev`` the
+    Chebyshev LP ``[A | ‖aᵢ‖] (x, r) ≤ b, r ≥ 0``.
 
-    Keyed on ``A``'s shape and exact bytes; the caller passes its own ``b``
-    to every solve.  Cells of one base polytope share few distinct matrices,
-    so most Chebyshev solves skip the build.
+    Keyed on the kind and ``A``'s shape and exact bytes; the caller passes
+    its own ``b`` to every solve.  The cells and cuts of one path share few
+    distinct matrices, so most solves skip the build.
     """
     store = getattr(_SKELETONS, "store", None)
     if store is None:
         store = _SKELETONS.store = OrderedDict()
-    key = (a.shape, a.tobytes())
+    a = polytope.a
+    key = (chebyshev, a.shape, polytope.cache_key()[0])
     skeleton = store.get(key)
     if skeleton is not None:
         store.move_to_end(key)
         return skeleton
-    norms = np.linalg.norm(a, axis=1)
-    col_lower = np.concatenate([np.full(a.shape[1], -np.inf), [0.0]])
-    skeleton = store[key] = _highs.PreparedLP(
-        np.hstack([a, norms.reshape(-1, 1)]), np.zeros(a.shape[0]), col_lower=col_lower
-    )
-    if len(store) > _CHEBYSHEV_SKELETONS:
+    if chebyshev:
+        norms = np.linalg.norm(a, axis=1)
+        col_lower = np.concatenate([np.full(a.shape[1], -np.inf), [0.0]])
+        skeleton = _highs.PreparedLP(
+            np.hstack([a, norms.reshape(-1, 1)]), np.zeros(a.shape[0]), col_lower=col_lower
+        )
+    else:
+        skeleton = _highs.PreparedLP(a, np.zeros(a.shape[0]))
+    store[key] = skeleton
+    if len(store) > _LP_SKELETONS:
         store.popitem(last=False)
     return skeleton
 
@@ -278,37 +288,16 @@ class Polytope:
             lo, hi = hi, lo
         return Interval(lo, hi)
 
-    def prepared_lp(self) -> Optional["_highs.PreparedLP"]:
-        """The polytope's constraint system, loaded into the HiGHS kernel once.
+    def _objective_lp(self, cost: np.ndarray) -> tuple[int, Optional[float]]:
+        """``(status, optimum)`` of minimising ``cost · x`` over the polytope
+        (a :mod:`~repro.polytope.highs` status; the optimum on ``OPTIMAL``).
 
-        ``None`` when the direct binding is unavailable (callers then take
-        the ``linprog`` fallback).  Lazily built and memoised per instance,
-        so every objective bounded over this polytope — atom sweeps,
-        feasibility checks — shares one prepared model.
+        Solved on the skeleton prepared once per ``A`` (see
+        :func:`_skeleton`) with this polytope's ``b``, else by ``linprog``.
         """
-        prepared = self.__dict__.get("_prepared_lp", False)
-        if prepared is False:
-            prepared = (
-                _highs.PreparedLP(self.a, self.b) if _highs.kernel_available() else None
-            )
-            object.__setattr__(self, "_prepared_lp", prepared)
-        return prepared
-
-    def _optimise(self, coefficients: np.ndarray, minimise: bool) -> Optional[float]:
-        """The optimum of ``coefficients · x`` (``None`` if infeasible).
-
-        Raises :class:`LPFailure` when the solver fails.
-        """
-        sign = 1.0 if minimise else -1.0
-        cost = sign * coefficients
-        prepared = self.prepared_lp()
-        if prepared is not None:
-            status, fun, _ = prepared.solve(cost)
-            if status == _highs.INFEASIBLE:
-                return None
-            if status != _highs.OPTIMAL:
-                raise LPFailure("linear objective LP failed")
-            return float(sign * fun)
+        if _highs.kernel_available():
+            status, fun, _ = _skeleton(self, chebyshev=False).solve(cost, self.b)
+            return status, fun
         result = linprog(
             cost,
             A_ub=self.a,
@@ -317,11 +306,22 @@ class Polytope:
             method="highs",
             options=_LINPROG_OPTIONS,
         )
-        if result.status == 2:  # infeasible
+        if result.status == 2:
+            return _highs.INFEASIBLE, None
+        return (_highs.OPTIMAL, result.fun) if result.success else (_highs.FAILED, None)
+
+    def _optimise(self, coefficients: np.ndarray, minimise: bool) -> Optional[float]:
+        """The optimum of ``coefficients · x`` (``None`` if infeasible).
+
+        Raises :class:`LPFailure` when the solver fails.
+        """
+        sign = 1.0 if minimise else -1.0
+        status, fun = self._objective_lp(sign * coefficients)
+        if status == _highs.INFEASIBLE:
             return None
-        if not result.success:
-            raise LPFailure(result.message)
-        return float(sign * result.fun)
+        if status != _highs.OPTIMAL:
+            raise LPFailure("linear objective LP failed")
+        return float(sign * fun)
 
     def is_empty(self) -> bool:
         """Feasibility check via LP."""
@@ -329,26 +329,14 @@ class Polytope:
             # A zero-dimensional polytope is the single point (); it is empty
             # exactly when some constraint ``0 <= b`` fails.
             return bool(np.any(self.b < 0.0))
-        prepared = self.prepared_lp()
-        if prepared is not None:
-            status, _, _ = prepared.solve(np.zeros(self.dimension))
-            return status == _highs.INFEASIBLE
-        result = linprog(
-            np.zeros(self.dimension),
-            A_ub=self.a,
-            b_ub=self.b,
-            bounds=[(None, None)] * self.dimension,
-            method="highs",
-            options=_LINPROG_OPTIONS,
-        )
-        return result.status == 2
+        return self._objective_lp(np.zeros(self.dimension))[0] == _highs.INFEASIBLE
 
     def chebyshev_center(self) -> Optional[tuple[np.ndarray, float]]:
         """Centre and radius of the largest inscribed ball (``None`` if empty).
 
         Raises :class:`LPFailure` when the LP fails, so a solver error is
         never mistaken for emptiness.  The LP's constraint matrix is prepared
-        once per ``A`` (see :func:`_chebyshev_skeleton`); re-passing the whole
+        once per ``A`` (see :func:`_skeleton`); re-passing the whole
         model on every solve keeps the floats those of a fresh solve.
         """
         if self.dimension == 0:
@@ -356,7 +344,7 @@ class Polytope:
         objective = np.zeros(self.dimension + 1)
         objective[-1] = -1.0  # maximise the radius
         if _highs.kernel_available():
-            status, _, x = _chebyshev_skeleton(self.a).solve(objective, self.b)
+            status, _, x = _skeleton(self, chebyshev=True).solve(objective, self.b)
             if status == _highs.INFEASIBLE:
                 return None
             if status != _highs.OPTIMAL:
@@ -448,6 +436,30 @@ class Polytope:
         if not highs or not negated_lows or not parent._bounds_every_axis():
             return uncut()
         return parent, direction, -min(negated_lows), min(highs)
+
+    def pair_slab(
+        self, rows: Sequence[Sequence[float]], rhs: Sequence[float]
+    ) -> tuple["Polytope", Optional[np.ndarray], float, float]:
+        """:meth:`slab_split` of ``self ∩ {rows·x ≤ rhs}``, with a fast route
+        for the tail a chunk or a two-sided target adds: one row pair
+        ``(−d, d)``.
+
+        When ``self``'s own trailing rows are not ``±``-equal to ``d`` and
+        its rows bound every axis (both memoised), the slab is ``self`` cut
+        by that pair, read straight from the two right-hand sides; every
+        other tail goes through :meth:`slab_split`, to the same floats.
+        """
+        rows = np.asarray(rows, dtype=float)
+        if len(rows) == 2:
+            direction = rows[1]
+            if (
+                (rows[0] == -direction).all()
+                and direction.any()
+                and self._trailing_run(direction)[0] is self
+                and self._bounds_every_axis()
+            ):
+                return self, direction, -float(rhs[0]), float(rhs[1])
+        return self.slab_split(rows, rhs)
 
     def _trailing_run(self, direction: np.ndarray) -> tuple[Optional["Polytope"], tuple]:
         """``(rest, ends)`` of the run of trailing rows ``±``-equal to

@@ -41,6 +41,7 @@ import concurrent.futures
 import math
 import pickle
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -464,6 +465,9 @@ class TestDirectCsc:
 
 @pytest.mark.skipif(not kernel_available(), reason="direct HiGHS kernel unavailable")
 class TestChebyshevSkeleton:
+    """LPs are prepared once per constraint matrix: the Chebyshev LP and the
+    objective LP each keep one skeleton per ``A``, solved with each ``b``."""
+
     @staticmethod
     def _fresh(polytope: Polytope):
         """The Chebyshev LP on a freshly prepared system (no skeleton)."""
@@ -497,8 +501,40 @@ class TestChebyshevSkeleton:
                 assert center.tobytes() == np.asarray(x[:-1], dtype=float).tobytes()
                 assert radius == float(x[-1])
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        cuts=st.lists(st.floats(min_value=-0.5, max_value=2.5), min_size=2, max_size=6),
+        objective=st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=2, max_size=2),
+    )
+    def test_shared_objective_skeleton_is_bit_identical(self, cuts, objective):
+        # Objective LPs (atom bounds, feasibility) share one prepared model
+        # per ``A`` too; each solve must match a freshly prepared system.
+        square = Polytope.from_box([Interval(0.0, 1.0)] * 2)
+        objective = np.asarray(objective)
+        for cut in cuts:
+            cell = square.add_constraints([[1.0, 2.0], [-1.0, 0.5]], [cut, cut - 1.0])
+            fresh = highs.PreparedLP(cell.a, cell.b)
+            results = [fresh.solve(sign * objective) for sign in (1.0, -1.0)]
+            assert cell.is_empty() == (fresh.solve(np.zeros(2))[0] == highs.INFEASIBLE)
+            bound = cell.bound_linear(objective)
+            if results[0][0] != highs.OPTIMAL:
+                assert bound is None
+                continue
+            assert (bound.lo, bound.hi) == tuple(
+                sorted(float(sign * fun) for sign, (_, fun, _) in zip((1.0, -1.0), results))
+            )
+
+    def test_kinds_share_a_store_keyed_apart(self, monkeypatch):
+        monkeypatch.setattr(polytope_module, "_SKELETONS", threading.local())
+        cell = Polytope.from_box([Interval(0.0, 1.0)] * 2)
+        cell.chebyshev_center()
+        cell.is_empty()
+        cell.bound_linear([1.0, -1.0])
+        Polytope(cell.a, cell.b * 0.5).bound_linear([1.0, 1.0])
+        assert [key[0] for key in polytope_module._SKELETONS.store] == [True, False]
+
     def test_store_is_keyed_on_a_and_bounded(self):
-        limit = polytope_module._CHEBYSHEV_SKELETONS
+        limit = polytope_module._LP_SKELETONS
         for index in range(limit + 10):
             # Boxes share one ``A`` whatever their ``b``; scaling a row does not.
             Polytope(np.array([[1.0 + index], [-1.0]]), np.array([1.0, 0.0])).chebyshev_center()
@@ -626,52 +662,67 @@ class TestSerialTableRoute:
 
 
 @pytest.mark.skipif(not kernel_available(), reason="direct HiGHS kernel unavailable")
-@pytest.mark.skipif(not kernel_available(), reason="direct HiGHS kernel unavailable")
 class TestColdQueryCounts:
     """One cold depth-4 pedestrian histogram (the ``cold_linear`` query
-    shape) runs a pinned number of LP solves and fixpoint typings, and
-    measures its cells without rebuilding any."""
+    shape) runs a pinned number of LP builds and solves, fixpoint typings
+    and general slab splits, and measures its cells without rebuilding
+    any."""
 
     def test_counts_are_pinned(self, monkeypatch):
-        counts = dict.fromkeys(("solves", "typings", "rebuilds"), 0)
-        measuring = []
-        solve, infer = highs.PreparedLP.solve, execute_module.infer_weighted_type
+        counts = dict.fromkeys(("prepares", "solves", "typings", "splits", "rebuilds"), 0)
+        measuring, integrating = [], []
+        prepare, solve = highs.PreparedLP.__init__, highs.PreparedLP.solve
+        infer = execute_module.infer_weighted_type
         add_constraints, slab_split = Polytope.add_constraints, Polytope.slab_split
         restricted_volumes = GeometryCache.restricted_volumes
+        integrate = linear_analyzer._integrate
 
-        def counted_solve(self, *args, **kwargs):
-            counts["solves"] += 1
-            return solve(self, *args, **kwargs)
-
-        def counted_infer(*args, **kwargs):
-            counts["typings"] += 1
-            return infer(*args, **kwargs)
-
-        def rebuilding(original):
-            def wrapped(self, *args, **kwargs):
-                counts["rebuilds"] += bool(measuring)
-                return original(self, *args, **kwargs)
+        def counted(name, original):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
             return wrapped
 
-        def watched_volumes(self, cells):
-            measuring.append(True)
-            try:
-                return restricted_volumes(self, cells)
-            finally:
-                measuring.pop()
+        def splitting(self, *args, **kwargs):
+            counts["splits"] += bool(integrating)
+            counts["rebuilds"] += bool(measuring)
+            return slab_split(self, *args, **kwargs)
 
-        monkeypatch.setattr(highs.PreparedLP, "solve", counted_solve)
-        monkeypatch.setattr(execute_module, "infer_weighted_type", counted_infer)
-        monkeypatch.setattr(Polytope, "add_constraints", rebuilding(add_constraints))
-        monkeypatch.setattr(Polytope, "slab_split", rebuilding(slab_split))
-        monkeypatch.setattr(GeometryCache, "restricted_volumes", watched_volumes)
+        def rebuilding(self, *args, **kwargs):
+            counts["rebuilds"] += bool(measuring)
+            return add_constraints(self, *args, **kwargs)
+
+        def watched(flags, original):
+            def wrapped(*args, **kwargs):
+                flags.append(True)
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    flags.pop()
+            return wrapped
+
+        # A fresh skeleton store: the process-wide one would otherwise hand
+        # this query the prepared LPs of whichever test ran before it.
+        monkeypatch.setattr(polytope_module, "_SKELETONS", threading.local())
+        monkeypatch.setattr(highs.PreparedLP, "__init__", counted("prepares", prepare))
+        monkeypatch.setattr(highs.PreparedLP, "solve", counted("solves", solve))
+        monkeypatch.setattr(execute_module, "infer_weighted_type", counted("typings", infer))
+        monkeypatch.setattr(Polytope, "add_constraints", rebuilding)
+        monkeypatch.setattr(Polytope, "slab_split", splitting)
+        monkeypatch.setattr(GeometryCache, "restricted_volumes", watched(measuring, restricted_volumes))
+        monkeypatch.setattr(linear_analyzer, "_integrate", watched(integrating, integrate))
         Model(pedestrian_program(), TestSerialTableRoute.OPTIONS).histogram(0.0, 3.0, 6)
         # Before the atom LPs were sided, flat cuts were left to the volume
         # layer and cells were measured as slabs of a known parent, this
         # query ran 287 solves (113 of them Chebyshev LPs), 16 typings, and
         # 608 cell rebuilds (``add_constraints``/``slab_split``) while
-        # measuring volumes.
-        assert counts == {"solves": 195, "typings": 5, "rebuilds": 0}
+        # measuring volumes.  Before objective LPs shared one prepared
+        # model per constraint matrix and a chunk's ``±d`` row pair was read
+        # as a slab directly (``Polytope.pair_slab``), it prepared 135 LPs
+        # and ran 366 general slab splits while describing its cells.
+        assert counts == {
+            "prepares": 60, "solves": 195, "typings": 5, "splits": 112, "rebuilds": 0,
+        }
 
 
 class TestPreparedKernelMatchesLinprog:
@@ -758,7 +809,7 @@ class TestPreparedKernelMatchesLinprog:
         b = a @ rng.random(dimension) + rng.normal(scale=0.5, size=rows)
         polytope = box.add_constraints(a, b) if rows else box
         objective = rng.normal(size=dimension)
-        prepared = polytope.prepared_lp()
+        prepared = highs.PreparedLP(polytope.a, polytope.b)
         for cost in (objective, -objective):
             status, fun, _ = prepared.solve(cost)
             result = linprog(

@@ -523,6 +523,68 @@ class TestSlabCells:
         assert GeometryCache().restricted_volumes([point.slab_split()]) == [point.volume_bounds()]
 
 
+class TestPairSlab:
+    """:meth:`Polytope.pair_slab` reads a ``±d`` row pair's slab without
+    :meth:`Polytope.slab_split`'s row scan, to the same floats."""
+
+    @staticmethod
+    def _same(got: tuple, expected: tuple) -> bool:
+        (parent, direction, lo, hi), (parent2, direction2, lo2, hi2) = got, expected
+        return (
+            parent.cache_key() == parent2.cache_key()
+            and (direction is None) == (direction2 is None)
+            and (direction is None or direction.tobytes() == direction2.tobytes())
+            and (lo.hex(), hi.hex()) == (lo2.hex(), hi2.hex())
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dimension=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        parent=st.sampled_from(["box", "oblique", "run", "unbounded"]),
+        tail=st.sampled_from(["pair", "flipped", "same", "single", "oblique", "zero"]),
+    )
+    def test_matches_slab_split(self, dimension, seed, parent, tail):
+        rng = np.random.default_rng(seed)
+        d = rng.normal(size=dimension)
+        base = {
+            "box": unit_cube(dimension),
+            "oblique": unit_cube(dimension).add_constraints([rng.normal(size=dimension)], [1.0]),
+            # The parent's own trailing run is ``±d``: the general route.
+            "run": unit_cube(dimension).add_constraints([d], [2.0]),
+            # No row bounds the first axis from above: the cell is uncut.
+            "unbounded": Polytope(unit_cube(dimension).a[1:], unit_cube(dimension).b[1:]),
+        }[parent]
+        lo, hi = sorted(rng.uniform(-1.0, 2.0, size=2).tolist())
+        rows = {
+            "pair": [-d, d], "flipped": [d, -d], "same": [d, d], "single": [d],
+            "oblique": [-d, rng.normal(size=dimension)], "zero": [np.zeros(dimension)] * 2,
+        }[tail]
+        rows, rhs = np.array(rows), np.array([-lo, hi][: len(rows)])
+        assert self._same(base.pair_slab(rows, rhs), base.slab_split(rows, rhs))
+
+    def test_two_sided_target_cut_skips_the_row_scan(self, monkeypatch):
+        # A score-free path's two-sided target cut, with the rows the linear
+        # analyzer writes for it: its slab comes straight from the pair.
+        path = unit_cube(3).add_constraints([[1.0, -2.0, 0.5]], [0.75])
+        result = LinearForm.from_dict({0: 1.0, 2: -3.0}, Interval.point(0.25))
+        (upper, upper_rhs), (lower, lower_rhs) = (
+            _upper_row(result, 0.5, 3, universal=True), _lower_row(result, -1.0, 3, universal=True)
+        )
+        rows, rhs = [upper, lower], [upper_rhs, lower_rhs]
+        expected = path.slab_split(rows, rhs)
+        assert expected[1] is not None
+        calls = []
+        slab_split = Polytope.slab_split
+        monkeypatch.setattr(
+            Polytope, "slab_split", lambda self, *args: calls.append(args) or slab_split(self, *args)
+        )
+        got = path.pair_slab(rows, rhs)
+        assert not calls
+        assert got[0] is path
+        assert self._same(got, expected)
+
+
 class TestEnclosures:
     """Volumes are enclosures, so score-free bounds hold the exact answer."""
 
