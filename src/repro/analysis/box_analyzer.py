@@ -21,7 +21,6 @@ every cell carries equal prior mass.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from typing import Sequence
 
@@ -30,9 +29,7 @@ import numpy as np
 from ..distributions import ContinuousDistribution, DiscreteDistribution, Distribution
 from ..intervals import Interval
 from ..symbolic.paths import Relation, SymbolicPath
-from ..symbolic.value import evaluate_interval
 from .config import AnalysisOptions
-from .vectorize import ScalarFallback as _ScalarFallback
 from .vectorize import (
     TableProgramEvaluator,
     compile_expr_roots,
@@ -42,9 +39,6 @@ from .vectorize import (
 )
 
 __all__ = ["BoxPathAnalyzer", "analyze_path_boxes", "analyze_table_boxes", "split_domain"]
-
-_NON_NEGATIVE = Interval(0.0, math.inf)
-
 
 def split_domain(dist: Distribution, parts: int) -> list[Interval]:
     """Split the support of a prior into cells.
@@ -98,7 +92,9 @@ def _grid_parts(dimension: int, options: AnalysisOptions) -> int:
 # compiles the path's expressions into one flat program
 # (:mod:`repro.analysis.vectorize`, shared with the linear analyser) and
 # evaluates each instruction once over *all* cells as a pair of (lo, hi)
-# NumPy arrays; any anomaly abandons the sweep for the per-cell loop.
+# NumPy arrays.  The evaluator is total — a cell whose value is undefined
+# gets ``[-∞, ∞]`` — so the sweep is the only route, zero-variable paths
+# included.
 # ----------------------------------------------------------------------
 
 
@@ -120,10 +116,12 @@ def _cell_arrays(distributions: Sequence[Distribution], options: AnalysisOptions
     cells are dropped, and the product grid is laid out in lexicographic
     order (the last variable varies fastest).  A cell's mass is the product
     of its per-variable masses, multiplied left to right from 1.  ``None``
-    when some variable has no cell.  Takes the distribution sequence
-    directly so the materialised and columnar routes, and the per-cell
-    loop, all read one grid.
+    when some variable has no cell.  No variables give one cell of mass 1
+    (bounds of shape ``(1, 0)``).  Takes the distribution sequence directly
+    so the materialised and columnar routes read one grid.
     """
+    if not distributions:
+        return np.empty((1, 0)), np.empty((1, 0)), np.ones(1)
     parts = _grid_parts(len(distributions), options)
     lows, highs, masses = [], [], []
     for dist in distributions:
@@ -170,8 +168,7 @@ def _program_entry(compiled, relations, distributions):
 
 
 def _path_program(path: SymbolicPath):
-    """The sweep program of a materialised path (raises
-    :class:`_ScalarFallback` when a root cannot be compiled)."""
+    """The sweep program of a materialised path (a :func:`_program_entry`)."""
     roots = [constraint.expr for constraint in path.constraints]
     roots.extend(path.scores)
     roots.append(path.result)
@@ -188,8 +185,8 @@ def _boxes_sweep(program, arrays, targets: Sequence[Interval]) -> list[tuple[flo
     ``program`` is a :func:`_program_entry` and ``arrays`` the
     :func:`_cell_arrays` grid of its distributions.  Both routes run this
     one fold over the same instruction format, which is what makes them
-    bit-identical.  Raises :class:`_ScalarFallback` when the sweep cannot
-    express a cell.
+    bit-identical.  The fold never abandons: the evaluator gives undefined
+    cells ``[-∞, ∞]``, and ``0 · ∞ = 0`` keeps the weights NaN-free.
     """
     if arrays is None:
         return [(0.0, 0.0) for _ in targets]
@@ -220,8 +217,6 @@ def _boxes_sweep(program, arrays, targets: Sequence[Interval]) -> list[tuple[flo
         weight_lo, weight_hi = _vec_mul(weight_lo, weight_hi, slo, shi)
     weight_lo = np.maximum(weight_lo, 0.0)
     weight_hi = np.maximum(weight_hi, 0.0)
-    if np.isnan(weight_lo).any() or np.isnan(weight_hi).any():
-        raise _ScalarFallback
 
     value_lo, value_hi = eval_expr(result_position)
     upper_mass = _vec_product(mass, weight_hi)
@@ -295,8 +290,7 @@ def _box_program(table, index: int):
     """The compiled sweep program of path ``index`` (memoised per table).
 
     Compiled once per table attachment and reused by every chunk and every
-    query over it (a :func:`_program_entry`).  ``None`` marks a path the
-    sweep cannot express — callers decode it and run the per-cell loop.
+    query over it (a :func:`_program_entry`).
     """
     cache = table.scratch.get(_TABLE_SCRATCH_KEY)
     if cache is None:
@@ -307,15 +301,11 @@ def _box_program(table, index: int):
     roots = [int(expr_id) for expr_id in expr_ids]
     roots.extend(int(score_id) for score_id in table.score_ids(index))
     roots.append(table.result_id(index))
-    try:
-        entry = _program_entry(
-            compile_table_roots(table, roots),
-            [Relation.ALL[int(rel_id)] for rel_id in rel_ids],
-            table.path_distributions(index),
-        )
-    except _ScalarFallback:
-        entry = None
-    cache[index] = entry
+    entry = cache[index] = _program_entry(
+        compile_table_roots(table, roots),
+        [Relation.ALL[int(rel_id)] for rel_id in rel_ids],
+        table.path_distributions(index),
+    )
     return entry
 
 
@@ -332,19 +322,11 @@ def analyze_table_boxes(
     then builds the cell grid from the (shared) distribution records and
     executes the program lazily over it — no
     :class:`~repro.symbolic.SymbolicPath` is materialised and no expression
-    tree is walked.  Paths the sweep cannot express (zero-variable paths,
-    anomalies mid-sweep) decode and run the per-cell loop, as
-    :func:`analyze_path_boxes` does, so results are bit-identical to the
-    materialised route in every case.
+    tree is walked.  The sweep is the one that :func:`analyze_path_boxes`
+    runs, so results are bit-identical to the materialised route.
     """
     program = _box_program(table, index)
-    if program is not None and len(program[4]) > 0:
-        try:
-            arrays = _table_cell_arrays(table, index, program[4], options)
-            return _boxes_sweep(program, arrays, targets)
-        except _ScalarFallback:
-            pass
-    return _analyze_cells(table.decode_path(index), targets, options)
+    return _boxes_sweep(program, _table_cell_arrays(table, index, program[4], options), targets)
 
 
 def analyze_path_boxes(
@@ -355,83 +337,10 @@ def analyze_path_boxes(
     """Bounds on ``⟦Ψ⟧_lb(U)`` / ``⟦Ψ⟧_ub(U)`` for every target ``U``.
 
     Returns one ``(lower, upper)`` pair per entry of ``targets``.  The grid
-    is evaluated in one vectorised sweep over all cells; paths the sweep
-    cannot express fall back to the per-cell loop transparently.
+    is evaluated in one vectorised sweep over all cells (a zero-variable
+    path is a grid of one cell).
     """
-    if path.variable_count > 0:
-        try:
-            return _boxes_sweep(
-                _path_program(path), _cell_arrays(path.distributions, options), targets
-            )
-        except _ScalarFallback:
-            # Unsupported expression shapes and per-cell NaN corner cases
-            # re-run through the per-cell loop; genuine defects (e.g. shape
-            # mismatches) propagate instead of silently degrading to it.
-            pass
-    return _analyze_cells(path, targets, options)
-
-
-def _analyze_cells(
-    path: SymbolicPath,
-    targets: Sequence[Interval],
-    options: AnalysisOptions,
-) -> list[tuple[float, float]]:
-    """The per-cell interval loop: the fallback for paths the sweep cannot
-    express, and the only route for zero-variable paths."""
-    lower = [0.0] * len(targets)
-    upper = [0.0] * len(targets)
-    if path.variable_count == 0:
-        value = evaluate_interval(path.result, [])
-        weight = Interval.point(1.0)
-        for score in path.scores:
-            weight = weight * evaluate_interval(score, []).meet(_NON_NEGATIVE)
-        definite = all(
-            constraint.holds_forall(evaluate_interval(constraint.expr, []))
-            for constraint in path.constraints
-        )
-        possible = all(
-            constraint.holds_exists(evaluate_interval(constraint.expr, []))
-            for constraint in path.constraints
-        )
-        for index, target in enumerate(targets):
-            if possible and value.intersects(target):
-                upper[index] += max(0.0, weight.hi)
-            if definite and target.contains_interval(value):
-                lower[index] += max(0.0, weight.lo)
-        return list(zip(lower, upper))
-
-    arrays = _cell_arrays(path.distributions, options)
-    if arrays is None:
-        return list(zip(lower, upper))
-    los, his, masses = arrays
-    for cell_los, cell_his, mass in zip(los.tolist(), his.tolist(), masses.tolist()):
-        if mass <= 0.0:
-            continue
-        bounds = [Interval(lo, hi) for lo, hi in zip(cell_los, cell_his)]
-        definitely_satisfied = True
-        possibly_satisfied = True
-        for constraint in path.constraints:
-            guard = evaluate_interval(constraint.expr, bounds)
-            if not constraint.holds_exists(guard):
-                possibly_satisfied = False
-                break
-            if not constraint.holds_forall(guard):
-                definitely_satisfied = False
-        if not possibly_satisfied:
-            continue
-        weight = Interval.point(1.0)
-        for score in path.scores:
-            score_bounds = evaluate_interval(score, bounds).meet(_NON_NEGATIVE)
-            if score_bounds.is_empty:
-                score_bounds = Interval.point(0.0)
-            weight = weight * score_bounds
-        value = evaluate_interval(path.result, bounds)
-        for index, target in enumerate(targets):
-            if value.intersects(target):
-                upper[index] += mass * max(0.0, weight.hi)
-            if definitely_satisfied and target.contains_interval(value):
-                lower[index] += mass * max(0.0, weight.lo)
-    return list(zip(lower, upper))
+    return _boxes_sweep(_path_program(path), _cell_arrays(path.distributions, options), targets)
 
 
 class BoxPathAnalyzer:
@@ -460,11 +369,13 @@ class BoxPathAnalyzer:
         targets: Sequence[Interval],
         options: AnalysisOptions,
     ) -> list[list[tuple[float, float]]]:
-        """Per-path contributions for a whole chunk of paths.
+        """Per-path contributions for a whole chunk of materialised paths.
 
-        Used by the parallel chunk workers; each path runs the same
-        (vectorised) analysis as :meth:`analyze`, so batch results are
-        identical to per-path calls.
+        The runtime chunk loop calls ``analyze_batch`` only for analysers
+        without :meth:`analyze_table`, so this analyser's chunks run that
+        instead; this method serves callers holding ``SymbolicPath``
+        objects.  Each path runs the same sweep as :meth:`analyze`, so batch
+        results are identical to per-path calls.
         """
         return [analyze_path_boxes(path, targets, options) for path in paths]
 

@@ -83,7 +83,6 @@ from ..symbolic.paths import Relation, SymbolicPath
 from ..symbolic.value import evaluate_with_atoms
 from .config import AnalysisOptions
 from .vectorize import (
-    ScalarFallback,
     TableProgramEvaluator,
     compile_expr_roots,
     vec_mul,
@@ -156,7 +155,10 @@ def _rows_for_target(
 ) -> Optional[list[tuple[list[float], float]]]:
     """Rows restricting ``form`` to ``target`` (⊆ under the universal
     reading, ∩≠∅ under the existential one); ``None`` = unsatisfiable, the
-    ``form ≤ hi`` row first."""
+    ``form ≤ hi`` row first.  A target with no finite point (the empty
+    interval, ``[∞, ∞]``, ``[-∞, -∞]``) holds no real value of ``form``."""
+    if target.lo == math.inf or target.hi == -math.inf:
+        return None
     rows: list[tuple[list[float], float]] = []
     if math.isfinite(target.hi):
         row = _upper_row(form, target.hi, dimension, universal)
@@ -506,18 +508,12 @@ class GeometryCache:
         )
 
     def template_program(self, templates):
-        """Compiled evaluation program of the score templates (``None`` when
-        a template cannot be expressed as a program — the combination loop
-        then evaluates every weight with the scalar interval evaluator)."""
+        """Compiled evaluation program of the score templates, memoised
+        (:func:`~repro.analysis.vectorize.compile_expr_roots`)."""
         key = id(templates)
         entry = self.programs.lookup(key)
         if entry is _MISSING or entry[0] is not templates:
-            try:
-                program = compile_expr_roots(
-                    [decomposition.template for decomposition in templates]
-                )
-            except ScalarFallback:
-                program = None
+            program = compile_expr_roots([decomposition.template for decomposition in templates])
             entry = self.programs.remember(key, (templates, program))
         return entry[1]
 
@@ -797,8 +793,10 @@ def _atom_grid(
     :meth:`GeometryCache.bound_atom_rows`); each range is split into
     chunks (coarsened until the combination budget fits), and the weight
     of every chunk combination comes from one sweep over the product grid
-    (:func:`_vectorized_factors`), else from the scalar interval evaluator
-    (:func:`_scalar_factors`) — the same floats either way.
+    (:func:`_vectorized_factors`).  A grid of one combination — most grids
+    of a cold pedestrian query — takes the scalar interval evaluator
+    (:func:`_scalar_factors`) instead, which is several times cheaper there
+    and gives the same floats.
     """
     dimension = polytope.dimension
     dense_rows = [atom.dense_row(dimension) for atom in atoms]
@@ -823,23 +821,27 @@ def _atom_grid(
         hull = Interval(atom_ranges[widest][0].lo, atom_ranges[widest][-1].hi)
         atom_ranges[widest] = _split_interval(hull, max(1, len(atom_ranges[widest]) // 2))
 
-    factors = None
-    if atoms:
+    if _combination_count(atom_ranges) > 1:
         factors = _vectorized_factors(atom_ranges, cache.template_program(templates))
-    if factors is None:
+    else:
         factors = _scalar_factors(atom_ranges, templates)
     return atom_ranges, factors
 
 
 def _scalar_factors(atom_ranges: list[list[Interval]], templates) -> tuple[list, list]:
     """``(lo, hi)`` weight factors of every atom-range combination, each
-    template evaluated with the scalar interval evaluator."""
+    template evaluated with the scalar interval evaluator.  A template whose
+    evaluation raises ``ValueError`` (an ``∞ − ∞`` corner case) is
+    undefined there and scores ``[0, ∞]``, as in the sweep."""
     lo: list[float] = []
     hi: list[float] = []
     for combination in itertools.product(*atom_ranges):
         weight = Interval.point(1.0)
         for template in templates:
-            score_bounds = evaluate_with_atoms(template.template, list(combination))
+            try:
+                score_bounds = evaluate_with_atoms(template.template, list(combination))
+            except ValueError:
+                score_bounds = Interval.reals()
             score_bounds = score_bounds.meet(_NON_NEGATIVE)
             if score_bounds.is_empty:
                 score_bounds = Interval.point(0.0)
@@ -858,15 +860,12 @@ def _vectorized_factors(atom_ranges: list[list[Interval]], program):
     arrays and runs ``program`` — the score templates compiled by
     :func:`~repro.analysis.vectorize.compile_expr_roots`
     (:meth:`GeometryCache.template_program` caches it) — over it.  The
-    result is bit-identical to :func:`_scalar_factors`: exact IEEE
-    operations are lifted wholesale and everything else takes the scalar
-    interval lifting per cell.  Returns ``None`` when there is no program,
-    at most one combination, or the sweep cannot express a cell (the caller
-    then takes the scalar route).
+    result is bit-identical to :func:`_scalar_factors` wherever that one
+    finishes: exact IEEE operations are lifted wholesale and everything else
+    takes the scalar interval lifting per cell.  An undefined score is
+    ``[-∞, ∞]`` on its cell, so the weight is NaN-free (``0 · ∞ = 0``).
     """
     count = _combination_count(atom_ranges)
-    if program is None or count <= 1:
-        return None
     lo_grid = np.meshgrid(
         *[np.array([chunk.lo for chunk in cells]) for cells in atom_ranges], indexing="ij"
     )
@@ -879,21 +878,16 @@ def _vectorized_factors(atom_ranges: list[list[Interval]], program):
     evaluator = TableProgramEvaluator(
         instrs, count, atom_leaf=lambda index: (combos_lo[:, index], combos_hi[:, index])
     )
-    try:
-        weight_lo = np.ones(count)
-        weight_hi = np.ones(count)
-        for position in positions:
-            score_lo, score_hi = evaluator.eval_to(position)
-            # meet with [0, inf); an empty meet collapses to the point 0.
-            score_lo = np.maximum(score_lo, 0.0)
-            empty = score_hi < score_lo
-            score_lo = np.where(empty, 0.0, score_lo)
-            score_hi = np.where(empty, 0.0, score_hi)
-            weight_lo, weight_hi = vec_mul(weight_lo, weight_hi, score_lo, score_hi)
-        if np.isnan(weight_lo).any() or np.isnan(weight_hi).any():
-            raise ScalarFallback
-    except ScalarFallback:
-        return None
+    weight_lo = np.ones(count)
+    weight_hi = np.ones(count)
+    for position in positions:
+        score_lo, score_hi = evaluator.eval_to(position)
+        # meet with [0, inf); an empty meet collapses to the point 0.
+        score_lo = np.maximum(score_lo, 0.0)
+        empty = score_hi < score_lo
+        score_lo = np.where(empty, 0.0, score_lo)
+        score_hi = np.where(empty, 0.0, score_hi)
+        weight_lo, weight_hi = vec_mul(weight_lo, weight_hi, score_lo, score_hi)
     return np.maximum(0.0, weight_lo), np.maximum(0.0, weight_hi)
 
 

@@ -12,11 +12,18 @@ evaluated once over *all* cells as a pair of ``(lo, hi)`` float arrays.
 Exact IEEE operations (add, sub, neg, mul, min, max, abs, square) are lifted
 wholesale — elementwise double arithmetic produces bit-identical endpoints
 to the scalar interval ops, including the measure-theoretic ``0 · ∞ = 0``
-convention.  Any other primitive falls back to its scalar interval lifting
-applied cell-wise, so a vectorised sweep never changes *which* liftings
-define the bounds.  Anomalies (NaN from ``∞ − ∞`` corner cases, empty
-constants, unsupported leaves) raise :class:`ScalarFallback`, and the caller
-re-runs the scalar loop.
+convention.  Any other primitive takes its scalar interval lifting applied
+cell-wise, so a vectorised sweep never changes *which* liftings define the
+bounds.
+
+The evaluator is total: it never abandons a sweep.  A cell whose value is
+undefined — a NaN endpoint from an ``∞ − ∞`` corner case, or a lifting that
+raises ``ValueError`` — gets ``[-∞, ∞]`` on that cell only, and every other
+cell keeps its floats.  That is sound: ``[-∞, ∞]`` makes a guard possible but
+never definite, turns a score into ``[0, ∞]`` after the meet with ``[0, ∞)``
+and meets every non-empty target.  A program defect (an empty constant, an
+unknown node, a missing leaf callback) raises ``ValueError`` or
+``TypeError``.
 
 Leaf resolution is pluggable: callers provide callbacks mapping a
 sample-variable and/or atom-placeholder *index* to its per-cell bound
@@ -43,12 +50,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..distributions.continuous import _MAX_SQUARABLE, _SQRT_2PI, Beta
-from ..intervals import Interval, get_primitive
+from ..intervals import REALS, Interval, get_primitive
 from ..symbolic.arena import KIND_ATOM, KIND_CONST, KIND_PRIM, KIND_VAR
 from ..symbolic.value import SAtom, SConst, SPrim, SVar, SymExpr
 
 __all__ = [
-    "ScalarFallback",
     "TableProgramEvaluator",
     "apply_primitive_cells",
     "compile_expr_roots",
@@ -56,10 +62,6 @@ __all__ = [
     "vec_mul",
     "vec_product",
 ]
-
-class ScalarFallback(Exception):
-    """Abandon the vectorised sweep and let the caller use its scalar loop."""
-
 
 def vec_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise product under the measure-theoretic ``0 · inf = 0``.
@@ -93,7 +95,8 @@ def apply_primitive_cells(
     """``(lo, hi)`` arrays of primitive ``op`` applied to per-cell arg bounds.
 
     The interval-lifting kernel of :class:`TableProgramEvaluator`, whichever
-    compiler produced the program.
+    compiler produced the program.  A cell whose scalar lifting raises
+    ``ValueError`` or returns the empty interval gets ``[-∞, ∞]``.
     """
     if op == "add":
         (alo, ahi), (blo, bhi) = args
@@ -136,15 +139,31 @@ def apply_primitive_cells(
         try:
             intervals = [Interval(float(alo[cell]), float(ahi[cell])) for alo, ahi in args]
             value = primitive.apply_interval(*intervals)
-        except ValueError as error:
-            # A NaN/ordering corner case the scalar loop's early exits
-            # might avoid (it skips infeasible cells before evaluating
-            # scores/results); let the scalar path decide.
-            raise ScalarFallback from error
+        except ValueError:
+            # A NaN argument (an ``∞ − ∞`` corner case upstream) or an
+            # invalid lifting result: the value is undefined on this cell.
+            value = REALS
         if value.is_empty:
-            raise ScalarFallback
+            value = REALS
         out_lo[cell] = value.lo
         out_hi[cell] = value.hi
+    return out_lo, out_hi
+
+
+def _invalid_arguments(args) -> np.ndarray:
+    """Cells where some ``(lo, hi)`` argument is no interval: a NaN endpoint,
+    or ``lo > hi`` other than the empty interval's ``(∞, -∞)``."""
+    bad = np.zeros(args[0][0].shape, dtype=bool)
+    for lo, hi in args:
+        bad |= np.isnan(lo) | np.isnan(hi)
+        bad |= (lo > hi) & ~((lo == math.inf) & (hi == -math.inf))
+    return bad
+
+
+def _widen(out_lo: np.ndarray, out_hi: np.ndarray, bad: np.ndarray):
+    """``[-∞, ∞]`` on the ``bad`` cells, in place."""
+    out_lo[bad] = -math.inf
+    out_hi[bad] = math.inf
     return out_lo, out_hi
 
 
@@ -171,34 +190,28 @@ def _normal_pdf_cells(args, count: int):
     plumbing (endpoint validation mirroring ``Interval.__post_init__``, the
     ``values - mean`` distance, its absolute value, the ``std`` meet) runs
     as exact IEEE array operations; only the density evaluations — whose
-    ``math.exp`` must match libm bit-for-bit — run per cell.  Cells with an
-    invalid endpoint combination abandon the sweep
-    (:class:`ScalarFallback`), like the generic loop's per-cell
-    ``Interval`` construction.
+    ``math.exp`` must match libm bit-for-bit — run per cell.  A cell where
+    the scalar lifting raises ``ValueError`` — an invalid argument, an
+    ``∞ − ∞`` distance, a lower bound above the upper one — gets
+    ``[-∞, ∞]``, as in the generic loop.
     """
     (mlo, mhi), (slo, shi), (vlo, vhi) = args
-    for lo, hi in args:
-        if np.isnan(lo).any() or np.isnan(hi).any():
-            raise ScalarFallback
-        inverted = (lo > hi) & ~((lo == math.inf) & (hi == -math.inf))
-        if inverted.any():
-            raise ScalarFallback
+    bad = _invalid_arguments(args)
     out_lo = np.zeros(count)
     out_hi = np.zeros(count)
     with np.errstate(invalid="ignore", over="ignore"):
         # Any empty argument (the (inf, -inf) representation): the point 0.
-        empty = (vlo > vhi) | (mlo > mhi) | (slo > shi)
+        empty = ((vlo > vhi) | (mlo > mhi) | (slo > shi)) & ~bad
         sig_lo_arr = np.maximum(slo, 1e-300)
-        std_empty = (sig_lo_arr > shi) & ~empty  # meet with [1e-300, inf) empty
+        std_empty = (sig_lo_arr > shi) & ~empty & ~bad  # meet with [1e-300, inf) empty
         out_hi[std_empty] = math.inf
-        active_mask = ~(empty | std_empty)
         # distance = (values - mean).abs() — the scalar route only reaches
         # this for cells that passed the emptiness checks, so a NaN distance
-        # (inf − inf) aborts the sweep only on *active* cells.
+        # (inf − inf) is undefined only on those cells.
         d_lo = vlo - mhi
         d_hi = vhi - mlo
-        if ((np.isnan(d_lo) | np.isnan(d_hi)) & active_mask).any():
-            raise ScalarFallback
+        bad |= (np.isnan(d_lo) | np.isnan(d_hi)) & ~(empty | std_empty)
+        active_mask = ~(empty | std_empty | bad)
         spans_zero = (d_lo <= 0.0) & (d_hi >= 0.0)
         abs_lo = np.abs(d_lo)
         abs_hi = np.abs(d_hi)
@@ -207,7 +220,7 @@ def _normal_pdf_cells(args, count: int):
 
     active = np.flatnonzero(active_mask).tolist()
     if not active:
-        return out_lo, out_hi
+        return _widen(out_lo, out_hi, bad)
     d_min_l = d_min_arr.tolist()
     d_max_l = d_max_arr.tolist()
     sig_lo_l = sig_lo_arr.tolist()
@@ -251,11 +264,11 @@ def _normal_pdf_cells(args, count: int):
             lower = 0.0
         if lower < 0.0:
             lower = 0.0
-        if lower > upper:  # mirror the scalar route's Interval validation
-            raise ScalarFallback
+        if lower > upper:  # the scalar route's Interval validation raises
+            lower, upper = -math.inf, math.inf
         out_lo[index] = lower
         out_hi[index] = upper
-    return out_lo, out_hi
+    return _widen(out_lo, out_hi, bad)
 
 
 def _uniform_pdf_cells(args, count: int):
@@ -269,15 +282,11 @@ def _uniform_pdf_cells(args, count: int):
     for point parameters — reduces to IEEE subtractions, divisions and
     comparisons, so unlike ``normal_pdf`` there is no per-cell libm tail:
     the whole lifting vectorises without a scalar loop and stays
-    bit-identical.
+    bit-identical.  Cells where the scalar lifting raises ``ValueError`` get
+    ``[-∞, ∞]``.
     """
     (llo, lhi), (hlo, hhi), (vlo, vhi) = args
-    for lo, hi in args:
-        if np.isnan(lo).any() or np.isnan(hi).any():
-            raise ScalarFallback
-        inverted = (lo > hi) & ~((lo == math.inf) & (hi == -math.inf))
-        if inverted.any():
-            raise ScalarFallback
+    bad = _invalid_arguments(args)
     out_lo = np.zeros(count)
     out_hi = np.zeros(count)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -286,11 +295,8 @@ def _uniform_pdf_cells(args, count: int):
         empty_lh = (llo > lhi) | (hlo > hhi)
         width_lo = hlo - lhi
         width_hi = hhi - llo
-        if ((np.isnan(width_lo) | np.isnan(width_hi)) & ~empty_lh).any():
-            # inf − inf: the scalar Interval construction raises here.
-            raise ScalarFallback
-        if ((width_lo > width_hi) & ~empty_lh).any():
-            raise ScalarFallback
+        # inf − inf: the scalar Interval construction raises here.
+        bad |= (np.isnan(width_lo) | np.isnan(width_hi) | (width_lo > width_hi)) & ~empty_lh
         active = ~empty_lh & (width_hi > 0.0)
         # General envelope: density at most 1/width.lo (∞ when the width can
         # vanish); the value argument does not sharpen this branch.
@@ -311,7 +317,7 @@ def _uniform_pdf_cells(args, count: int):
         # such cells already failed the clip test above).
         contained = hit & (llo <= vlo) & (vhi <= hlo)
         out_lo[contained] = density[contained]
-    return out_lo, out_hi
+    return _widen(out_lo, out_hi, bad)
 
 
 def _beta_pdf_cells(args, count: int):
@@ -325,25 +331,20 @@ def _beta_pdf_cells(args, count: int):
     :class:`~repro.distributions.continuous.Beta` instances are memoised per
     parameter pair, which is where the speed-up comes from: a score sweep
     uses one or two parameter pairs across thousands of cells, and the three
-    ``lgamma`` calls per construction dominate the generic loop.  A
-    non-positive point parameter aborts the sweep exactly like the generic
-    loop (``Beta.__init__`` raises ``ValueError`` there).
+    ``lgamma`` calls per construction dominate the generic loop.  A cell
+    where the scalar lifting raises ``ValueError`` (an invalid argument, or a
+    non-positive point parameter, which ``Beta.__init__`` rejects) gets
+    ``[-∞, ∞]``.
     """
     (alo, ahi), (blo, bhi), (vlo, vhi) = args
-    for lo, hi in args:
-        if np.isnan(lo).any() or np.isnan(hi).any():
-            raise ScalarFallback
-        inverted = (lo > hi) & ~((lo == math.inf) & (hi == -math.inf))
-        if inverted.any():
-            raise ScalarFallback
+    bad = _invalid_arguments(args)
     out_lo = np.zeros(count)
     out_hi = np.full(count, math.inf)
-    point = (alo == ahi) & (blo == bhi)
-    cells = np.flatnonzero(point)
+    point = (alo == ahi) & (blo == bhi) & ~bad
+    bad |= point & ((alo <= 0.0) | (blo <= 0.0))
+    cells = np.flatnonzero(point & ~bad)
     if cells.size == 0:
-        return out_lo, out_hi
-    if (alo[cells] <= 0.0).any() or (blo[cells] <= 0.0).any():
-        raise ScalarFallback
+        return _widen(out_lo, out_hi, bad)
     alo_l = alo.tolist()
     blo_l = blo.tolist()
     vlo_l = vlo.tolist()
@@ -356,13 +357,13 @@ def _beta_pdf_cells(args, count: int):
             dist = distributions[key] = Beta(key[0], key[1])
         try:
             value = dist.pdf_interval(Interval(vlo_l[index], vhi_l[index]))
-        except ValueError as error:
-            raise ScalarFallback from error
+        except ValueError:
+            value = REALS
         if value.is_empty:
-            raise ScalarFallback
+            value = REALS
         out_lo[index] = value.lo
         out_hi[index] = value.hi
-    return out_lo, out_hi
+    return _widen(out_lo, out_hi, bad)
 
 
 #: op name -> flattened array lifting (must be bit-identical to the scalar
@@ -427,9 +428,10 @@ def compile_table_roots(table, root_ids) -> tuple[list[tuple], tuple[int, ...]]:
 
     Compilation walks the node columns once; callers cache the program (in
     ``table.scratch``) so repeated sweeps — every chunk and every query of
-    one attachment — skip the walk entirely.  Raises :class:`ScalarFallback`
-    on nodes a sweep cannot express (empty interval constants, unknown
-    kinds).
+    one attachment — skip the walk entirely.  An empty interval constant
+    raises ``ValueError`` and an unknown node kind ``TypeError``: both are
+    defects of the program, since the type system reifies bottom as a
+    non-empty interval.
     """
     kind, ia, ib, ic, const_lo, const_hi, children = _walk_columns(table)
     slots: dict[int, int] = {}
@@ -455,7 +457,7 @@ def compile_table_roots(table, root_ids) -> tuple[list[tuple], tuple[int, ...]]:
                 lo = const_lo[current]
                 hi = const_hi[current]
                 if lo > hi:  # the empty interval (mirrors Interval.is_empty)
-                    raise ScalarFallback
+                    raise ValueError(f"empty interval constant at node {current}")
                 instrs.append((_I_CONST, lo, hi))
             elif node_kind == KIND_ATOM:
                 instrs.append((_I_ATOM, ia[current]))
@@ -464,7 +466,7 @@ def compile_table_roots(table, root_ids) -> tuple[list[tuple], tuple[int, ...]]:
                 args = tuple(slots[child] for child in children[start : start + ic[current]])
                 instrs.append((_I_PRIM, table.ops[ia[current]], args))
             else:
-                raise ScalarFallback
+                raise TypeError(f"unknown node kind {node_kind} at node {current}")
             slots[current] = len(instrs) - 1
     return instrs, tuple(slots[root] for root in root_ids)
 
@@ -482,11 +484,12 @@ def compile_expr_roots(roots) -> tuple[list[tuple], tuple[int, ...]]:
     compile to a single instruction; structurally-equal copies evaluate to
     identical arrays either way, so sharing never affects the floats.
 
-    Raises :class:`ScalarFallback` on nodes a sweep cannot express (empty
-    interval constants, unknown node types).  Callers caching the program
-    must keep the root expressions alive alongside it — the instruction
-    slots are keyed by ``id()`` during compilation only, but a cache entry
-    that outlives its roots could be matched against recycled ids.
+    An empty interval constant raises ``ValueError`` and an unknown node
+    type ``TypeError``, as in :func:`compile_table_roots`.  Callers caching
+    the program must keep the root expressions alive alongside it — the
+    instruction slots are keyed by ``id()`` during compilation only, but a
+    cache entry that outlives its roots could be matched against recycled
+    ids.
     """
     slots: dict[int, int] = {}
     instrs: list[tuple] = []
@@ -508,7 +511,7 @@ def compile_expr_roots(roots) -> tuple[list[tuple], tuple[int, ...]]:
                 instrs.append((_I_VAR, node.index))
             elif isinstance(node, SConst):
                 if node.interval.is_empty:
-                    raise ScalarFallback
+                    raise ValueError(f"empty interval constant {node!r}")
                 instrs.append((_I_CONST, node.interval.lo, node.interval.hi))
             elif isinstance(node, SAtom):
                 instrs.append((_I_ATOM, node.index))
@@ -516,7 +519,7 @@ def compile_expr_roots(roots) -> tuple[list[tuple], tuple[int, ...]]:
                 args = tuple(slots[id(child)] for child in node.args)
                 instrs.append((_I_PRIM, node.op, args))
             else:
-                raise ScalarFallback
+                raise TypeError(f"unknown expression node {type(node).__name__}")
             slots[key] = len(instrs) - 1
     return instrs, tuple(slots[id(root)] for root in roots)
 
@@ -525,14 +528,15 @@ class TableProgramEvaluator:
     """Lazy evaluation of a compiled table program over one cell grid.
 
     :meth:`eval_to` runs the instruction prefix up to a root position and
-    returns its ``(lo, hi)`` arrays; a NaN endpoint at a root abandons the
-    sweep (:class:`ScalarFallback`).  Laziness matters: callers request
-    roots in program order, so a sweep that dies early (e.g. no cell
-    satisfies the constraints) never executes the instructions of later
-    roots — exactly the short-circuit behaviour of evaluating the roots one
-    by one.  Each
-    instruction runs at most once per grid, so sub-DAGs shared across a
-    path's expressions are evaluated once per sweep.
+    returns its ``(lo, hi)`` arrays; a cell with a NaN endpoint at the root
+    gets ``[-∞, ∞]`` (only in the returned arrays: instructions that read the
+    root's slot see its raw values, as a recursive tree walk would).
+    Laziness matters: callers request roots in program order, so a sweep
+    that dies early (e.g. no cell satisfies the constraints) never executes
+    the instructions of later roots — exactly the short-circuit behaviour of
+    evaluating the roots one by one.  Each instruction runs at most once per
+    grid, so sub-DAGs shared across a path's expressions are evaluated once
+    per sweep.
     """
 
     __slots__ = ("instrs", "count", "var_leaf", "atom_leaf", "values")
@@ -566,15 +570,16 @@ class TableProgramEvaluator:
                         values.append(apply_primitive_cells(instr[1], args, count))
                     elif tag == _I_VAR:
                         if self.var_leaf is None:
-                            raise ScalarFallback
+                            raise TypeError("program reads a sample variable but has no var_leaf")
                         values.append(self.var_leaf(instr[1]))
                     elif tag == _I_CONST:
                         values.append((np.full(count, instr[1]), np.full(count, instr[2])))
                     else:
                         if self.atom_leaf is None:
-                            raise ScalarFallback
+                            raise TypeError("program reads a score atom but has no atom_leaf")
                         values.append(self.atom_leaf(instr[1]))
         lo, hi = values[position]
-        if np.isnan(lo).any() or np.isnan(hi).any():
-            raise ScalarFallback
+        undefined = np.isnan(lo) | np.isnan(hi)
+        if undefined.any():
+            return _widen(lo.copy(), hi.copy(), undefined)
         return lo, hi

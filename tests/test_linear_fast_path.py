@@ -20,8 +20,10 @@ floats cannot move.  This suite makes each claim a property:
   pruned before any atom LP), while a thin cut measured as a slab of the
   full-dimensional path polytope keeps its exact volume inside its bound;
 * the ``uniform_pdf`` / ``beta_pdf`` array liftings agree cell by cell with
-  the generic per-Interval lifting (including the agreement on *when* to
-  abandon the sweep);
+  the generic per-Interval lifting, a cell where it raises being
+  ``[-inf, inf]`` in both;
+* the factor sweep and the scalar interval evaluator weigh an atom grid
+  with the same floats;
 * compiled template and box-path programs evaluate to the same arrays as
   the tree-walking oracle (``helpers.tree_walk_cells``);
 * end-to-end bounds are invariant under chunk size, executor backend and
@@ -55,15 +57,18 @@ from repro.analysis.linear_analyzer import (
     _NEGLIGIBLE_WEIGHT,
     GeometryCache,
     _analyze_linear_forms,
+    _atom_grid,
+    _combination_count,
     _integrate,
     _rows_for_target,
+    _scalar_factors,
+    _vectorized_factors,
     linear_analysis_applicable,
 )
 from repro.distributions import Uniform
 from repro.analysis.vectorize import (
     _ARRAY_LIFTINGS,
     _I_PRIM,
-    ScalarFallback,
     TableProgramEvaluator,
     _beta_pdf_cells,
     _normal_pdf_cells,
@@ -112,6 +117,22 @@ def _score_exprs(mu: float, sigma: float, width: float):
     ]
 
 
+def _hex(values) -> list[str]:
+    return [float(value).hex() for value in values]
+
+
+def _assert_factor_routes_agree(atom_ranges, templates):
+    """The factor sweep and the scalar evaluator weigh ``atom_ranges`` with
+    the same floats, bit for bit."""
+    assert _combination_count(atom_ranges) > 1
+    program = compile_expr_roots([decomposition.template for decomposition in templates])
+    swept = _vectorized_factors(atom_ranges, program)
+    scalar = _scalar_factors(atom_ranges, templates)
+    for got, want in zip(swept, scalar):
+        assert _hex(got) == _hex(want)
+    return scalar
+
+
 def _both_readings(polytope, templates, atoms, options, cache):
     """``[lower, upper]`` of one polytope from one :func:`_integrate` pass."""
     return _integrate(
@@ -152,28 +173,30 @@ class TestIntegrateMatchesReference:
             assert got == reference or (math.isnan(got) and math.isnan(reference))
             assert again == got or (math.isnan(again) and math.isnan(got))
 
-    def test_scalar_fallback_route_matches(self, monkeypatch):
-        # A factor sweep that returns None forces the scalar weights
-        # (``_scalar_factors``); the route differs but the floats may not.
+    def test_scalar_fallback_route_matches(self):
+        # The scalar weights (``_scalar_factors``, the route of grids with
+        # one combination) and the factor sweep agree bit for bit on a grid
+        # of several, and ``_integrate`` matches the reference loop on it.
         polytope = Polytope.from_box([Interval(0.0, 1.0)] * 2)
         atoms = []
         templates = [decompose_score(_score_exprs(0.0, 1.0, 1.0)[0][0], atoms)]
         options = AnalysisOptions(score_splits=4)
+        atom_ranges, factors = _atom_grid(polytope, templates, atoms, options, GeometryCache())
+        scalar = _assert_factor_routes_agree(atom_ranges, templates)
+        assert [_hex(column) for column in factors] == [_hex(column) for column in scalar]
         swept = _both_readings(polytope, templates, atoms, options, GeometryCache())
-        with monkeypatch.context() as patch:
-            patch.setattr(linear_analyzer, "_vectorized_factors", lambda *args: None)
-            scalar = _both_readings(polytope, templates, atoms, options, GeometryCache())
-        for is_lower, got, fallback in zip((True, False), swept, scalar):
+        for is_lower, got in zip((True, False), swept):
             reference = integrate_reference(
                 polytope, templates, list(atoms), 1.0, options, is_lower
             )
-            assert got == fallback == reference
+            assert got == reference
 
     def test_vectorized_scores_on_off_agree_on_a_path(self, monkeypatch):
         # Two piecewise max(0, ·) scores over two linear atoms: most of the
         # score_splits² combinations weigh exactly zero, which the sweep
-        # prunes before any row or volume is built.  The path's
-        # contributions may not notice the scalar fallback.
+        # prunes before any row or volume is built.  The factor sweep and
+        # the scalar evaluator weigh the path's atom grid alike, and the
+        # path's contributions do not notice which of them ran.
         program = b.let("x", b.sample(), b.let("y", b.sample(), b.seq(
             b.score(b.maximum(0.0, b.sub(b.add(b.var("x"), b.var("y")), 1.5))),
             b.seq(
@@ -183,8 +206,20 @@ class TestIntegrateMatchesReference:
         )))
         (path,) = symbolic_paths(program).paths
         options = AnalysisOptions(score_splits=8, max_score_combinations=8_192)
+        atoms = []
+        templates = [decompose_score(score, atoms) for score in path.scores]
+        polytope = Polytope.from_box([Interval(0.0, 1.0)] * 2)
+        atom_ranges, _ = _atom_grid(polytope, templates, atoms, options, GeometryCache())
+        assert _combination_count(atom_ranges) == 64
+        _, scalar_hi = _assert_factor_routes_agree(atom_ranges, templates)
+        assert 0.0 in scalar_hi
         swept = analyze_path_linear(path, list(TARGETS), options)
-        monkeypatch.setattr(linear_analyzer, "_vectorized_factors", lambda *args: None)
+        # Every grid weighed by the scalar evaluator: the program slot
+        # carries the templates themselves.
+        monkeypatch.setattr(
+            linear_analyzer.GeometryCache, "template_program", lambda self, templates: templates
+        )
+        monkeypatch.setattr(linear_analyzer, "_vectorized_factors", _scalar_factors)
         assert analyze_path_linear(path, list(TARGETS), options) == swept
 
 
@@ -824,8 +859,9 @@ class TestPreparedKernelMatchesLinprog:
 # -- density liftings ---------------------------------------------------
 
 def _cells_reference(op, args, count):
-    """The generic per-cell lifting (``apply_primitive_cells``' fallback),
-    or ``None`` when it abandons the sweep."""
+    """The generic per-cell lifting (``apply_primitive_cells``' loop for
+    primitives without an array kernel): a cell where the scalar lifting
+    raises ``ValueError`` or returns the empty interval is ``[-inf, inf]``."""
     primitive = get_primitive(op)
     out_lo = np.empty(count)
     out_hi = np.empty(count)
@@ -836,19 +872,12 @@ def _cells_reference(op, args, count):
             ]
             value = primitive.apply_interval(*intervals)
         except ValueError:
-            return None
+            value = Interval.reals()
         if value.is_empty:
-            return None
+            value = Interval.reals()
         out_lo[cell] = value.lo
         out_hi[cell] = value.hi
     return out_lo, out_hi
-
-
-def _lifted(kernel, args, count):
-    try:
-        return kernel(args, count)
-    except ScalarFallback:
-        return None
 
 
 _ENDPOINT = st.floats(min_value=-4.0, max_value=4.0).map(lambda v: round(v, 3))
@@ -875,13 +904,8 @@ class TestDensityLiftings:
     @given(data=st.data(), count=st.integers(min_value=1, max_value=6))
     def test_uniform_pdf_cells(self, data, count):
         args = [data.draw(_interval_column(count)) for _ in range(3)]
-        lifted = _lifted(_uniform_pdf_cells, args, count)
+        lifted = _uniform_pdf_cells(args, count)
         reference = _cells_reference("uniform_pdf", args, count)
-        if lifted is None:
-            # The sweep may abandon conservatively; the analyzer then runs
-            # the scalar loop, so no float can be wrong — nothing to check.
-            return
-        assert reference is not None, "lifting produced values where the scalar loop aborts"
         assert np.array_equal(lifted[0], reference[0])
         assert np.array_equal(lifted[1], reference[1])
 
@@ -893,11 +917,10 @@ class TestDensityLiftings:
         if point_params:
             args = [(lo, lo.copy()) for lo, _ in args]
         args.append(data.draw(_interval_column(count)))
-        lifted = _lifted(_beta_pdf_cells, args, count)
+        lifted = _beta_pdf_cells(args, count)
+        # A non-positive point parameter makes ``Beta`` raise: that cell is
+        # [-inf, inf] on both routes, and every other cell bit-identical.
         reference = _cells_reference("beta_pdf", args, count)
-        if lifted is None:
-            return
-        assert reference is not None, "lifting produced values where the scalar loop aborts"
         assert np.array_equal(lifted[0], reference[0])
         assert np.array_equal(lifted[1], reference[1])
 
@@ -937,10 +960,7 @@ class TestCompiledTemplates:
             for expr in _score_exprs(mu, sigma, width)[shape]
         ]
         roots = [decomposition.template for decomposition in templates]
-        try:
-            program, positions = compile_expr_roots(roots)
-        except ScalarFallback:
-            return
+        program, positions = compile_expr_roots(roots)
         lo = rng.uniform(-2.0, 2.0, size=(count, max(1, len(atoms))))
         hi = lo + rng.uniform(0.0, 1.0, size=lo.shape)
 
@@ -951,12 +971,7 @@ class TestCompiledTemplates:
             program, count, atom_leaf=lambda index: (lo[:, index], hi[:, index])
         )
         for root, position in zip(roots, positions):
-            try:
-                want = tree_walk_cells(root, count, atom_leaf=atom_leaf)
-            except ScalarFallback:
-                with pytest.raises(ScalarFallback):
-                    evaluator.eval_to(position)
-                continue
+            want = tree_walk_cells(root, count, atom_leaf=atom_leaf)
             got = evaluator.eval_to(position)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
@@ -999,16 +1014,9 @@ class TestCompiledTemplates:
                 instrs, count, var_leaf=lambda index: (los[:, index], his[:, index])
             )
             for root, position in zip(roots, positions):
-                try:
-                    want = tree_walk_cells(
-                        root, count, var_leaf=lambda leaf: (los[:, leaf.index], his[:, leaf.index])
-                    )
-                except ScalarFallback:
-                    # Roots compile in order, so the prefix the evaluator
-                    # runs for this root holds only this root's own nodes.
-                    with pytest.raises(ScalarFallback):
-                        evaluator.eval_to(position)
-                    break
+                want = tree_walk_cells(
+                    root, count, var_leaf=lambda leaf: (los[:, leaf.index], his[:, leaf.index])
+                )
                 got = evaluator.eval_to(position)
                 assert np.array_equal(got[0], want[0])
                 assert np.array_equal(got[1], want[1])

@@ -35,12 +35,11 @@ from repro.analysis import (
 )
 from repro.analysis import box_analyzer
 from repro.analysis.parallel import TableJob, run_table_job
-from repro.analysis.vectorize import ScalarFallback
 from repro.intervals import Interval
 from repro.lang import builder as b
 from repro.symbolic import ExecutionLimits, PathExplosionError, symbolic_paths
 
-from helpers import geometric_program, simple_observe_model
+from helpers import _analyze_cells, geometric_program, simple_observe_model
 
 
 def nonlinear_model():
@@ -133,16 +132,16 @@ class TestSerialParallelEquivalence:
         model, _ = serial_baselines["nonlinear"]
         options = model.options.with_updates(analyzers=("box",))
         vec = model.bounds(_TARGETS, options)
-        abandoned = []
+        routed = []
 
-        def abandon(*args):
-            abandoned.append(args)
-            raise ScalarFallback
+        def per_cell(table, index, targets, options):
+            routed.append(index)
+            return _analyze_cells(table.decode_path(index), targets, options)
 
-        # Every path abandons the sweep and runs the per-cell loop.
-        monkeypatch.setattr(box_analyzer, "_boxes_sweep", abandon)
+        # Every path runs the per-cell oracle of ``helpers`` instead.
+        monkeypatch.setattr(box_analyzer, "analyze_table_boxes", per_cell)
         scalar = model.bounds(_TARGETS, options)
-        assert abandoned
+        assert routed
         for a, b_ in zip(vec, scalar):
             assert a.lower == pytest.approx(b_.lower, rel=1e-12, abs=1e-15)
             assert a.upper == pytest.approx(b_.upper, rel=1e-12, abs=1e-15)

@@ -586,3 +586,28 @@ class TestBoundsServerOnDisk(TestBoundsServer):
                     "entries": 0, "limit": 0, "hits": 0, "misses": 0,
                 }
                 assert stats["durability"]["result_store_hits"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Targets without a finite point
+# ---------------------------------------------------------------------------
+
+#: No real value lies in these targets, so every program's bounds are 0.
+POINTLESS_TARGETS = (
+    intervals.Interval.empty(),
+    intervals.Interval(math.inf, math.inf),
+    intervals.Interval(-math.inf, -math.inf),
+)
+
+
+@pytest.mark.parametrize("analyzers", [("linear", "box"), ("box",)], ids=["linear", "box"])
+def test_targets_without_a_finite_point_get_zero_bounds(analyzers):
+    options = AnalysisOptions(analyzers=analyzers, workers=1, executor="serial")
+    local = Model(parse("(sample)"), options).bounds(POINTLESS_TARGETS)
+    assert as_pairs(local) == [(0.0, 0.0)] * 3
+    with serve_in_background() as handle:
+        with ServiceClient(handle.endpoint) as client:
+            served = client.bounds(
+                "(sample)", POINTLESS_TARGETS, options={"analyzers": list(analyzers)}
+            )
+    assert as_pairs(served.bounds) == [(0.0, 0.0)] * 3

@@ -5,11 +5,14 @@ floats involved) and, today, the bound excludes it.  They are strict
 ``xfail``s: the change that makes a probe's bound contain its exact value
 turns the ``xfail`` into an ``XPASS`` failure, and must then drop the
 marker.  ROADMAP.md items 1 (certified volume enclosures) and 2 (outward
-rounding of weights and of the variable reduction) describe the fixes.
+rounding of weights, of the variable reduction and of ``exp``) describe the
+fixes.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -134,3 +137,18 @@ _OBSERVE_TIMES_MASS = Fraction("0.0268734363538114522986867363732497481172288966
 def test_constant_observe_contains_the_exact_product():
     source = "(let x (sample) (let _ (observe normal 0.5 0.25 1.1) x))"
     assert _contains(_bound(source, Interval(-1.0, 0.3)), _OBSERVE_TIMES_MASS)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="exp maps an overflowing lower endpoint to +inf",
+)
+def test_overflowing_exp_score_keeps_a_finite_lower_bound():
+    # The exact value (e^1000 − 1)/1000 is finite but above every finite
+    # float, so a bound contains it iff its lower end is finite and its
+    # upper end is +inf.  exp([900, 1000]) comes out as [inf, inf] today.
+    source = "(let x (sample uniform 0 1) (let u (score (exp (* 1000 x))) x))"
+    bounds = _bound(source, Interval(0.0, 1.0))
+    assert bounds.hi == math.inf
+    assert bounds.lo <= sys.float_info.max

@@ -2,7 +2,7 @@
 
 Neither primitive has an array lifting: inside a sweep both take their
 scalar (libm) interval lifting cell by cell, so the sweeps reproduce the
-per-cell loops' endpoints.  Pinned here end to end on a model whose scores
+per-cell routes' endpoints.  Pinned here end to end on a model whose scores
 exercise both primitives through both analysers.
 """
 
@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from helpers import _analyze_cells
 from repro.analysis import AnalysisOptions, Model, box_analyzer, linear_analyzer
-from repro.analysis.vectorize import ScalarFallback
 from repro.intervals import Interval
 from repro.lang import builder as b
 
@@ -38,22 +38,33 @@ def _exp_score_model():
 class TestEndToEnd:
     _TARGETS = [Interval(0.0, 1.0), Interval.reals()]
 
-    def test_knob_off_is_bit_identical_to_scalar(self, monkeypatch):
-        # The sweeps against the per-cell loops they fall back to: the linear
-        # factor sweep skipped, the box sweep abandoned on every path.  The
-        # patches reach only this process, hence the serial engine.
+    def test_sweeps_match_the_per_cell_oracles(self, monkeypatch):
+        # The sweeps against per-cell routes that compute the same floats:
+        # every linear atom grid weighed by the scalar interval evaluator
+        # (``_scalar_factors``), every box path run through the per-cell
+        # loop of ``helpers``.  The patches reach only this process, hence
+        # the serial engine.
         serial = AnalysisOptions(workers=1, executor="serial")
         linear = Model(_exp_score_model(), serial).bounds(self._TARGETS)
         box_options = serial.with_updates(analyzers=("box",))
         box = Model(_exp_score_model(), box_options).bounds(self._TARGETS)
-        abandoned = []
+        routed = {"linear": 0, "box": 0}
 
-        def abandon(*args):
-            abandoned.append(args)
-            raise ScalarFallback
+        def scalar_factors(atom_ranges, templates):
+            routed["linear"] += 1
+            return linear_analyzer._scalar_factors(atom_ranges, templates)
 
-        monkeypatch.setattr(box_analyzer, "_boxes_sweep", abandon)
-        monkeypatch.setattr(linear_analyzer, "_vectorized_factors", lambda *args: None)
+        def per_cell_boxes(table, index, targets, options):
+            routed["box"] += 1
+            return _analyze_cells(table.decode_path(index), targets, options)
+
+        # The factor sweep's program slot carries the templates themselves,
+        # so the patched sweep can hand them to the scalar evaluator.
+        monkeypatch.setattr(
+            linear_analyzer.GeometryCache, "template_program", lambda self, templates: templates
+        )
+        monkeypatch.setattr(linear_analyzer, "_vectorized_factors", scalar_factors)
+        monkeypatch.setattr(box_analyzer, "analyze_table_boxes", per_cell_boxes)
         for a, b_ in zip(Model(_exp_score_model(), serial).bounds(self._TARGETS), linear):
             assert a.lower == b_.lower
             assert a.upper == b_.upper
@@ -64,4 +75,4 @@ class TestEndToEnd:
         for a, b_ in zip(Model(_exp_score_model(), box_options).bounds(self._TARGETS), box):
             assert a.lower == pytest.approx(b_.lower, rel=1e-12, abs=0.0)
             assert a.upper == pytest.approx(b_.upper, rel=1e-12, abs=0.0)
-        assert abandoned
+        assert routed["linear"] and routed["box"]
